@@ -121,8 +121,17 @@ def fingerprint(alg: StructureTable) -> InvariantFingerprint:
 
 
 @lru_cache(maxsize=None)
+def catalog_fingerprint(name: str) -> InvariantFingerprint:
+    """Fingerprint of a catalog algebra, computed once per process.
+
+    Keyed by name, never by table: catalog tables are fixed, while tables
+    handed to fingerprint() may be anything.
+    """
+    return fingerprint(get(name).table)
+
+
 def _catalog_fingerprints():
-    return {name: fingerprint(get(name).table) for name in names()}
+    return {name: catalog_fingerprint(name) for name in names()}
 
 
 @lru_cache(maxsize=None)

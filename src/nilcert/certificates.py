@@ -471,8 +471,8 @@ class ScreeningReport:
 
 def necessary_conditions(source: str, target: str) -> ScreeningReport:
     """Semicontinuity screen for 'source degenerates to target'."""
-    fp_s = catalog.fingerprint(catalog.get(source).table)
-    fp_t = catalog.fingerprint(catalog.get(target).table)
+    fp_s = catalog.catalog_fingerprint(source)
+    fp_t = catalog.catalog_fingerprint(target)
     n2 = catalog.DIM * catalog.DIM
     return ScreeningReport(
         source=source,

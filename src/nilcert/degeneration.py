@@ -18,12 +18,12 @@ the exact constants at small t is available as an advisory sanity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt
 
 from . import catalog
 from .algebra import GAUSSIAN_FIELD, TOWER_FIELD, StructureTable
-from .derivations import derivation_dimension
 from .linalg import det, invert_matrix, vec_matmul
 from .scalars import (BranchAmbiguous, GaussianRational, LimitDiverges, Poly,
                       TowerElement)
@@ -52,7 +52,7 @@ class LimitFailure(Exception):
 class ParametricMatrix:
     """Rows are the parametric basis vectors, entries exact tower elements."""
 
-    __slots__ = ("rows", "radicand")
+    __slots__ = ("rows", "radicand", "_det")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(TowerElement.coerce(c) for c in row) for row in rows)
@@ -64,14 +64,18 @@ class ParametricMatrix:
                         raise ValueError("parametric matrix mixes two radicands")
                     radicand = c.radicand
         self.radicand = radicand
+        self._det = None
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def det(self) -> TowerElement:
-        zero, one = TOWER_FIELD.zero, TOWER_FIELD.one
-        return det([list(r) for r in self.rows], zero, one)
+        """Determinant of the family; computed on first use, the rows are immutable."""
+        if self._det is None:
+            zero, one = TOWER_FIELD.zero, TOWER_FIELD.one
+            self._det = det([list(r) for r in self.rows], zero, one)
+        return self._det
 
     def eval_complex(self, at: complex):
         return [[c.eval_complex(at) for c in row] for row in self.rows]
@@ -80,8 +84,10 @@ class ParametricMatrix:
         """Rational t values where the family breaks down (poles, det zeros).
 
         Roots are extracted by the rational root theorem when the relevant
-        polynomial has rational coefficients; other factors are reported as
-        polynomial strings since exact root-finding over Q(i) is out of scope.
+        polynomial has rational coefficients and its constant and leading
+        coefficients fit in ROOT_SEARCH_BITS bits; other factors are reported
+        as polynomial strings since exact root-finding over Q(i) is out of
+        scope.  The values are informational: no verdict depends on them.
         """
         candidates = set()
         unresolved = []
@@ -106,11 +112,19 @@ class ParametricMatrix:
         return sorted(candidates), sorted(set(unresolved))
 
 
+# Candidate roots num/den come from the divisors of the constant and leading
+# coefficients.  Below 2^24 an integer has at most 448 divisors, which bounds
+# the search at about 2 * 448^2 candidates per polynomial; larger
+# coefficients would let a witness file make verification arbitrarily slow.
+ROOT_SEARCH_BITS = 24
+
+
 def _rational_roots(p: Poly):
     """Nonzero rational roots via the rational root theorem.
 
     Returns (roots, fully_solved); fully_solved is False when non-rational
-    coefficients or a residual factor of positive degree remain.
+    coefficients or a residual factor of positive degree remain, or when the
+    constant or leading coefficient exceeds ROOT_SEARCH_BITS bits.
     """
     if any(c.im for c in p.coeffs):
         return [], False
@@ -119,20 +133,22 @@ def _rational_roots(p: Poly):
     coeffs = coeffs[order:]
     scale = 1
     for c in coeffs:
-        scale = scale * c.re.denominator // _gcd(scale, c.re.denominator)
+        scale = scale * c.re.denominator // gcd(scale, c.re.denominator)
     ints = [int(c.re * scale) for c in coeffs]
     if len(ints) == 1:
         return [], True
     roots = []
     residual_degree = len(ints) - 1
     lead, const = ints[-1], ints[0]
-    for num in _divisors(abs(const)):
-        for den in _divisors(abs(lead)):
+    if max(abs(lead), abs(const)).bit_length() > ROOT_SEARCH_BITS:
+        return [], False
+    for num in _divisors(const):
+        for den in _divisors(lead):
+            if gcd(num, den) != 1:
+                continue  # the reduced fraction is tried on its own
             for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
-                    if cand not in roots:
-                        roots.append(cand)
+                if _scaled_value(ints, sign * num, den) == 0:
+                    roots.append(Fraction(sign * num, den))
     # a root of multiplicity > 1 or an irrational factor may remain; report
     # fully_solved only when the found roots account for the whole degree
     total = 0
@@ -149,17 +165,23 @@ def _rational_roots(p: Poly):
     return roots, total == residual_degree
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n):
+    """Positive divisors of n in increasing order, by trial up to sqrt|n|."""
+    n = abs(n)
     if n == 0:
         return [1]
-    out = [d for d in range(1, abs(n) + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return small + large
+
+
+def _scaled_value(ints, num, den):
+    """den^deg * p(num / den) for integer coefficients ints, in integers."""
+    value, den_power = 0, 1
+    for c in reversed(ints):
+        value = value * num + c * den_power
+        den_power *= den
+    return value
 
 
 def _poly_int_divmod(ints, root):
@@ -242,8 +264,13 @@ def limit_table(param: StructureTable) -> StructureTable:
     return StructureTable(param.dim, entries, GAUSSIAN_FIELD)
 
 
-def verify(witness: DegenerationWitness) -> Verdict:
-    """Full exact verification of one parametric-basis witness."""
+def verify(witness: DegenerationWitness, t_samples=()) -> Verdict:
+    """Full exact verification of one parametric-basis witness.
+
+    When the witness verifies and t_samples is nonempty, the advisory
+    numeric cross-check runs on the transformed constants already computed
+    here and its samples go to details["numeric"] as plain dicts.
+    """
     source = catalog.get(witness.source)
     target = catalog.get(witness.target)
     details = {}
@@ -269,12 +296,15 @@ def verify(witness: DegenerationWitness) -> Verdict:
         details["mismatched_entries"] = diff
         return Verdict(LIMIT_MISMATCH, witness.source, witness.target, details)
 
-    der_source = derivation_dimension(source.table)
-    der_target = derivation_dimension(target.table)
+    der_source = catalog.catalog_fingerprint(witness.source).dim_der
+    der_target = catalog.catalog_fingerprint(witness.target).dim_der
     details["dim_der"] = {"source": der_source, "target": der_target}
     proper = witness.source != witness.target
     details["der_check"] = "ok" if (der_source < der_target if proper
                                     else der_source == der_target) else "violated"
+    if t_samples:
+        details["numeric"] = [asdict(sample) for sample in
+                              numeric_crosscheck(witness, t_samples, param)]
     return Verdict(VERIFIED, witness.source, witness.target, details)
 
 
@@ -304,18 +334,20 @@ class NumericSample:
     condition_estimate: float
 
 
-def numeric_crosscheck(witness: DegenerationWitness, t_samples,
+def numeric_crosscheck(witness: DegenerationWitness, t_samples, param=None,
                        condition_bound: float = 1e12):
     """Evaluate the exact transformed constants at small complex t.
 
     Reports the max absolute deviation from the target constants per sample,
     choosing the principal branch for the radical.  Samples whose E-matrix
     condition estimate exceeds the bound are flagged ILL_CONDITIONED and the
-    deviation is advisory only.
+    deviation is advisory only.  param is the transformed table when the
+    caller already has it; otherwise it is computed here.
     """
-    source = catalog.get(witness.source)
     target = catalog.get(witness.target)
-    param = transformed_constants(source.table, witness.matrix)
+    if param is None:
+        param = transformed_constants(catalog.get(witness.source).table,
+                                      witness.matrix)
     samples = []
     for t in t_samples:
         t = complex(t)

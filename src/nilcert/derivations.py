@@ -14,6 +14,7 @@ basis a rational reduced echelon form, and the two routes are cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import StructureTable
 from .linalg import gaussian_int_rank, kernel_basis, rank
@@ -70,16 +71,10 @@ def _gaussian_int_rows(rows):
             for part in (c.re, c.im):
                 d = part.denominator
                 if d != 1:
-                    g = _gcd(lcm, d)
+                    g = gcd(lcm, d)
                     lcm = lcm // g * d
         out.append([(int(c.re * lcm), int(c.im * lcm)) for c in row])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def derivation_dimension(alg: StructureTable) -> int:

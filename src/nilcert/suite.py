@@ -17,12 +17,14 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__, catalog, files
 from . import graph as graphmod
 from .certificates import check_claim, screening_completeness
-from .degeneration import numeric_crosscheck, verify
+from .degeneration import verify
 from .sampling import derive_rng
 
 
-def _verify_by_id(witness_id):
-    verdict = verify(files.load_shipped_witness(witness_id))
+def _verify_by_id(witness_id, t_samples=()):
+    """Worker entry: the verdict carries JSON-ready details only, the numeric
+    cross-check included, so no exact tower values cross the process pool."""
+    verdict = verify(files.load_shipped_witness(witness_id), t_samples)
     verdict.details["witness_id"] = witness_id
     return witness_id, verdict
 
@@ -33,7 +35,7 @@ def _catalog_section():
     for name in catalog.names():
         entry = catalog.get(name)
         identities = entry.table.check_identities()
-        fp = catalog.fingerprint(entry.table)
+        fp = catalog.catalog_fingerprint(name)
         der_ok = fp.dim_der == entry.expected_der_dim
         nilpotent = fp.nilpotency_index > 0
         entry_ok = identities.commutative and identities.associative \
@@ -60,9 +62,10 @@ def _witness_section(t_samples, jobs, log):
     ids = files.witness_ids()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_verify_by_id, ids))
+            results = dict(pool.map(_verify_by_id, ids,
+                                    [t_samples] * len(ids)))
     else:
-        results = dict(_verify_by_id(wid) for wid in ids)
+        results = dict(_verify_by_id(wid, t_samples) for wid in ids)
     verdicts = [results[wid] for wid in ids]
     records = []
     ok = True
@@ -72,14 +75,6 @@ def _witness_section(t_samples, jobs, log):
                   "status": verdict.status}
         record.update({k: v for k, v in verdict.details.items()
                        if k != "witness_id"})
-        if verdict.verified and t_samples:
-            witness = files.load_shipped_witness(wid)
-            samples = numeric_crosscheck(witness, t_samples)
-            record["numeric"] = [
-                {"t": s.t, "status": s.status,
-                 "max_deviation": s.max_deviation,
-                 "condition_estimate": s.condition_estimate}
-                for s in samples]
         records.append(record)
         if log:
             log(f"witness {verdict.source} -> {verdict.target}: {verdict.status}")
@@ -158,7 +153,9 @@ def _screening_section(g, claims_records):
                 for t in record["targets"]:
                     pairs.append((s, t))
     report = screening_completeness(closure, pairs)
+    ok = not report["unexplained"]
     return {
+        "ok": ok,
         "no_path_pairs": len(report["explained"]) + len(report["unexplained"]),
         "explained": {f"{x} !-> {y}": reasons
                       for (x, y), reasons in sorted(report["explained"].items())},
@@ -166,7 +163,7 @@ def _screening_section(g, claims_records):
         "unexplained_count": len(report["unexplained"]),
         "note": "A_p^k conditions with p = 1 are read as powers of the whole "
                 "algebra, hence basis independent.",
-    }
+    }, ok
 
 
 def run_all(seed=0, samples=1000, borel_samples=200, t_samples=(1e-4,),
@@ -194,10 +191,10 @@ def run_all(seed=0, samples=1000, borel_samples=200, t_samples=(1e-4,),
     timings["claims"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    screening_section = _screening_section(g, claims_records)
+    screening_section, screening_ok = _screening_section(g, claims_records)
     timings["screening"] = time.perf_counter() - t0
 
-    ok = catalog_ok and witnesses_ok and graph_ok and claims_ok
+    ok = catalog_ok and witnesses_ok and graph_ok and claims_ok and screening_ok
     return {
         "ok": ok,
         "meta": {

@@ -12,7 +12,8 @@ from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
                                   escape_evidence, evaluate_condition_ast,
                                   necessary_conditions,
                                   parse_polynomial_condition, satisfies,
-                                  satisfies_with_witness)
+                                  satisfies_with_witness,
+                                  screening_completeness)
 from nilcert.sampling import derive_rng, random_sparse_table
 from nilcert.scalars import GaussianRational
 
@@ -137,6 +138,25 @@ def test_screening_rejects_the_reverse_direction():
 
 def test_screening_waives_strictness_for_the_trivial_pair():
     assert necessary_conditions("A_13", "A_13").all_pass
+
+
+def test_screening_reads_the_cached_catalog_fingerprints(monkeypatch):
+    warm = screening_completeness(set(), [])
+    calls = {"fingerprint": 0, "derivation_dimension": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(catalog, "fingerprint",
+                        counting("fingerprint", catalog.fingerprint))
+    monkeypatch.setattr(catalog, "derivation_dimension",
+                        counting("derivation_dimension",
+                                 catalog.derivation_dimension))
+    assert screening_completeness(set(), []) == warm
+    assert calls == {"fingerprint": 0, "derivation_dimension": 0}
 
 
 # -- claim checking -------------------------------------------------------------------

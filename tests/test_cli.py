@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from nilcert import files
+from nilcert import degeneration, files, suite
 from nilcert.cli import main
 from nilcert.suite import run_all, strip_nondeterministic
 
@@ -127,12 +127,43 @@ def test_verify_all_is_deterministic_under_a_seed():
 
 def test_worker_pool_gives_identical_witness_results():
     sequential = strip_nondeterministic(
-        run_all(seed=3, samples=2, borel_samples=1, t_samples=(), jobs=1))
+        run_all(seed=3, samples=2, borel_samples=1, t_samples=(1e-4,), jobs=1))
     parallel = strip_nondeterministic(
-        run_all(seed=3, samples=2, borel_samples=1, t_samples=(), jobs=2))
+        run_all(seed=3, samples=2, borel_samples=1, t_samples=(1e-4,), jobs=2))
     sequential["meta"].pop("jobs")
     parallel["meta"].pop("jobs")
+    assert all(len(r["numeric"]) == 1 for r in sequential["witnesses"])
     assert sequential == parallel
+
+
+def test_witness_section_transforms_each_witness_once(monkeypatch):
+    calls = []
+
+    def counted(source, matrix):
+        calls.append(matrix)
+        return transform(source, matrix)
+
+    transform = degeneration.transformed_constants
+    monkeypatch.setattr(degeneration, "transformed_constants", counted)
+    records, _, ok = suite._witness_section((1e-4,), 1, None)
+    assert ok and all("numeric" in r for r in records)
+    assert len(calls) == len(files.witness_ids())
+
+
+def test_unexplained_screening_pair_fails_verify_all(tmp_path, monkeypatch):
+    monkeypatch.setattr(suite, "screening_completeness",
+                        lambda closure, pairs: {"explained": {},
+                                                "unexplained": [("A_24", "A_23")]})
+    report_path = tmp_path / "report.json"
+    code = main(["verify-all", "--samples", "1", "--borel-samples", "1",
+                 "--t-samples", "", "--report", str(report_path)])
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="ascii"))
+    assert report["ok"] is False
+    assert report["screening"]["ok"] is False
+    assert report["screening"]["unexplained_count"] == 1
+    assert report["catalog"]["ok"] and report["graph"]["ok"]
+    assert all(r["valid"] for r in report["claims"])
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch, capsys):

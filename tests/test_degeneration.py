@@ -1,9 +1,12 @@
 """Witness verification: invertibility, transformed constants, limits,
 verdicts, semicontinuity along verified edges, and the numeric cross-check."""
 
+import time
+from dataclasses import asdict
+
 import pytest
 
-from nilcert import catalog, files
+from nilcert import catalog, degeneration, files
 from nilcert.algebra import GAUSSIAN_FIELD, StructureTable, TOWER_FIELD
 from nilcert.degeneration import (DegenerationWitness, ParametricMatrix,
                                   SingularFamilyError, generic_invertibility,
@@ -134,6 +137,38 @@ def test_exceptional_values_recorded():
     assert "2/3" in verdict.details["exceptional_t"]
 
 
+@pytest.mark.parametrize("constant, solved", [
+    ("10000019", True),
+    ("123456789012345678901234567891", False),
+])
+def test_root_search_is_bounded_in_the_witness_constants(constant, solved):
+    rows = A23_TO_A24[:4] + [f"(1/(t + {constant})) e_5"]
+    started = time.perf_counter()
+    verdict = verify(DegenerationWitness("A_23", "A_24", matrix_of(rows)))
+    assert time.perf_counter() - started < 10
+    assert verdict.verified
+    if solved:
+        assert verdict.details["exceptional_t"] == [f"-{constant}"]
+        assert "unresolved_factors" not in verdict.details
+    else:
+        assert verdict.details["exceptional_t"] == []
+        assert verdict.details["unresolved_factors"] == [f"{constant} + 1*t"]
+
+
+def test_family_determinant_is_computed_once_per_verify(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return det(*args)
+
+    det = degeneration.det
+    monkeypatch.setattr(degeneration, "det", counted)
+    verdict = verify(files.load_shipped_witness("a01_to_a03"), (1e-4,))
+    assert verdict.verified
+    assert len(calls) == 1
+
+
 def test_witness_conjugated_on_the_source_side_still_verifies():
     rng = derive_rng(23, "witness-conjugation")
     for wid in ("a23_to_a24", "a09_to_a11", "a13_to_a21"):
@@ -200,3 +235,12 @@ def test_ill_conditioned_family_is_flagged():
     witness = files.load_shipped_witness("a01_to_a02")  # entries down to t^-7
     sample = numeric_crosscheck(witness, [1e-4])[0]
     assert sample.status == "ILL_CONDITIONED"
+
+
+def test_verify_runs_the_crosscheck_on_its_own_constants():
+    for wid in ("a01_to_a02", "a23_to_a24"):
+        witness = files.load_shipped_witness(wid)
+        verdict = verify(witness, (1e-3, 1e-4))
+        assert verdict.details["numeric"] == [
+            asdict(s) for s in numeric_crosscheck(witness, (1e-3, 1e-4))]
+        assert "numeric" not in verify(witness).details
