@@ -14,8 +14,8 @@ The package re-derives, with no floating point on any load-bearing path:
 __version__ = "1.0.0"
 
 from .algebra import (GAUSSIAN_FIELD, TOWER_FIELD, StructureTable, Subspace,
-                      annihilator, flag_subspace, nilpotency_index,
-                      power_ideal, subspace_product)
+                      annihilator, flag_subspace, power_chain,
+                      subspace_product)
 from .catalog import (CatalogEntry, InvariantFingerprint, fingerprint,
                       get, identify, names)
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
@@ -38,8 +38,7 @@ from .scalars import (BranchAmbiguous, GaussianRational, LimitDiverges,
 __all__ = [
     "__version__",
     "GAUSSIAN_FIELD", "TOWER_FIELD", "StructureTable", "Subspace",
-    "annihilator", "flag_subspace", "nilpotency_index", "power_ideal",
-    "subspace_product",
+    "annihilator", "flag_subspace", "power_chain", "subspace_product",
     "CatalogEntry", "InvariantFingerprint", "fingerprint", "get", "identify",
     "names",
     "AnnDimAtLeast", "ClosedSetSpec", "FlagContainment",

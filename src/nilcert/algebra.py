@@ -253,39 +253,31 @@ def subspace_product(alg: StructureTable, left: Subspace, right: Subspace) -> Su
     return Subspace.spanned_by(vectors, alg.dim, alg.field)
 
 
-def iterated_power(alg: StructureTable, base: Subspace, k: int) -> Subspace:
-    """Span of all k-fold products of elements of ``base``.
+def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
+    """[None, S^1, S^2, ...] up to S^up_to, where S is ``base`` (default: the
+    whole algebra) and S^m = sum over p+q=m of S^p S^q.
 
-    Computed through S^k = sum over p+q=k of S^p * S^q, which stays correct
-    for non-associative diagnostic inputs as well.
+    The sum covers every parenthesization, so the chain stays correct for
+    non-associative diagnostic tables.  Once S^z = ... = S^(2z-2) = 0 the
+    chain stops multiplying: every product of at least z factors contains a
+    sub-product of z to 2z-2 factors, so every later power is zero as well.
     """
-    if k < 1:
-        raise ValueError("power index must be >= 1")
+    if base is None:
+        base = Subspace.full(alg.dim, alg.field)
     powers = [None, base]
-    for m in range(2, k + 1):
-        acc = Subspace.zero(alg.dim, alg.field)
-        for p in range(1, m):
-            acc = acc.add(subspace_product(alg, powers[p], powers[m - p]))
-        powers.append(acc)
-    return powers[k]
-
-
-def power_ideal(alg: StructureTable, k: int) -> Subspace:
-    """The k-th power of the whole algebra; basis independent."""
-    return iterated_power(alg, Subspace.full(alg.dim, alg.field), k)
-
-
-def power_chain(alg: StructureTable, up_to: int):
-    """[None, A^1, A^2, ...] up to A^up_to, stopping early once zero."""
-    powers = [None, Subspace.full(alg.dim, alg.field)]
+    first_zero = 1 if base.is_zero else None
     for m in range(2, up_to + 1):
-        if powers[-1].is_zero:
+        if first_zero is not None and m >= 2 * first_zero - 1:
             powers.append(powers[-1])
             continue
         acc = Subspace.zero(alg.dim, alg.field)
         for p in range(1, m):
             acc = acc.add(subspace_product(alg, powers[p], powers[m - p]))
         powers.append(acc)
+        if not acc.is_zero:
+            first_zero = None
+        elif first_zero is None:
+            first_zero = m
     return powers
 
 
@@ -300,14 +292,3 @@ def annihilator(alg: StructureTable) -> Subspace:
             rows.append([alg.entry(j, i, k) for i in range(n)])   # e_j * x
     basis = kernel_basis(rows, n, zero, one)
     return Subspace.spanned_by(basis, n, alg.field)
-
-
-def nilpotency_index(alg: StructureTable):
-    """Least k with A^k = 0, or None when the powers stabilize above zero."""
-    powers = power_chain(alg, alg.dim + 1)
-    for k in range(2, alg.dim + 2):
-        if powers[k].is_zero:
-            return k
-        if powers[k] == powers[k - 1]:
-            return None
-    return None

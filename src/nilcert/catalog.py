@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (StructureTable, annihilator, nilpotency_index,
-                      power_chain)
+from .algebra import StructureTable, annihilator, power_chain
 from .derivations import derivation_dimension
 
 
@@ -87,7 +86,7 @@ class InvariantFingerprint:
     dim_der: int
     power_dims: tuple  # dims of A^2, A^3, A^4, A^5
     ann_dim: int
-    nilpotency_index: int
+    nilpotency_index: int  # least k with A^k = 0; -1 when A is not nilpotent
 
     def as_dict(self):
         return {"dim_der": self.dim_der,
@@ -150,7 +149,7 @@ def identify(alg: StructureTable):
     report = alg.check_identities()
     if not report.commutative or not report.associative:
         raise NotInVarietyError("algebra is not commutative and associative")
-    if nilpotency_index(alg) is None:
-        raise NotInVarietyError("algebra is not nilpotent")
     fp = fingerprint(alg)
+    if fp.nilpotency_index < 0:
+        raise NotInVarietyError("algebra is not nilpotent")
     return sorted(name for name, cfp in _catalog_fingerprints().items() if cfp == fp)

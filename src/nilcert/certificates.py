@@ -3,7 +3,9 @@
 A closed set R is a conjunction of conditions on structure constants in the
 current basis: flag-product containments A_p A_q <= A_r (the flag tails are
 A_p = <e_p, ..., e_n>), power vanishings A_p^k = 0, polynomial equations in
-the c(i,j,k), and annihilator-dimension lower bounds.
+the c(i,j,k), and annihilator-dimension lower bounds.  Powers are read from
+algebra.power_chain; polynomial conditions arrive in the monomial normal
+form of parser.parse_condition.
 
 The toolkit deliberately distinguishes two escape outcomes for a target:
 
@@ -23,9 +25,9 @@ from itertools import combinations
 
 from . import catalog
 from .algebra import (StructureTable, annihilator, flag_subspace,
-                      iterated_power, power_ideal, subspace_product)
+                      power_chain, subspace_product)
 from .sampling import random_borel_matrix, random_invertible
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ZERO, GaussianRational
 
 CERTIFIED = "CERTIFIED"
 EVIDENTIAL = "EVIDENTIAL"
@@ -62,13 +64,23 @@ class PowerVanish:
 
 @dataclass(frozen=True)
 class PolynomialEq:
-    """poly(c(i,j,k)) = 0; carries the parsed AST and its source text."""
+    """poly(c(i,j,k)) = 0; carries the monomial normal form of
+    parser.parse_condition and the source text."""
 
-    ast: tuple
+    terms: tuple
     text: str
 
     def describe(self):
         return f"{self.text} = 0"
+
+    def value(self, alg: StructureTable) -> GaussianRational:
+        """The polynomial evaluated at the structure constants of ``alg``."""
+        total = GR_ZERO
+        for monomial, coeff in self.terms:
+            for index in monomial:
+                coeff = coeff * alg.entry(*index)
+            total = total + coeff
+        return total
 
 
 @dataclass(frozen=True)
@@ -102,147 +114,6 @@ class NonDegenerationClaim:
                 f"{{{', '.join(self.spec.describe())}}}")
 
 
-# -- polynomial conditions in the structure constants -----------------------------------
-
-
-class PolynomialConditionError(ValueError):
-    pass
-
-
-def parse_polynomial_condition(text):
-    """Parse 'c(1,3,4)*c(2,2,5) - ...' into a small AST of nested tuples."""
-    tokens = _poly_tokens(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def expression():
-        node = term()
-        while peek() in ("+", "-"):
-            op = advance()
-            rhs = term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term():
-        node = factor()
-        while peek() == "*":
-            advance()
-            node = ("mul", node, factor())
-        return node
-
-    def factor():
-        tok = advance()
-        if tok == "-":
-            return ("neg", factor())
-        if tok == "(":
-            node = expression()
-            if advance() != ")":
-                raise PolynomialConditionError(f"unbalanced parentheses in {text!r}")
-            return node
-        if isinstance(tok, int):
-            return ("num", tok)
-        if isinstance(tok, tuple) and tok[0] == "entry":
-            return tok
-        raise PolynomialConditionError(f"unexpected token {tok!r} in {text!r}")
-
-    node = expression()
-    if peek() is not None:
-        raise PolynomialConditionError(f"trailing input in {text!r}")
-    return node
-
-
-def _poly_tokens(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch == "c" and i + 1 < n and text[i + 1] == "(":
-            j = text.index(")", i)
-            idx = tuple(int(p) for p in text[i + 2:j].split(","))
-            if len(idx) != 3:
-                raise PolynomialConditionError(f"bad entry reference in {text!r}")
-            tokens.append(("entry",) + idx)
-            i = j + 1
-        else:
-            raise PolynomialConditionError(f"unexpected character {ch!r} in {text!r}")
-    tokens.append(None)
-    return tokens
-
-
-def evaluate_condition_ast(ast, alg: StructureTable) -> GaussianRational:
-    """Direct recursive evaluation of the AST against a table."""
-    kind = ast[0]
-    if kind == "num":
-        return GaussianRational.coerce(ast[1])
-    if kind == "entry":
-        _, i, j, k = ast
-        return alg.entry(i - 1, j - 1, k - 1)
-    if kind == "neg":
-        return -evaluate_condition_ast(ast[1], alg)
-    a = evaluate_condition_ast(ast[1], alg)
-    b = evaluate_condition_ast(ast[2], alg)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise PolynomialConditionError(f"unknown AST node {kind!r}")
-
-
-def expand_condition_ast(ast):
-    """Monomial normal form: {sorted tuple of (i,j,k) entries: coefficient}."""
-    kind = ast[0]
-    if kind == "num":
-        c = GaussianRational.coerce(ast[1])
-        return {(): c} if c else {}
-    if kind == "entry":
-        return {(ast[1:],): GR_ONE}
-    if kind == "neg":
-        return {m: -c for m, c in expand_condition_ast(ast[1]).items()}
-    a = expand_condition_ast(ast[1])
-    b = expand_condition_ast(ast[2])
-    if kind in ("add", "sub"):
-        out = dict(a)
-        for m, c in b.items():
-            nc = out.get(m, GR_ZERO) + (c if kind == "add" else -c)
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return out
-    if kind == "mul":
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(sorted(ma + mb))
-                nc = out.get(m, GR_ZERO) + ca * cb
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return out
-    raise PolynomialConditionError(f"unknown AST node {kind!r}")
-
-
 # -- conjunct evaluation ------------------------------------------------------------------
 
 
@@ -255,15 +126,10 @@ def conjunct_holds(conj, alg: StructureTable) -> bool:
         target = flag_subspace(n, conj.r if conj.r is not None else n + 1, alg.field)
         return target.contains_subspace(prod)
     if isinstance(conj, PowerVanish):
-        return iterated_power(alg, flag_subspace(n, conj.p, alg.field), conj.k).is_zero
+        base = flag_subspace(n, conj.p, alg.field)
+        return power_chain(alg, conj.k, base)[conj.k].is_zero
     if isinstance(conj, PolynomialEq):
-        total = GR_ZERO
-        for monomial, coeff in expand_condition_ast(conj.ast).items():
-            value = coeff
-            for (i, j, k) in monomial:
-                value = value * alg.entry(i - 1, j - 1, k - 1)
-            total = total + value
-        return total.is_zero
+        return conj.value(alg).is_zero
     if isinstance(conj, AnnDimAtLeast):
         return annihilator(alg).dim >= conj.d
     raise TypeError(f"unknown conjunct {conj!r}")
@@ -283,7 +149,7 @@ def conjunct_holds_bruteforce(conj, alg: StructureTable) -> bool:
     if isinstance(conj, PowerVanish):
         return not _some_tail_product_nonzero(alg, conj.p, conj.k)
     if isinstance(conj, PolynomialEq):
-        return evaluate_condition_ast(conj.ast, alg).is_zero
+        return conj.value(alg).is_zero
     if isinstance(conj, AnnDimAtLeast):
         return _annihilator_rank_by_minors(alg) <= n - conj.d
     raise TypeError(f"unknown conjunct {conj!r}")
@@ -416,7 +282,7 @@ def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
                     CERTIFIED,
                     f"dim Ann = {ann} < {conj.d} in every basis", 0, 0)
     for k in _whole_power_conditions(spec):
-        power = power_ideal(target, k)
+        power = power_chain(target, k)[k]
         if not power.is_zero:
             return EscapeReport(
                 CERTIFIED,
@@ -442,8 +308,7 @@ class ScreeningReport:
     source: str
     target: str
     trivial: bool
-    der_dim_increases: bool
-    orbit_dim_decreases: bool
+    der_dim_increases: bool  # also the orbit test: dim orbit = n^2 - dim Der
     power_dims_non_increase: bool
     ann_dim_non_decreases: bool
 
@@ -451,8 +316,8 @@ class ScreeningReport:
     def all_pass(self) -> bool:
         if self.trivial:
             return True
-        return (self.der_dim_increases and self.orbit_dim_decreases
-                and self.power_dims_non_increase and self.ann_dim_non_decreases)
+        return (self.der_dim_increases and self.power_dims_non_increase
+                and self.ann_dim_non_decreases)
 
     def failures(self):
         if self.trivial:
@@ -460,8 +325,6 @@ class ScreeningReport:
         out = []
         if not self.der_dim_increases:
             out.append("dim Der does not strictly increase")
-        if not self.orbit_dim_decreases:
-            out.append("orbit dimension does not strictly decrease")
         if not self.power_dims_non_increase:
             out.append("some dim A^k increases")
         if not self.ann_dim_non_decreases:
@@ -473,13 +336,11 @@ def necessary_conditions(source: str, target: str) -> ScreeningReport:
     """Semicontinuity screen for 'source degenerates to target'."""
     fp_s = catalog.catalog_fingerprint(source)
     fp_t = catalog.catalog_fingerprint(target)
-    n2 = catalog.DIM * catalog.DIM
     return ScreeningReport(
         source=source,
         target=target,
         trivial=source == target,
         der_dim_increases=fp_s.dim_der < fp_t.dim_der,
-        orbit_dim_decreases=(n2 - fp_s.dim_der) > (n2 - fp_t.dim_der),
         power_dims_non_increase=all(a >= b for a, b in
                                     zip(fp_s.power_dims, fp_t.power_dims)),
         ann_dim_non_decreases=fp_s.ann_dim <= fp_t.ann_dim,

@@ -29,7 +29,10 @@ Claims file (several blocks)::
     require A_2 A_3 = 0
     require poly c(1,3,4)*c(2,2,5) - c(1,3,5)*c(2,2,4) = 0
 
-Other condition forms: ``require A_p^k = 0`` and ``require ann >= d``.
+Other condition forms: ``require A_p^k = 0`` and ``require ann >= d``.  Flag
+indices lie in 1..dim and power exponents are at least 1; a ``poly`` condition
+is a polynomial in the c(i,j,k), 1 <= i, j, k <= dim, with Q(i) coefficients,
+parsed by the expression grammar of ``parser``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ from importlib import resources
 
 from .algebra import GAUSSIAN_FIELD, StructureTable
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
-                           NonDegenerationClaim, PolynomialEq, PowerVanish,
-                           parse_polynomial_condition)
+                           NonDegenerationClaim, PolynomialEq, PowerVanish)
 from .degeneration import DegenerationWitness, ParametricMatrix
-from .parser import format_vector, parse_expression
+from .parser import format_vector, parse_condition, parse_expression
 
 
 class FileFormatError(ValueError):
@@ -168,42 +170,66 @@ def dump_witness(witness: DegenerationWitness) -> str:
 # -- claims files ----------------------------------------------------------------------------
 
 
-def _parse_flag_atom(token, lineno):
+def _parse_int(text, lineno, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise FileFormatError(
+            f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
+
+
+def _parse_flag_atom(token, lineno, dim):
     token = token.strip()
     if not token.startswith("A_"):
         raise FileFormatError(f"line {lineno}: expected flag A_p, got {token!r}")
-    return int(token.removeprefix("A_"))
+    p = _parse_int(token.removeprefix("A_"), lineno, "flag index")
+    if not 1 <= p <= dim:
+        raise FileFormatError(f"line {lineno}: flag index A_{p} outside 1..{dim}")
+    return p
 
 
-def _parse_condition(line, lineno):
+def _parse_flag_pair(text, lineno, dim):
+    atoms = text.split()
+    if len(atoms) != 2:
+        raise FileFormatError(f"line {lineno}: expected 'A_p A_q', got {text.strip()!r}")
+    return tuple(_parse_flag_atom(atom, lineno, dim) for atom in atoms)
+
+
+def _parse_condition(line, lineno, dim):
     body = line.removeprefix("require ").strip()
     if body.startswith("ann"):
         rest = body.removeprefix("ann").strip()
         if not rest.startswith(">="):
             raise FileFormatError(f"line {lineno}: expected 'ann >= d'")
-        return AnnDimAtLeast(int(rest.removeprefix(">=").strip()))
+        return AnnDimAtLeast(_parse_int(rest.removeprefix(">="), lineno, "ann bound"))
     if body.startswith("poly "):
         expr = body.removeprefix("poly ").strip()
         if not expr.endswith("= 0"):
             raise FileFormatError(f"line {lineno}: polynomial condition must end '= 0'")
-        return PolynomialEq(parse_polynomial_condition(expr[: -len("= 0")].strip()),
-                            expr[: -len("= 0")].strip())
+        text = expr[: -len("= 0")].strip()
+        try:
+            return PolynomialEq(parse_condition(text, dim), text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
     # flag products and powers: 'A_p A_q <= A_r', 'A_p A_q = 0', 'A_p^k = 0'
     if "^" in body.split("=")[0] and "<=" not in body:
         lhs, rhs = body.split("=", 1)
         if rhs.strip() != "0":
             raise FileFormatError(f"line {lineno}: power condition must be '= 0'")
         base, k = lhs.split("^", 1)
-        return PowerVanish(_parse_flag_atom(base, lineno), int(k))
+        k = _parse_int(k, lineno, "power exponent")
+        if k < 1:
+            raise FileFormatError(f"line {lineno}: power exponent {k} must be >= 1")
+        return PowerVanish(_parse_flag_atom(base, lineno, dim), k)
     if "<=" in body:
         lhs, rhs = body.split("<=", 1)
-        p, q = (_parse_flag_atom(x, lineno) for x in lhs.split())
-        return FlagContainment(p, q, _parse_flag_atom(rhs, lineno))
+        p, q = _parse_flag_pair(lhs, lineno, dim)
+        return FlagContainment(p, q, _parse_flag_atom(rhs, lineno, dim))
     if "=" in body:
         lhs, rhs = body.split("=", 1)
         if rhs.strip() != "0":
             raise FileFormatError(f"line {lineno}: expected '= 0'")
-        p, q = (_parse_flag_atom(x, lineno) for x in lhs.split())
+        p, q = _parse_flag_pair(lhs, lineno, dim)
         return FlagContainment(p, q, None)  # None encodes containment in 0
     raise FileFormatError(f"line {lineno}: unrecognized condition {body!r}")
 
@@ -236,14 +262,17 @@ def load_claims(text, dim=5):
         elif current is None:
             raise FileFormatError(f"line {lineno}: condition outside a claim block")
         elif line.startswith("require "):
-            current["conditions"].append(_parse_condition(line, lineno))
+            current["conditions"].append(_parse_condition(line, lineno, dim))
         elif line.startswith("witness "):
             body = line.removeprefix("witness ")
             if ":" not in body:
                 raise FileFormatError(f"line {lineno}: expected 'witness NAME : ...'")
             name, rows = body.split(":", 1)
-            matrix = [parse_expression(part.strip(), dim)
-                      for part in rows.split(",")]
+            try:
+                matrix = [parse_expression(part.strip(), dim)
+                          for part in rows.split(",")]
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FileFormatError(f"line {lineno}: {exc}") from None
             if len(matrix) != dim:
                 raise FileFormatError(f"line {lineno}: witness basis needs {dim} rows")
             constant = []

@@ -1,4 +1,6 @@
-"""Recursive-descent parser for exact linear-combination expressions.
+"""Recursive-descent parser for exact expressions: the linear combinations of
+algebra, witness and claims files, and the polynomial conditions of claims
+files.
 
 Grammar (ASCII only):
 
@@ -6,8 +8,8 @@ Grammar (ASCII only):
     term       := factor {('*' | '/')? factor}      # juxtaposition multiplies
     factor     := prefixed ['^' signed_integer]
     prefixed   := '-' prefixed | atom
-    atom       := integer | 't' | 'i' | 'e_<k>' | 'sqrt' '(' expression ')'
-                | '(' expression ')'
+    atom       := integer | 't' | 'i' | 'e_<k>' | 'c(<i>,<j>,<k>)'
+                | 'sqrt' '(' expression ')' | '(' expression ')'
 
 Precedence: unary minus binds tighter than '^', which binds tighter than
 multiplication and division, which bind tighter than addition.  So ``-t^2``
@@ -15,8 +17,17 @@ is ``(-t)^2``; write ``-(t^2)`` for the negative.  ``2t e_3`` multiplies by
 juxtaposition; a '-' never starts a juxtaposed factor, so ``a - b`` stays a
 subtraction.
 
-Expressions evaluate to linear combinations of the basis vectors e_1..e_n
-with tower-element coefficients; at most one distinct radicand may occur.
+Linear combinations (parse_expression, parse_scalar) evaluate to a linear
+combination of the basis vectors e_1..e_n with tower-element coefficients;
+at most one distinct radicand may occur, and c(i,j,k) is rejected.
+
+Conditions (parse_condition) are polynomials in the structure constants
+c(i,j,k), 1 <= i, j, k <= n, with Q(i) coefficients: 't', 'sqrt' and 'e_k'
+are rejected, and only a nonzero constant may divide or carry a negative
+exponent.  A condition is folded into its monomial normal form, the
+(monomial, coefficient) pairs sorted by monomial, where a monomial is the
+sorted tuple of its 0-based (i, j, k) factors.
+
 The printer emits a canonical fully-parenthesized form with explicit '*', so
 parse -> print -> parse is a fixed point.
 """
@@ -25,8 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (POLY_ONE, TOWER_ONE, TOWER_ZERO, GaussianRational,
-                      MixedRadicands, Poly, RationalFunction, TowerElement)
+from .scalars import (GR_ONE, GR_ZERO, POLY_ONE, TOWER_ONE, TOWER_ZERO,
+                      GaussianRational, MixedRadicands, Poly, RationalFunction,
+                      TowerElement)
 
 
 class ExpressionSyntaxError(ValueError):
@@ -42,7 +54,8 @@ class MultipleRadicalsError(ValueError):
 
 
 class NonlinearExpressionError(ValueError):
-    """Products or powers of basis vectors are not valid linear combinations."""
+    """Products or powers of basis vectors are not valid linear combinations;
+    in a condition, division by an expression in the c(i,j,k) is not valid."""
 
 
 _TOKEN_OPS = set("+-*/^(),")
@@ -82,12 +95,8 @@ def _tokenize(text):
                 raise ExpressionSyntaxError("basis vector needs an index", start)
             tokens.append(("basis", int(digits), start))
             continue
-        if ch == "t":
-            tokens.append(("t", "t", pos))
-            pos += 1
-            continue
-        if ch == "i":
-            tokens.append(("i", "i", pos))
+        if ch in "tic":
+            tokens.append((ch, ch, pos))
             pos += 1
             continue
         raise ExpressionSyntaxError(f"unexpected character {ch!r}", pos)
@@ -100,23 +109,122 @@ class _Linear:
 
     __slots__ = ("scalar", "vector")
 
+    context, excluded = "a linear combination", {"c"}
+
     def __init__(self, scalar, vector):
         self.scalar = scalar
         self.vector = vector
+
+    @classmethod
+    def constant(cls, value, dim):
+        return cls(TowerElement.coerce(value), [TOWER_ZERO] * dim)
 
     @property
     def is_scalar(self):
         return all(c.is_zero for c in self.vector)
 
+    def __add__(self, other):
+        return _Linear(self.scalar + other.scalar,
+                       [a + b for a, b in zip(self.vector, other.vector)])
 
-def _scalar(value, dim):
-    return _Linear(value, [TOWER_ZERO] * dim)
+    def __sub__(self, other):
+        return _Linear(self.scalar - other.scalar,
+                       [a - b for a, b in zip(self.vector, other.vector)])
+
+    def __neg__(self):
+        return _Linear(-self.scalar, [-c for c in self.vector])
+
+    def times(self, other, pos):
+        if self.is_scalar:
+            s = self.scalar
+            return _Linear(s * other.scalar, [s * c for c in other.vector])
+        if other.is_scalar:
+            s = other.scalar
+            return _Linear(self.scalar * s, [c * s for c in self.vector])
+        raise NonlinearExpressionError(
+            f"product of two basis-vector expressions (position {pos})")
+
+    def over(self, other, pos):
+        if not other.is_scalar:
+            raise NonlinearExpressionError("division by a basis-vector expression")
+        if other.scalar.is_zero:
+            raise ZeroDivisionError(f"division by zero at position {pos}")
+        inv = other.scalar.inverse()
+        return _Linear(self.scalar * inv, [c * inv for c in self.vector])
+
+    def power(self, exponent, pos):
+        if not self.is_scalar:
+            raise NonlinearExpressionError(
+                f"power of a basis-vector expression (position {pos})")
+        return _Linear.constant(self.scalar ** exponent, len(self.vector))
+
+
+def _accumulate(terms, monomial, coeff):
+    total = terms.get(monomial, GR_ZERO) + coeff
+    if total:
+        terms[monomial] = total
+    else:
+        terms.pop(monomial, None)
+
+
+class _Polynomial:
+    """A polynomial in the structure constants with Q(i) coefficients:
+    {sorted tuple of 0-based (i, j, k) factors: nonzero coefficient}."""
+
+    __slots__ = ("terms",)
+
+    context, excluded = "a condition", {"t", "sqrt", "basis"}
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @classmethod
+    def constant(cls, value, dim):
+        value = GaussianRational.coerce(value)
+        return cls({(): value} if value else {})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for monomial, coeff in other.terms.items():
+            _accumulate(out, monomial, coeff)
+        return _Polynomial(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _Polynomial({m: -c for m, c in self.terms.items()})
+
+    def times(self, other, pos):
+        out = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                _accumulate(out, tuple(sorted(ma + mb)), ca * cb)
+        return _Polynomial(out)
+
+    def over(self, other, pos):
+        if any(other.terms):
+            raise NonlinearExpressionError(
+                f"division by an expression in the c(i,j,k) (position {pos})")
+        if not other.terms:
+            raise ZeroDivisionError(f"division by zero at position {pos}")
+        inv = other.terms[()].inverse()
+        return _Polynomial({m: c * inv for m, c in self.terms.items()})
+
+    def power(self, exponent, pos):
+        one = _Polynomial({(): GR_ONE})
+        base = self if exponent >= 0 else one.over(self, pos)
+        out = one
+        for _ in range(abs(exponent)):
+            out = out.times(base, pos)
+        return out
 
 
 class _Parser:
-    def __init__(self, text, dim):
+    def __init__(self, text, dim, values=_Linear):
         self.text = text
         self.dim = dim
+        self.values = values
         self.tokens = _tokenize(text)
         self.idx = 0
 
@@ -136,73 +244,56 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {op!r}", pos)
         self.advance()
 
+    def index(self, name):
+        """A 1-based index in 1..dim, returned 0-based."""
+        kind, value, pos = self.advance()
+        if kind != "int":
+            raise ExpressionSyntaxError(f"{name} needs an integer index", pos)
+        if not 1 <= value <= self.dim:
+            raise ExpressionSyntaxError(
+                f"{name} index {value} out of range 1..{self.dim}", pos)
+        return value - 1
+
     # -- grammar ----------------------------------------------------------------
 
-    def parse(self) -> _Linear:
+    def parse(self):
         out = self.expression()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError("trailing input", pos)
         return out
 
-    def expression(self) -> _Linear:
+    def expression(self):
         out = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                if value == "+":
-                    out = _Linear(out.scalar + rhs.scalar,
-                                  [a + b for a, b in zip(out.vector, rhs.vector)])
-                else:
-                    out = _Linear(out.scalar - rhs.scalar,
-                                  [a - b for a, b in zip(out.vector, rhs.vector)])
+                out = out + rhs if value == "+" else out - rhs
             else:
                 return out
 
-    def term(self) -> _Linear:
+    def term(self):
         out = self.factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.factor()
-                out = self._combine(out, rhs, value, pos)
-            elif kind in ("int", "t", "i", "basis", "sqrt") or \
+                out = out.times(rhs, pos) if value == "*" else out.over(rhs, pos)
+            elif kind in ("int", "t", "i", "c", "basis", "sqrt") or \
                     (kind == "op" and value == "("):
-                rhs = self.factor()
-                out = self._combine(out, rhs, "*", pos)
+                out = out.times(self.factor(), pos)
             else:
                 return out
 
-    def _combine(self, lhs, rhs, op, pos) -> _Linear:
-        if op == "/":
-            if not rhs.is_scalar:
-                raise NonlinearExpressionError("division by a basis-vector expression")
-            if rhs.scalar.is_zero:
-                raise ZeroDivisionError(f"division by zero at position {pos}")
-            inv = rhs.scalar.inverse()
-            return _Linear(lhs.scalar * inv, [c * inv for c in lhs.vector])
-        if lhs.is_scalar:
-            s = lhs.scalar
-            return _Linear(s * rhs.scalar, [s * c for c in rhs.vector])
-        if rhs.is_scalar:
-            s = rhs.scalar
-            return _Linear(lhs.scalar * s, [c * s for c in lhs.vector])
-        raise NonlinearExpressionError(
-            f"product of two basis-vector expressions (position {pos})")
-
-    def factor(self) -> _Linear:
+    def factor(self):
         out = self.prefixed()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            exponent = self._signed_exponent()
-            if not out.is_scalar:
-                raise NonlinearExpressionError(
-                    f"power of a basis-vector expression (position {pos})")
-            return _scalar(out.scalar ** exponent, self.dim)
+            return out.power(self._signed_exponent(), pos)
         return out
 
     def _signed_exponent(self) -> int:
@@ -217,22 +308,24 @@ class _Parser:
         self.advance()
         return sign * value
 
-    def prefixed(self) -> _Linear:
+    def prefixed(self):
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            inner = self.prefixed()
-            return _Linear(-inner.scalar, [-c for c in inner.vector])
+            return -self.prefixed()
         return self.atom()
 
-    def atom(self) -> _Linear:
+    def atom(self):
         kind, value, pos = self.advance()
+        if kind in self.values.excluded:
+            raise ExpressionSyntaxError(
+                f"{kind!r} is not allowed in {self.values.context}", pos)
         if kind == "int":
-            return _scalar(TowerElement.coerce(value), self.dim)
+            return self.values.constant(value, self.dim)
         if kind == "t":
-            return _scalar(TowerElement.t(), self.dim)
+            return _Linear.constant(TowerElement.t(), self.dim)
         if kind == "i":
-            return _scalar(TowerElement.coerce(GaussianRational(0, 1)), self.dim)
+            return self.values.constant(GaussianRational(0, 1), self.dim)
         if kind == "basis":
             if not 1 <= value <= self.dim:
                 raise ExpressionSyntaxError(
@@ -240,6 +333,15 @@ class _Parser:
             vector = [TOWER_ZERO] * self.dim
             vector[value - 1] = TOWER_ONE
             return _Linear(TOWER_ZERO, vector)
+        if kind == "c":
+            self.expect_op("(")
+            i = self.index("c(i,j,k)")
+            self.expect_op(",")
+            j = self.index("c(i,j,k)")
+            self.expect_op(",")
+            k = self.index("c(i,j,k)")
+            self.expect_op(")")
+            return _Polynomial({((i, j, k),): GR_ONE})
         if kind == "sqrt":
             self.expect_op("(")
             inner = self.expression()
@@ -249,7 +351,7 @@ class _Parser:
             arg = inner.scalar
             if arg.has_radical:
                 raise MultipleRadicalsError("nested radicals are not supported")
-            return _scalar(TowerElement.sqrt_of(arg.base), self.dim)
+            return _Linear.constant(TowerElement.sqrt_of(arg.base), self.dim)
         if kind == "op" and value == "(":
             inner = self.expression()
             self.expect_op(")")
@@ -288,6 +390,12 @@ def parse_scalar(text):
     if not out.is_scalar:
         raise NonlinearExpressionError("expected a scalar expression")
     return out.scalar
+
+
+def parse_condition(text, dim=5):
+    """Parse a polynomial in the c(i,j,k) into its monomial normal form."""
+    terms = _Parser(text, dim, _Polynomial).parse().terms
+    return tuple(sorted(terms.items(), key=lambda item: item[0]))
 
 
 # -- canonical printer ---------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 
 from nilcert import catalog
 from nilcert.algebra import (StructureTable, Subspace, annihilator,
-                             flag_subspace, nilpotency_index, power_ideal,
-                             subspace_product)
+                             flag_subspace, power_chain, subspace_product)
 from nilcert.linalg import SingularMatrixError
 from nilcert.sampling import derive_rng, random_invertible, random_vector
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
@@ -118,20 +117,26 @@ def test_full_product_of_a12():
 
 
 def test_power_ideals():
-    assert power_ideal(catalog.get("A_03").table, 4).is_zero
-    a05_fourth = power_ideal(catalog.get("A_05").table, 4)
+    assert power_chain(catalog.get("A_03").table, 4)[4].is_zero
+    a05_fourth = power_chain(catalog.get("A_05").table, 4)[4]
     assert a05_fourth.dim == 1 and a05_fourth.contains(unit(3))
-    assert power_ideal(StructureTable.zero_algebra(5), 2).is_zero
+    assert power_chain(StructureTable.zero_algebra(5), 2)[2].is_zero
 
 
 def test_power_chain_is_decreasing():
     for name in catalog.names():
-        table = catalog.get(name).table
-        previous = power_ideal(table, 1)
+        chain = power_chain(catalog.get(name).table, 6)
         for k in range(2, 7):
-            current = power_ideal(table, k)
-            assert previous.contains_subspace(current), (name, k)
-            previous = current
+            assert chain[k - 1].contains_subspace(chain[k]), (name, k)
+
+
+def test_power_chain_of_a_subspace_outlives_a_zero_power():
+    # e_1^2 = e_2, e_2^2 = e_3 is not associative: for S = <e_1> the power
+    # S^3 = e_1 e_2 vanishes while S^4 contains (e_1 e_1)(e_1 e_1) = e_3
+    table = StructureTable(3, {(0, 0, 1): GR_ONE, (1, 1, 2): GR_ONE})
+    chain = power_chain(table, 6, Subspace.spanned_by([unit(0, 3)], 3))
+    assert [chain[k].dim for k in range(1, 7)] == [1, 1, 0, 1, 0, 0]
+    assert chain[4].contains(unit(2, 3))
 
 
 def test_annihilator_dimensions():
@@ -153,15 +158,16 @@ def test_annihilator_annihilates():
 
 
 def test_nilpotency_indices():
-    assert nilpotency_index(catalog.get("A_24").table) == 3
-    assert nilpotency_index(StructureTable.zero_algebra(5)) == 2
-    assert nilpotency_index(catalog.get("A_01").table) == 6
+    assert catalog.fingerprint(catalog.get("A_24").table).nilpotency_index == 3
+    assert catalog.fingerprint(StructureTable.zero_algebra(5)).nilpotency_index == 2
+    assert catalog.fingerprint(catalog.get("A_01").table).nilpotency_index == 6
 
 
 def test_non_nilpotent_detected():
     # e_1^2 = e_1 is idempotent: powers stabilize at <e_1>
     table = StructureTable(2, {(0, 0, 0): GR_ONE})
-    assert nilpotency_index(table) is None
+    assert [power.dim for power in power_chain(table, 3)[1:]] == [2, 1, 1]
+    assert catalog.fingerprint(table).nilpotency_index == -1
 
 
 # -- change of basis -----------------------------------------------------------------------------
@@ -204,9 +210,8 @@ def test_identities_and_invariants_stable_under_basis_change():
     for name in catalog.names():
         table = catalog.get(name).table
         want = (
-            [power_ideal(table, k).dim for k in range(2, 6)],
+            [power.dim for power in power_chain(table, 6)[2:]],
             annihilator(table).dim,
-            nilpotency_index(table),
         )
         for _ in range(6):
             m = random_invertible(rng, 5)
@@ -214,9 +219,8 @@ def test_identities_and_invariants_stable_under_basis_change():
             report = moved.check_identities()
             assert report.commutative and report.associative
             got = (
-                [power_ideal(moved, k).dim for k in range(2, 6)],
+                [power.dim for power in power_chain(moved, 6)[2:]],
                 annihilator(moved).dim,
-                nilpotency_index(moved),
             )
             assert got == want, name
 

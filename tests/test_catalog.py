@@ -3,7 +3,7 @@
 import pytest
 
 from nilcert import catalog
-from nilcert.algebra import StructureTable, nilpotency_index
+from nilcert.algebra import StructureTable
 from nilcert.sampling import derive_rng, random_invertible
 from nilcert.scalars import GaussianRational
 
@@ -34,7 +34,24 @@ def test_every_entry_is_in_the_variety():
         table = catalog.get(name).table
         report = table.check_identities()
         assert report.commutative and report.associative, name
-        assert nilpotency_index(table) is not None, name
+        assert catalog.fingerprint(table).nilpotency_index > 0, name
+
+
+def test_identify_builds_one_power_chain_per_input(monkeypatch):
+    catalog.fingerprint_collisions()  # warm the catalog fingerprint cache
+    calls = []
+    real = catalog.power_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "power_chain", counted)
+    rng = derive_rng(3, "identify-chain")
+    for name in ("A_01", "A_11", "A_24", "C5"):
+        moved = catalog.get(name).table.change_basis(random_invertible(rng, 5))
+        assert name in catalog.identify(moved)
+    assert len(calls) == 4
 
 
 def test_expected_derivation_dimensions_all_match():

@@ -9,11 +9,10 @@ from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
                                   FlagContainment, PolynomialEq, PowerVanish,
                                   borel_stability_probe, check_claim,
                                   conjunct_holds, conjunct_holds_bruteforce,
-                                  escape_evidence, evaluate_condition_ast,
-                                  necessary_conditions,
-                                  parse_polynomial_condition, satisfies,
-                                  satisfies_with_witness,
+                                  escape_evidence, necessary_conditions,
+                                  satisfies, satisfies_with_witness,
                                   screening_completeness)
+from nilcert.parser import parse_condition
 from nilcert.sampling import derive_rng, random_sparse_table
 from nilcert.scalars import GaussianRational
 
@@ -56,8 +55,7 @@ def test_identity_witness_equals_plain_satisfies():
 
 
 def test_borel_probe_requires_membership():
-    wrong = ClosedSetSpec((PolynomialEq(
-        parse_polynomial_condition("c(1,1,2)"), "c(1,1,2)"),))
+    wrong = ClosedSetSpec((PolynomialEq(parse_condition("c(1,1,2)"), "c(1,1,2)"),))
     with pytest.raises(ValueError):
         borel_stability_probe(wrong, catalog.get("A_24").table, 10,
                               derive_rng(0, "probe"))
@@ -78,8 +76,7 @@ def test_borel_probe_reports_a_violating_matrix_when_unstable():
     # c(1,1,3) = 0 holds for the algebra with e_1^2 = e_2 in its own basis,
     # but f_1^2 picks up an f_3 component as soon as f_2 mixes e_2 and e_3,
     # so the set is not stable under flag-preserving changes
-    spec = ClosedSetSpec((PolynomialEq(
-        parse_polynomial_condition("c(1,1,3)"), "c(1,1,3)"),))
+    spec = ClosedSetSpec((PolynomialEq(parse_condition("c(1,1,3)"), "c(1,1,3)"),))
     table = catalog.get("A_24").table
     assert satisfies(spec, table)
     rng = derive_rng(31, "borel-unstable")
@@ -212,9 +209,10 @@ def test_conjunct_evaluators_agree_on_random_sparse_tables():
 
 
 def test_polynomial_condition_evaluation():
-    ast = parse_polynomial_condition("c(1,3,4)*c(2,2,5) - c(1,3,5)*c(2,2,4)")
+    text = "c(1,3,4)*c(2,2,5) - c(1,3,5)*c(2,2,4)"
+    condition = PolynomialEq(parse_condition(text), text)
     table = catalog.get("A_05").table  # c(1,3,4) = 1, c(2,2,4) = 1, rest 0
-    assert evaluate_condition_ast(ast, table) == GaussianRational(0)
+    assert condition.value(table) == GaussianRational(0)
     skew = StructureTable(5, {(0, 2, 3): GaussianRational(1),
                               (1, 1, 4): GaussianRational(2)})
-    assert evaluate_condition_ast(ast, skew) == GaussianRational(2)
+    assert condition.value(skew) == GaussianRational(2)

@@ -166,6 +166,33 @@ def test_unexplained_screening_pair_fails_verify_all(tmp_path, monkeypatch):
     assert all(r["valid"] for r in report["claims"])
 
 
+def test_failed_witness_fails_verify_all_without_a_traceback(tmp_path,
+                                                              monkeypatch):
+    real_verify = suite.verify
+
+    def mismatching(witness, t_samples=()):
+        verdict = real_verify(witness, t_samples)
+        if (witness.source, witness.target) == ("A_23", "A_24"):
+            return degeneration.Verdict(degeneration.LIMIT_MISMATCH,
+                                        witness.source, witness.target,
+                                        verdict.details)
+        return verdict
+
+    monkeypatch.setattr(suite, "verify", mismatching)
+    report_path = tmp_path / "report.json"
+    code = main(["verify-all", "--samples", "1", "--borel-samples", "1",
+                 "--report", str(report_path)])
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="ascii"))
+    assert report["ok"] is False
+    failed = [r for r in report["witnesses"] if r["status"] != "VERIFIED"]
+    assert [(r["source"], r["target"]) for r in failed] == [("A_23", "A_24")]
+    assert not failed[0]["hasse_edge"]
+    assert not failed[0]["implied_by_transitivity"]
+    assert report["graph"]["ok"] is False
+    assert ["A_23", "A_24"] in report["graph"]["missing_reduction"]
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NILCERT_SEED", "not-an-int")
     assert main(["verify-all", "--samples", "1", "--borel-samples", "1"]) == 2

@@ -104,6 +104,35 @@ def test_claims_loader_rejects_conditions_outside_blocks():
         files.load_claims("require A_1^2 = 0\n")
 
 
+@pytest.mark.parametrize("line", [
+    "require A_0 A_1 = 0",
+    "require A_1 A_6 = 0",
+    "require A_1 A_1 <= A_6",
+    "require A_6^2 = 0",
+    "require A_1^0 = 0",
+    "require A_1^-1 = 0",
+    "require A_x A_1 = 0",
+    "require A_1 A_1 <= A_y",
+    "require A_1^k = 0",
+    "require A_1 A_2 A_3 = 0",
+    "require ann >= x",
+    "require poly c(9,1,1) = 0",
+    "require poly c(0,1,1) = 0",
+    "require poly c(9,9,9) = 0",
+    "require poly c(1,2 = 0",
+    "require poly c(a,1,1) = 0",
+    "require poly t*c(1,1,2) = 0",
+    "require poly sqrt(2)*c(1,1,2) = 0",
+    "require poly e_1*c(1,1,2) = 0",
+    "require poly c(1,1,2)/c(1,2,3) = 0",
+    "require poly c(1,1,2)/0 = 0",
+    "witness A_05 : e_1, e_2, e_3, e_4, e_9",
+])
+def test_claims_loader_rejects_malformed_lines(line):
+    with pytest.raises(files.FileFormatError):
+        files.load_claims(f"claim A_05 !-> A_15\n{line}\n")
+
+
 def test_claims_round_trip():
     claims = files.load_shipped_claims()
     dumped = files.dump_claims(claims)
