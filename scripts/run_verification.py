@@ -11,7 +11,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from nilcert import graph as graphmod  # noqa: E402
-from nilcert.degeneration import Verdict  # noqa: E402
+from nilcert.degeneration import VERIFIED, Verdict  # noqa: E402
 from nilcert.suite import run_all  # noqa: E402
 
 
@@ -24,10 +24,11 @@ def main():
     (outdir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True), encoding="ascii")
 
-    # the graph of the verdicts run_all reached, rebuilt from its records
+    # the graph of the verified witnesses, rebuilt from their records; a
+    # failed witness is reported in report.json and its edge stays out
     verdicts = [Verdict(r["status"], r["source"], r["target"],
                         {"witness_id": r["id"]})
-                for r in report["witnesses"]]
+                for r in report["witnesses"] if r["status"] == VERIFIED]
     g = graphmod.build(verdicts)
     (outdir / "degenerations.dot").write_text(graphmod.emit_dot(g, "hasse"),
                                               encoding="ascii")

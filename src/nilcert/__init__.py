@@ -21,8 +21,7 @@ from .catalog import (CatalogEntry, InvariantFingerprint, fingerprint,
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
                            NonDegenerationClaim, PolynomialEq, PowerVanish,
                            borel_stability_probe, escape_evidence,
-                           necessary_conditions, satisfies,
-                           satisfies_with_witness)
+                           necessary_conditions, satisfies)
 from .degeneration import (DegenerationWitness, ParametricMatrix, Verdict,
                            generic_invertibility, limit_table,
                            numeric_crosscheck, transformed_constants, verify)
@@ -30,7 +29,8 @@ from .derivations import (DerivationSpace, derivation_dimension,
                           derivation_space, orbit_dimension)
 from .graph import (DegenerationGraph, build, compare_with_reference,
                     emit_dot, emit_json, hasse_reduction, transitive_closure)
-from .parser import format_vector, parse_expression, parse_scalar
+from .parser import (format_vector, parse_constants, parse_expression,
+                     parse_scalar)
 from .scalars import (BranchAmbiguous, GaussianRational, LimitDiverges,
                       MixedRadicands, Poly, RationalFunction, TowerElement,
                       limit_at_zero, normalize, order_at_zero)
@@ -44,7 +44,7 @@ __all__ = [
     "AnnDimAtLeast", "ClosedSetSpec", "FlagContainment",
     "NonDegenerationClaim", "PolynomialEq", "PowerVanish",
     "borel_stability_probe", "escape_evidence", "necessary_conditions",
-    "satisfies", "satisfies_with_witness",
+    "satisfies",
     "DegenerationWitness", "ParametricMatrix", "Verdict",
     "generic_invertibility", "limit_table", "numeric_crosscheck",
     "transformed_constants", "verify",
@@ -52,7 +52,7 @@ __all__ = [
     "orbit_dimension",
     "DegenerationGraph", "build", "compare_with_reference", "emit_dot",
     "emit_json", "hasse_reduction", "transitive_closure",
-    "format_vector", "parse_expression", "parse_scalar",
+    "format_vector", "parse_constants", "parse_expression", "parse_scalar",
     "BranchAmbiguous", "GaussianRational", "LimitDiverges", "MixedRadicands",
     "Poly", "RationalFunction", "TowerElement", "limit_at_zero", "normalize",
     "order_at_zero",

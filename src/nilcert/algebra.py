@@ -136,29 +136,31 @@ class StructureTable:
     # -- transformations ---------------------------------------------------------------
 
     def change_basis(self, matrix) -> "StructureTable":
-        """Structure constants in the new basis f_i = sum_j matrix[i][j] e_j."""
+        """Structure constants in the new basis f_i = sum_j matrix[i][j] e_j.
+
+        When the entries show a commutative table, f_j f_i = f_i f_j, so only
+        the products with j >= i are formed and each is mirrored.
+        """
         zero, one = self.field.zero, self.field.one
         try:
             inv = invert_matrix(matrix, zero, one)
         except SingularMatrixError:
             raise SingularMatrixError("basis-change matrix is singular") from None
+        commutative = self.is_commutative()
         entries = {}
         for i in range(self.dim):
-            for j in range(self.dim):
+            for j in range(i if commutative else 0, self.dim):
                 prod = self.multiply(matrix[i], matrix[j])
                 coords = vec_matmul(prod, inv, zero)
                 for k, c in enumerate(coords):
-                    if c != zero:
+                    if c:
                         entries[(i, j, k)] = c
+                        if commutative:
+                            entries[(j, i, k)] = c
         return StructureTable(self.dim, entries, self.field)
 
-    def map_entries(self, fn, field) -> "StructureTable":
-        return StructureTable(self.dim,
-                              {key: fn(c) for key, c in self.entries.items()},
-                              field)
-
     def lift_to_tower(self) -> "StructureTable":
-        return self.map_entries(TowerElement.coerce, TOWER_FIELD)
+        return StructureTable(self.dim, self.entries, TOWER_FIELD)
 
     # -- equality ------------------------------------------------------------------------
 

@@ -221,12 +221,6 @@ def satisfies(spec: ClosedSetSpec, alg: StructureTable) -> bool:
     return all(conjunct_holds(c, alg) for c in spec.conjuncts)
 
 
-def satisfies_with_witness(alg: StructureTable, spec: ClosedSetSpec,
-                           witness_basis) -> bool:
-    """Membership after an explicit constant basis change."""
-    return satisfies(spec, alg.change_basis(witness_basis))
-
-
 def borel_stability_probe(spec: ClosedSetSpec, alg: StructureTable,
                           samples: int, rng):
     """Search for a flag-preserving basis change that exits the set.

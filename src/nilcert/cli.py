@@ -26,7 +26,7 @@ from . import graph as graphmod
 from .degeneration import verify
 from .derivations import derivation_space
 from .parser import format_gaussian
-from .suite import run_all
+from .suite import _witness_section, run_all
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -141,13 +141,11 @@ def _cmd_identify(args):
 
 
 def _cmd_graph(args):
-    verdicts = []
-    for wid, witness in files.load_all_witnesses():
-        verdict = verify(witness)
-        verdict.details["witness_id"] = wid
+    _, verdicts, _ = _witness_section((), 1, None)
+    for verdict in verdicts:
         if not verdict.verified:
-            return _fail_verification(f"witness {wid} is {verdict.status}")
-        verdicts.append(verdict)
+            return _fail_verification(
+                f"witness {verdict.details['witness_id']} is {verdict.status}")
     g = graphmod.build(verdicts)
     view = "closure" if args.closure else ("hasse" if args.hasse else "verified")
     if args.emit == "dot":

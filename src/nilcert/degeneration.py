@@ -24,9 +24,8 @@ from math import gcd, isqrt
 
 from . import catalog
 from .algebra import GAUSSIAN_FIELD, TOWER_FIELD, StructureTable
-from .linalg import det, invert_matrix, vec_matmul
-from .scalars import (BranchAmbiguous, GaussianRational, LimitDiverges, Poly,
-                      TowerElement)
+from .linalg import det
+from .scalars import BranchAmbiguous, LimitDiverges, Poly, TowerElement
 
 VERIFIED = "VERIFIED"
 SINGULAR_FAMILY = "SINGULAR_FAMILY"
@@ -225,34 +224,19 @@ def transformed_constants(source: StructureTable,
                           matrix: ParametricMatrix) -> StructureTable:
     """Structure constants of the source in the parametric basis.
 
-    This is an exact change of basis over the function-field tower; raises
-    SingularFamilyError when the family is identically singular.
+    This is StructureTable.change_basis over the function-field tower;
+    raises SingularFamilyError when the family is identically singular.
     """
-    lifted = source if source.field is TOWER_FIELD else source.lift_to_tower()
     if not generic_invertibility(matrix):
         raise SingularFamilyError("parametric basis has identically zero determinant")
-    zero, one = TOWER_FIELD.zero, TOWER_FIELD.one
-    rows = [list(r) for r in matrix.rows]
-    inverse = invert_matrix(rows, zero, one)
-    entries = {}
-    n = source.dim
-    for i in range(n):
-        for j in range(i, n):
-            prod = lifted.multiply(rows[i], rows[j])
-            coords = vec_matmul(prod, inverse, zero)
-            for k, c in enumerate(coords):
-                if not c.is_zero:
-                    entries[(i, j, k)] = c
-                    if i != j:
-                        entries[(j, i, k)] = c
-    return StructureTable(n, entries, TOWER_FIELD)
+    lifted = source if source.field is TOWER_FIELD else source.lift_to_tower()
+    return lifted.change_basis(matrix.rows)
 
 
 def limit_table(param: StructureTable) -> StructureTable:
     """Entrywise limit at t -> 0; raises LimitFailure with the offending index."""
     entries = {}
     for (i, j, k), c in sorted(param.entries.items()):
-        c = TowerElement.coerce(c)
         try:
             value = c.limit_at_zero()
         except LimitDiverges as exc:
@@ -356,12 +340,9 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, param=None,
         for i in range(param.dim):
             for j in range(param.dim):
                 for k in range(param.dim):
-                    c = param.entry(i, j, k)
-                    value = c.eval_complex(t) if isinstance(c, TowerElement) else 0j
-                    wanted = target.table.entry(i, j, k)
-                    wanted_c = wanted.eval_complex() if isinstance(
-                        wanted, GaussianRational) else 0j
-                    deviation = max(deviation, abs(value - wanted_c))
+                    value = param.entry(i, j, k).eval_complex(t)
+                    wanted = target.table.entry(i, j, k).eval_complex()
+                    deviation = max(deviation, abs(value - wanted))
         status = ILL_CONDITIONED if cond > condition_bound else "ok"
         samples.append(NumericSample(abs(t), status, deviation, cond))
     return samples

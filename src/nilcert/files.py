@@ -33,17 +33,21 @@ Other condition forms: ``require A_p^k = 0`` and ``require ann >= d``.  Flag
 indices lie in 1..dim and power exponents are at least 1; a ``poly`` condition
 is a polynomial in the c(i,j,k), 1 <= i, j, k <= dim, with Q(i) coefficients,
 parsed by the expression grammar of ``parser``.
+
+Algebra products and claims witness bases are read in Q(i) (``t`` is
+rejected, ``sqrt`` needs a square), witness files in the tower Q(i)(t)[s].
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .algebra import GAUSSIAN_FIELD, StructureTable
+from .algebra import GAUSSIAN_FIELD, MAX_DIM, StructureTable
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
                            NonDegenerationClaim, PolynomialEq, PowerVanish)
 from .degeneration import DegenerationWitness, ParametricMatrix
-from .parser import format_vector, parse_condition, parse_expression
+from .parser import (format_vector, parse_condition, parse_constants,
+                     parse_expression)
 
 
 class FileFormatError(ValueError):
@@ -57,6 +61,26 @@ def _meaningful_lines(text):
             yield lineno, line
 
 
+def _parse_int(text, lineno, what, low=None, high=None):
+    """An integer, checked against low..high when they are given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise FileFormatError(
+            f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
+    if low is not None and not low <= value <= high:
+        raise FileFormatError(f"line {lineno}: {what} {value} outside {low}..{high}")
+    return value
+
+
+def _parse_line(parse, text, lineno, dim):
+    """parse(text, dim), with its errors as FileFormatError on this line."""
+    try:
+        return parse(text, dim)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FileFormatError(f"line {lineno}: {exc}") from None
+
+
 # -- algebra files ------------------------------------------------------------------
 
 
@@ -68,7 +92,7 @@ def load_algebra(text):
         if line.startswith("algebra "):
             name = line.split(None, 1)[1].strip()
         elif line.startswith("dim "):
-            dim = int(line.split(None, 1)[1])
+            dim = _parse_int(line.removeprefix("dim "), lineno, "dim", 1, MAX_DIM)
         elif line.startswith("field "):
             field = line.split(None, 1)[1].strip()
             if field != "Q(i)":
@@ -83,11 +107,8 @@ def load_algebra(text):
             parts = lhs.split("*")
             if len(parts) != 2:
                 raise FileFormatError(f"line {lineno}: expected 'e_i * e_j = ...'")
-            try:
-                i = int(parts[0].strip().removeprefix("e_"))
-                j = int(parts[1].strip().removeprefix("e_"))
-            except ValueError:
-                raise FileFormatError(f"line {lineno}: bad product {lhs!r}") from None
+            i, j = (_parse_int(part.strip().removeprefix("e_"), lineno,
+                               "product index") for part in parts)
             products.append((lineno, i, j, rhs.strip()))
         else:
             raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
@@ -97,14 +118,9 @@ def load_algebra(text):
     for lineno, i, j, rhs in products:
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise FileFormatError(f"line {lineno}: index out of range")
-        coeffs = parse_expression(rhs, dim)
-        for k, c in enumerate(coeffs):
-            if c.is_zero:
+        for k, value in enumerate(_parse_line(parse_constants, rhs, lineno, dim)):
+            if not value:
                 continue
-            if not c.is_constant:
-                raise FileFormatError(
-                    f"line {lineno}: non-constant coefficient {c!r}")
-            value = c.constant_value()
             for key in {(i - 1, j - 1, k), (j - 1, i - 1, k)} if symmetrize \
                     else {(i - 1, j - 1, k)}:
                 if key in entries and entries[key] != value:
@@ -143,13 +159,15 @@ def load_witness(text) -> DegenerationWitness:
                 raise FileFormatError(f"line {lineno}: expected 'witness A -> B'")
             source, target = (p.strip() for p in header.split("->", 1))
         elif line.startswith("dim "):
-            dim = int(line.split(None, 1)[1])
+            dim = _parse_int(line.removeprefix("dim "), lineno, "dim", 1, MAX_DIM)
         elif line.startswith("E_"):
+            if "=" not in line:
+                raise FileFormatError(f"line {lineno}: expected 'E_k = ...'")
             lhs, rhs = line.split("=", 1)
-            idx = int(lhs.strip().removeprefix("E_"))
+            idx = _parse_int(lhs.strip().removeprefix("E_"), lineno, "row index")
             if idx in rows:
                 raise FileFormatError(f"line {lineno}: duplicate E_{idx}")
-            rows[idx] = parse_expression(rhs.strip(), dim)
+            rows[idx] = _parse_line(parse_expression, rhs.strip(), lineno, dim)
         else:
             raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
     if source is None:
@@ -170,22 +188,11 @@ def dump_witness(witness: DegenerationWitness) -> str:
 # -- claims files ----------------------------------------------------------------------------
 
 
-def _parse_int(text, lineno, what):
-    try:
-        return int(text)
-    except ValueError:
-        raise FileFormatError(
-            f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
-
-
 def _parse_flag_atom(token, lineno, dim):
     token = token.strip()
     if not token.startswith("A_"):
         raise FileFormatError(f"line {lineno}: expected flag A_p, got {token!r}")
-    p = _parse_int(token.removeprefix("A_"), lineno, "flag index")
-    if not 1 <= p <= dim:
-        raise FileFormatError(f"line {lineno}: flag index A_{p} outside 1..{dim}")
-    return p
+    return _parse_int(token.removeprefix("A_"), lineno, "flag index", 1, dim)
 
 
 def _parse_flag_pair(text, lineno, dim):
@@ -207,10 +214,7 @@ def _parse_condition(line, lineno, dim):
         if not expr.endswith("= 0"):
             raise FileFormatError(f"line {lineno}: polynomial condition must end '= 0'")
         text = expr[: -len("= 0")].strip()
-        try:
-            return PolynomialEq(parse_condition(text, dim), text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FileFormatError(f"line {lineno}: {exc}") from None
+        return PolynomialEq(_parse_line(parse_condition, text, lineno, dim), text)
     # flag products and powers: 'A_p A_q <= A_r', 'A_p A_q = 0', 'A_p^k = 0'
     if "^" in body.split("=")[0] and "<=" not in body:
         lhs, rhs = body.split("=", 1)
@@ -268,23 +272,11 @@ def load_claims(text, dim=5):
             if ":" not in body:
                 raise FileFormatError(f"line {lineno}: expected 'witness NAME : ...'")
             name, rows = body.split(":", 1)
-            try:
-                matrix = [parse_expression(part.strip(), dim)
-                          for part in rows.split(",")]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FileFormatError(f"line {lineno}: {exc}") from None
+            matrix = [_parse_line(parse_constants, part.strip(), lineno, dim)
+                      for part in rows.split(",")]
             if len(matrix) != dim:
                 raise FileFormatError(f"line {lineno}: witness basis needs {dim} rows")
-            constant = []
-            for row in matrix:
-                crow = []
-                for c in row:
-                    if not c.is_constant:
-                        raise FileFormatError(
-                            f"line {lineno}: witness basis must be constant")
-                    crow.append(c.constant_value())
-                constant.append(crow)
-            current["witnesses"][name.strip()] = constant
+            current["witnesses"][name.strip()] = matrix
         else:
             raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
     flush()

@@ -18,8 +18,11 @@ juxtaposition; a '-' never starts a juxtaposed factor, so ``a - b`` stays a
 subtraction.
 
 Linear combinations (parse_expression, parse_scalar) evaluate to a linear
-combination of the basis vectors e_1..e_n with tower-element coefficients;
-at most one distinct radicand may occur, and c(i,j,k) is rejected.
+combination of the basis vectors e_1..e_n with coefficients in the tower
+Q(i)(t)[s]; at most one distinct radicand may occur, and c(i,j,k) is
+rejected.  Constant combinations (parse_constants) have Q(i) coefficients:
+'t' is rejected too, and sqrt(x) needs a square x in Q(i).  Each '^' is
+bounded before it is computed (MAX_EXPONENT and the limits beside it).
 
 Conditions (parse_condition) are polynomials in the structure constants
 c(i,j,k), 1 <= i, j, k <= n, with Q(i) coefficients: 't', 'sqrt' and 'e_k'
@@ -35,8 +38,10 @@ parse -> print -> parse is a fixed point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .scalars import (GR_ONE, GR_ZERO, POLY_ONE, TOWER_ONE, TOWER_ZERO,
+from .algebra import GAUSSIAN_FIELD, TOWER_FIELD
+from .scalars import (GR_ONE, GR_ZERO, POLY_ONE, TOWER_ONE, TOWER_T,
                       GaussianRational, MixedRadicands, Poly, RationalFunction,
                       TowerElement)
 
@@ -104,12 +109,36 @@ def _tokenize(text):
     return tokens
 
 
+# Limits on one '^', checked at its position before the power is computed;
+# the shipped data use exponents of at most 7.
+MAX_EXPONENT = 64
+MAX_T_DEGREE = 128        # in t, of each numerator, denominator and radicand
+MAX_C_MONOMIALS = 10_000  # monomials of the result's total degree in the c(i,j,k)
+MAX_COEFF_BITS = 1024
+
+
+def _refuse_large_power(k, pos, coeffs, size, limit, what):
+    """Raise unless |k| <= MAX_EXPONENT, size(|k|) <= limit and the result's
+    coefficients stay within about MAX_COEFF_BITS bits: |k| times (the largest
+    bit length among the base's Q(i) coefficients + that of their count)."""
+    k = abs(k)
+    if k > MAX_EXPONENT:
+        raise ExpressionSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", pos)
+    if size(k) > limit:
+        raise ExpressionSyntaxError(f"power of {what} {size(k)} exceeds {limit}", pos)
+    bits = max((n.bit_length() for z in coeffs for q in (z.re, z.im)
+                for n in (q.numerator, q.denominator)), default=0)
+    if k * (bits + len(coeffs).bit_length()) > MAX_COEFF_BITS:
+        raise ExpressionSyntaxError(
+            f"power with coefficients over {MAX_COEFF_BITS} bits", pos)
+
+
 class _Linear:
-    """A scalar plus a linear combination of basis vectors."""
+    """A scalar plus a linear combination of basis vectors over ``field``."""
 
     __slots__ = ("scalar", "vector")
 
-    context, excluded = "a linear combination", {"c"}
+    context, excluded, field = "a linear combination", {"c"}, TOWER_FIELD
 
     def __init__(self, scalar, vector):
         self.scalar = scalar
@@ -117,32 +146,35 @@ class _Linear:
 
     @classmethod
     def constant(cls, value, dim):
-        return cls(TowerElement.coerce(value), [TOWER_ZERO] * dim)
+        return cls(cls.field.coerce(value), [cls.field.zero] * dim)
+
+    @classmethod
+    def basis(cls, index, dim):
+        zero, one = cls.field.zero, cls.field.one
+        return cls(zero, [one if k == index else zero for k in range(dim)])
 
     @property
     def is_scalar(self):
         return all(c.is_zero for c in self.vector)
 
     def __add__(self, other):
-        return _Linear(self.scalar + other.scalar,
-                       [a + b for a, b in zip(self.vector, other.vector)])
+        return type(self)(self.scalar + other.scalar,
+                          [a + b for a, b in zip(self.vector, other.vector)])
 
     def __sub__(self, other):
-        return _Linear(self.scalar - other.scalar,
-                       [a - b for a, b in zip(self.vector, other.vector)])
+        return self + -other
 
     def __neg__(self):
-        return _Linear(-self.scalar, [-c for c in self.vector])
+        return type(self)(-self.scalar, [-c for c in self.vector])
 
     def times(self, other, pos):
         if self.is_scalar:
-            s = self.scalar
-            return _Linear(s * other.scalar, [s * c for c in other.vector])
-        if other.is_scalar:
-            s = other.scalar
-            return _Linear(self.scalar * s, [c * s for c in self.vector])
-        raise NonlinearExpressionError(
-            f"product of two basis-vector expressions (position {pos})")
+            self, other = other, self
+        if not other.is_scalar:
+            raise NonlinearExpressionError(
+                f"product of two basis-vector expressions (position {pos})")
+        s = other.scalar
+        return type(self)(self.scalar * s, [c * s for c in self.vector])
 
     def over(self, other, pos):
         if not other.is_scalar:
@@ -150,13 +182,49 @@ class _Linear:
         if other.scalar.is_zero:
             raise ZeroDivisionError(f"division by zero at position {pos}")
         inv = other.scalar.inverse()
-        return _Linear(self.scalar * inv, [c * inv for c in self.vector])
+        return type(self)(self.scalar * inv, [c * inv for c in self.vector])
 
     def power(self, exponent, pos):
         if not self.is_scalar:
             raise NonlinearExpressionError(
                 f"power of a basis-vector expression (position {pos})")
-        return _Linear.constant(self.scalar ** exponent, len(self.vector))
+        degree, coeffs = self._size()
+        _refuse_large_power(exponent, pos, coeffs, lambda k: k * degree,
+                            MAX_T_DEGREE, "degree")
+        return self.constant(self.scalar ** exponent, len(self.vector))
+
+    def _size(self):
+        """Degree in t and Q(i) coefficients of the scalar."""
+        x = self.scalar
+        polys = [p for f in (x.base, x.rad, x.radicand) if f is not None
+                 for p in (f.num, f.den)]
+        return max(p.degree for p in polys), [c for p in polys for c in p.coeffs]
+
+    @classmethod
+    def sqrt(cls, x, pos, dim):
+        if x.has_radical:
+            raise MultipleRadicalsError("nested radicals are not supported")
+        return cls.constant(TowerElement.sqrt_of(x.base), dim)
+
+
+class _Constants(_Linear):
+    """A linear combination with Q(i) coefficients: no 't', and sqrt only of
+    a square in Q(i)."""
+
+    __slots__ = ()
+
+    context, excluded = "a constant linear combination", {"t", "c"}
+    field = GAUSSIAN_FIELD
+
+    def _size(self):
+        return 0, [self.scalar]
+
+    @classmethod
+    def sqrt(cls, x, pos, dim):
+        root = x.sqrt()
+        if root is None:
+            raise ExpressionSyntaxError(f"sqrt({x!r}) has no root in Q(i)", pos)
+        return cls.constant(root, dim)
 
 
 def _accumulate(terms, monomial, coeff):
@@ -212,6 +280,11 @@ class _Polynomial:
         return _Polynomial({m: c * inv for m, c in self.terms.items()})
 
     def power(self, exponent, pos):
+        degree = max(map(len, self.terms), default=0)
+        variables = len({c for monomial in self.terms for c in monomial})
+        _refuse_large_power(exponent, pos, list(self.terms.values()),
+                            lambda k: comb(variables + k * degree, variables),
+                            MAX_C_MONOMIALS, "monomial count")
         one = _Polynomial({(): GR_ONE})
         base = self if exponent >= 0 else one.over(self, pos)
         out = one
@@ -222,7 +295,6 @@ class _Polynomial:
 
 class _Parser:
     def __init__(self, text, dim, values=_Linear):
-        self.text = text
         self.dim = dim
         self.values = values
         self.tokens = _tokenize(text)
@@ -257,7 +329,10 @@ class _Parser:
     # -- grammar ----------------------------------------------------------------
 
     def parse(self):
-        out = self.expression()
+        try:
+            out = self.expression()
+        except MixedRadicands as exc:
+            raise MultipleRadicalsError(str(exc)) from exc
         kind, _, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError("trailing input", pos)
@@ -323,40 +398,40 @@ class _Parser:
         if kind == "int":
             return self.values.constant(value, self.dim)
         if kind == "t":
-            return _Linear.constant(TowerElement.t(), self.dim)
+            return self.values.constant(TOWER_T, self.dim)
         if kind == "i":
             return self.values.constant(GaussianRational(0, 1), self.dim)
         if kind == "basis":
             if not 1 <= value <= self.dim:
                 raise ExpressionSyntaxError(
                     f"basis index e_{value} out of range 1..{self.dim}", pos)
-            vector = [TOWER_ZERO] * self.dim
-            vector[value - 1] = TOWER_ONE
-            return _Linear(TOWER_ZERO, vector)
+            return self.values.basis(value - 1, self.dim)
         if kind == "c":
             self.expect_op("(")
-            i = self.index("c(i,j,k)")
-            self.expect_op(",")
-            j = self.index("c(i,j,k)")
-            self.expect_op(",")
-            k = self.index("c(i,j,k)")
-            self.expect_op(")")
-            return _Polynomial({((i, j, k),): GR_ONE})
+            ijk = []
+            for closing in ",,)":
+                ijk.append(self.index("c(i,j,k)"))
+                self.expect_op(closing)
+            return _Polynomial({(tuple(ijk),): GR_ONE})
         if kind == "sqrt":
             self.expect_op("(")
             inner = self.expression()
             self.expect_op(")")
             if not inner.is_scalar:
                 raise NonlinearExpressionError("sqrt of a basis-vector expression")
-            arg = inner.scalar
-            if arg.has_radical:
-                raise MultipleRadicalsError("nested radicals are not supported")
-            return _Linear.constant(TowerElement.sqrt_of(arg.base), self.dim)
+            return self.values.sqrt(inner.scalar, pos, self.dim)
         if kind == "op" and value == "(":
             inner = self.expression()
             self.expect_op(")")
             return inner
         raise ExpressionSyntaxError("expected a value", pos)
+
+
+def _vector(out):
+    if not out.scalar.is_zero:
+        raise NonlinearExpressionError(
+            f"constant term {out.scalar!r} without a basis vector")
+    return list(out.vector)
 
 
 def parse_expression(text, dim=5):
@@ -367,26 +442,24 @@ def parse_expression(text, dim=5):
     radicand may occur across the whole expression, even in components that
     never meet arithmetically.
     """
-    try:
-        out = _Parser(text, dim).parse()
-    except MixedRadicands as exc:
-        raise MultipleRadicalsError(str(exc)) from exc
-    if not out.scalar.is_zero:
-        raise NonlinearExpressionError(
-            f"constant term {out.scalar!r} without a basis vector")
-    radicands = {c.radicand for c in out.vector if c.radicand is not None}
+    vector = _vector(_Parser(text, dim).parse())
+    radicands = {c.radicand for c in vector if c.radicand is not None}
     if len(radicands) > 1:
         raise MultipleRadicalsError(
             f"{len(radicands)} distinct radicands in one expression")
-    return list(out.vector)
+    return vector
+
+
+def parse_constants(text, dim=5):
+    """Parse a linear combination with Q(i) coefficients; returns a list of
+    dim GaussianRationals.  Same rules as parse_expression, but 't' is
+    rejected and sqrt(x) must have a root in Q(i)."""
+    return _vector(_Parser(text, dim, _Constants).parse())
 
 
 def parse_scalar(text):
     """Parse a pure scalar expression into a TowerElement."""
-    try:
-        out = _Parser(text, 1).parse()
-    except MixedRadicands as exc:
-        raise MultipleRadicalsError(str(exc)) from exc
+    out = _Parser(text, 1).parse()
     if not out.is_scalar:
         raise NonlinearExpressionError("expected a scalar expression")
     return out.scalar

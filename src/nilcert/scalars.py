@@ -74,10 +74,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -105,9 +101,6 @@ class GaussianRational:
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -209,10 +202,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly((GaussianRational.coerce(c),))
 
-    @staticmethod
-    def t() -> "Poly":
-        return Poly((GR_ZERO, GR_ONE))
-
     # -- basic structure -----------------------------------------------------
 
     @property
@@ -285,12 +274,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = GaussianRational.coerce(c)
         return Poly(tuple(x * c for x in self.coeffs))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t**k (k >= 0)."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly((GR_ZERO,) * k + self.coeffs)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -372,12 +355,6 @@ class Poly:
         return None
 
     # -- evaluation -------------------------------------------------------------------
-
-    def eval_gaussian(self, at: GaussianRational) -> GaussianRational:
-        out = GR_ZERO
-        for c in reversed(self.coeffs):
-            out = out * at + c
-        return out
 
     def eval_complex(self, at: complex) -> complex:
         out = 0j
@@ -469,15 +446,6 @@ class RationalFunction:
 
     def __bool__(self):
         return not self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den == POLY_ONE
-
-    def constant_value(self) -> GaussianRational:
-        if not self.is_constant:
-            raise ValueError(f"{self!r} is not a constant")
-        return self.num.coeff(0)
 
     # -- field operations -----------------------------------------------------------
 
@@ -645,15 +613,6 @@ class TowerElement:
     @property
     def has_radical(self) -> bool:
         return not self.rad.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.has_radical and self.base.is_constant
-
-    def constant_value(self) -> GaussianRational:
-        if self.has_radical:
-            raise ValueError("radical element is not a constant")
-        return self.base.constant_value()
 
     def _common_radicand(self, other: "TowerElement"):
         if self.radicand is None:

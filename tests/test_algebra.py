@@ -7,7 +7,8 @@ from nilcert import catalog
 from nilcert.algebra import (StructureTable, Subspace, annihilator,
                              flag_subspace, power_chain, subspace_product)
 from nilcert.linalg import SingularMatrixError
-from nilcert.sampling import derive_rng, random_invertible, random_vector
+from nilcert.sampling import (derive_rng, random_invertible, random_sparse_table,
+                              random_vector)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -189,11 +190,17 @@ def test_scaling_generator_scales_structure_constant():
 
 def test_change_basis_round_trip():
     rng = derive_rng(5, "round-trip")
+    from nilcert.linalg import invert_matrix
     table = catalog.get("A_08").table
     m = random_invertible(rng, 5)
-    from nilcert.linalg import invert_matrix
     inv = invert_matrix(m, GR_ZERO, GR_ONE)
     assert table.change_basis(m).change_basis(inv) == table
+    skew = random_sparse_table(derive_rng(5, "round-trip-skew"), 5,
+                               symmetric=False)
+    assert not skew.is_commutative()  # covers the full-product branch
+    m = random_invertible(rng, 5)
+    inv = invert_matrix(m, GR_ZERO, GR_ONE)
+    assert skew.change_basis(m).change_basis(inv) == skew
 
 
 def test_singular_change_rejected():

@@ -10,8 +10,7 @@ from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
                                   borel_stability_probe, check_claim,
                                   conjunct_holds, conjunct_holds_bruteforce,
                                   escape_evidence, necessary_conditions,
-                                  satisfies, satisfies_with_witness,
-                                  screening_completeness)
+                                  satisfies, screening_completeness)
 from nilcert.parser import parse_condition
 from nilcert.sampling import derive_rng, random_sparse_table
 from nilcert.scalars import GaussianRational
@@ -40,7 +39,7 @@ def test_a13_needs_its_witness_basis():
     witness = files.load_shipped_claims()
     claim = next(c for c in witness if c.sources == ("A_13",))
     basis = claim.witness_bases["A_13"]
-    assert satisfies_with_witness(table, R_A13, basis)
+    assert satisfies(R_A13, table.change_basis(basis))
     assert not satisfies(R_A13, table)  # identity basis fails A_1 A_2 <= A_5
 
 
@@ -48,7 +47,7 @@ def test_identity_witness_equals_plain_satisfies():
     table = catalog.get("A_03").table
     eye = [[GaussianRational(1 if i == j else 0) for j in range(5)]
            for i in range(5)]
-    assert satisfies_with_witness(table, R_A03, eye) == satisfies(R_A03, table)
+    assert satisfies(R_A03, table.change_basis(eye)) == satisfies(R_A03, table)
 
 
 # -- Borel probes ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 """File formats: round trips, shipped-data integrity, and loader errors."""
 
+import time
+
 import pytest
 
 from nilcert import catalog, files
@@ -78,6 +80,48 @@ def test_algebra_loader_rejects_bad_input():
         files.load_algebra("algebra X\ndim 5\ne_9 * e_1 = e_2")
     with pytest.raises(files.FileFormatError):
         files.load_algebra("algebra X\ndim 5\ne_1 * e_2 = t e_3")
+    # constants are read in Q(i): sqrt only of a square, and no t at all
+    for rhs, want in (("sqrt(4) e_3", GaussianRational(2)),
+                      ("sqrt(-4) e_3", GaussianRational(0, 2))):
+        _, table = files.load_algebra(f"algebra X\ndim 5\ne_1 * e_2 = {rhs}")
+        assert table.entry(0, 1, 2) == want and table.entry(1, 0, 2) == want
+    for rhs in ("sqrt(2) e_3", "(t/t) e_3"):
+        with pytest.raises(files.FileFormatError,
+                           match=r"^line 3: .*\(at position \d+\)$"):
+            files.load_algebra(f"algebra X\ndim 5\ne_1 * e_2 = {rhs}")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("witness A_23 -> A_24\nE_x = e_1\n", 2),
+    ("witness A_23 -> A_24\ndim five\n", 2),
+    ("algebra X\n\ndim five\n", 3),
+    ("witness A_23 -> A_24\nE_1 e_1\n", 2),
+    ("witness A_23 -> A_24\nE_1 = e_1 +\n", 2),
+    ("algebra X\ndim 5\ne_1 * e_2 = e_3 +\n", 3),
+])
+def test_loader_errors_name_their_line(text, lineno):
+    load = files.load_algebra if text.startswith("algebra") else files.load_witness
+    with pytest.raises(files.FileFormatError, match=f"^line {lineno}: "):
+        load(text)
+
+
+OVERSIZED_POWERS = ("(1+t)^800 e_1", "t^100000000 e_1", "((1+t)^64)^64 e_1",
+                    "((((2^64)^64)^64)^64)^64 e_1")
+
+
+@pytest.mark.parametrize("load, text", [
+    *[(files.load_algebra, f"algebra X\ndim 5\ne_1 * e_1 = {rhs}\n")
+      for rhs in OVERSIZED_POWERS],
+    *[(files.load_witness, f"witness A_23 -> A_24\nE_1 = {rhs}\n")
+      for rhs in OVERSIZED_POWERS],
+    (files.load_claims,
+     "claim A_05 !-> A_15\nrequire poly (c(1,1,2)+c(1,1,3))^800 = 0\n"),
+])
+def test_oversized_powers_are_refused_quickly(load, text):
+    started = time.perf_counter()
+    with pytest.raises(files.FileFormatError, match=r"\(at position \d+\)"):
+        load(text)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_witness_loader_requires_all_rows():
