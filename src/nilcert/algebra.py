@@ -6,15 +6,19 @@ Tables are generic over the scalar field (Gaussian rationals for the embedded
 catalog, tower elements for parametric families) via a small Field adapter.
 
 Construction helpers accept the 1-based (i, j) -> {k: coefficient} layout of
-printed multiplication tables so transcriptions stay literal.
+printed multiplication tables so transcriptions stay literal.  The
+identities, powers and annihilator of a Q(i) table are computed in Gaussian
+integers on its scaled table (``integer_tensor``, with the scaling lemma).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import (Field, SingularMatrixError, invert_matrix, kernel_basis,
-                     rref, vec_matmul)
+from .linalg import (Field, SingularMatrixError, gaussian_int_echelon,
+                     invert_matrix, kernel_basis, rref, vec_matmul)
 from .scalars import (GR_ONE, GR_ZERO, TOWER_ONE, TOWER_ZERO, GaussianRational,
                       TowerElement)
 
@@ -116,22 +120,33 @@ class StructureTable:
                 return False
         return True
 
-    def is_associative(self) -> bool:
-        # brute force over all basis triples
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(self.dim):
-                ij = self.product_vec(i, j)
-                for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    left = self.multiply(ij, ek)
-                    right = self.multiply(ei, self.product_vec(j, k))
-                    if left != right:
-                        return False
-        return True
-
     def check_identities(self) -> IdentityReport:
-        return IdentityReport(self.is_commutative(), self.is_associative())
+        """(e_i e_j) e_k = e_i (e_j e_k), read from the integer tensor P as
+        sum_m P_ij^m P_mk = sum_m P_jk^m P_im on every triple."""
+        p, n = self.integer_tensor(), self.dim
+        associative = all(
+            _combine(p[i][j], [p[m][k] for m in range(n)]) == _combine(p[j][k], p[i])
+            for i in range(n) for j in range(n) for k in range(n))
+        return IdentityReport(self.is_commutative(), associative)
+
+    def integer_tensor(self):
+        """Dense products of the scaled table lambda mu, lambda the lcm of
+        the denominators of all constants: P[i][j][k] = lambda c[i][j][k] as
+        a Gaussian-integer (re, im) pair.  Q(i) tables only.
+
+        Scaling lemma: for lambda != 0, x -> x / lambda maps (A, mu) onto
+        (A, lambda mu) isomorphically, as lambda mu(x/lambda, y/lambda) =
+        mu(x, y) / lambda.  So commutativity, associativity, nilpotency, the
+        power and annihilator dimensions and dim Der are those of lambda mu.
+        """
+        if self.field is not GAUSSIAN_FIELD:
+            raise TypeError("the integer tensor needs Q(i) constants")
+        n = self.dim
+        tensor = [[[(0, 0)] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), pair in zip(self.entries,
+                                   _gaussian_ints(self.entries.values())):
+            tensor[i][j][k] = pair
+        return tensor
 
     # -- transformations ---------------------------------------------------------------
 
@@ -224,10 +239,6 @@ class Subspace:
     def contains_subspace(self, other) -> bool:
         return all(self.contains(r) for r in other.rows)
 
-    def add(self, other) -> "Subspace":
-        return Subspace(self.ambient, [list(r) for r in self.rows + other.rows],
-                        self.field)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -255,42 +266,90 @@ def subspace_product(alg: StructureTable, left: Subspace, right: Subspace) -> Su
     return Subspace.spanned_by(vectors, alg.dim, alg.field)
 
 
+def _combine(coeffs, vectors):
+    """sum_m coeffs[m] vectors[m] over Gaussian-integer pairs."""
+    re, im = [0] * len(coeffs), [0] * len(coeffs)
+    for (a, b), vector in zip(coeffs, vectors):
+        if a or b:
+            for k, (c, d) in enumerate(vector):
+                if c or d:
+                    re[k] += a * c - b * d
+                    im[k] += a * d + b * c
+    return list(zip(re, im))
+
+
+def _int_multiply(tensor, x, y):
+    """x * y for Gaussian-integer vectors, by the integer tensor."""
+    return _combine(x, [_combine(y, row) if a or b else None
+                        for (a, b), row in zip(x, tensor)])
+
+
+def _gaussian_ints(values):
+    """Q(i) values times the lcm of their denominators, as (re, im) pairs."""
+    values = list(values)
+    scale = lcm(*(x.denominator for c in values for x in (c.re, c.im)))
+    return [(c.re.numerator * (scale // c.re.denominator),
+             c.im.numerator * (scale // c.im.denominator)) for c in values]
+
+
+def _rationals(int_rows):
+    return [[GaussianRational(a, b) for a, b in row] for row in int_rows]
+
+
+class PowerChain(Sequence):
+    """[None, S^1, ..., S^up_to] that keeps only the powers it computed;
+    every index past them reads the last one, which is then zero."""
+
+    def __init__(self, powers, up_to):
+        self._powers, self._length = powers, max(up_to, 1) + 1
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, k):
+        index = range(self._length)[k]  # raises IndexError past up_to
+        if isinstance(index, range):
+            return [self[m] for m in index]
+        return self._powers[min(index, len(self._powers) - 1)]
+
+
 def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
     """[None, S^1, S^2, ...] up to S^up_to, where S is ``base`` (default: the
     whole algebra) and S^m = sum over p+q=m of S^p S^q.
 
     The sum covers every parenthesization, so the chain stays correct for
     non-associative diagnostic tables.  Once S^z = ... = S^(2z-2) = 0 the
-    chain stops multiplying: every product of at least z factors contains a
-    sub-product of z to 2z-2 factors, so every later power is zero as well.
+    chain stops: every product of at least z factors contains a sub-product
+    of z to 2z-2 factors, so every later power is zero as well.  Products
+    are taken on the integer tensor and spanned by the integer echelon.
     """
+    n = alg.dim
+    tensor = alg.integer_tensor()
     if base is None:
-        base = Subspace.full(alg.dim, alg.field)
+        base = Subspace.full(n, alg.field)
+    spans = [None, [_gaussian_ints(row) for row in base.rows]]
     powers = [None, base]
     first_zero = 1 if base.is_zero else None
     for m in range(2, up_to + 1):
         if first_zero is not None and m >= 2 * first_zero - 1:
-            powers.append(powers[-1])
-            continue
-        acc = Subspace.zero(alg.dim, alg.field)
-        for p in range(1, m):
-            acc = acc.add(subspace_product(alg, powers[p], powers[m - p]))
-        powers.append(acc)
-        if not acc.is_zero:
+            break
+        products = [_int_multiply(tensor, u, w) for p in range(1, m)
+                    for u in spans[p] for w in spans[m - p]]
+        powers.append(Subspace(n, _rationals(gaussian_int_echelon(products))))
+        spans.append([_gaussian_ints(row) for row in powers[-1].rows])
+        if spans[-1]:
             first_zero = None
         elif first_zero is None:
             first_zero = m
-    return powers
+    return PowerChain(powers, up_to)
 
 
 def annihilator(alg: StructureTable) -> Subspace:
-    """{x : x * e_j = 0 = e_j * x for all j}, via an exact kernel."""
-    zero, one = alg.field.zero, alg.field.one
-    n = alg.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([alg.entry(i, j, k) for i in range(n)])   # x * e_j
-            rows.append([alg.entry(j, i, k) for i in range(n)])   # e_j * x
-    basis = kernel_basis(rows, n, zero, one)
+    """{x : x * e_j = 0 = e_j * x for all j}: the kernel of the 2 dim^2 rows
+    of the integer tensor, read off their at most dim echelon rows."""
+    n, p = alg.dim, alg.integer_tensor()
+    rows = [[p[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    rows += [[p[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
+    basis = kernel_basis(_rationals(gaussian_int_echelon(rows)), n,
+                         alg.field.zero, alg.field.one)
     return Subspace.spanned_by(basis, n, alg.field)

@@ -9,6 +9,8 @@ Identification works through an invariant fingerprint (derivation dimension,
 dimensions of the power ideals, annihilator dimension, nilpotency index).
 Fingerprints do not separate every pair of classes: A_11 and A_15 share one,
 so identify() returns candidate lists rather than forcing a single name.
+Identities and invariants are computed in Gaussian integers on the scaled
+table of StructureTable.integer_tensor, isomorphic to the input (its lemma).
 """
 
 from __future__ import annotations

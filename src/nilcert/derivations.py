@@ -6,18 +6,18 @@ system
 
     sum_k c[i][j][k] D[k][m] = sum_p D[i][p] c[p][j][m] + sum_q D[j][q] c[i][q][m]
 
-over the dim^2 unknowns D[p][q].  The kernel is computed by exact elimination
-only; the dimension uses a fraction-free Gaussian-integer fast path and the
-basis a rational reduced echelon form, and the two routes are cross-checked.
+over the dim^2 unknowns D[p][q].  The system is linear in the constants, so
+the scaled table of StructureTable.integer_tensor has the same derivations:
+the rows are built in Gaussian integers, the dimension comes from integer
+Bareiss and the basis from a rational echelon form.  Q(i) tables only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .algebra import StructureTable
-from .linalg import gaussian_int_rank, kernel_basis, rank
+from .linalg import gaussian_int_rank, kernel_basis
 from .scalars import GaussianRational
 
 
@@ -28,72 +28,44 @@ class DerivationSpace:
 
 
 def _leibniz_rows(alg: StructureTable):
-    """Rows of the Leibniz system; unknown (p, q) is column p * dim + q.
+    """Rows of the Leibniz system of the scaled table as (re, im) int pairs;
+    unknown (p, q) is column p * dim + q.
 
     Duplicate equations (for commutative tables, the (i, j) and (j, i) pairs)
     are dropped, which halves the elimination work without changing the kernel.
     """
     n = alg.dim
-    zero = alg.field.zero
-    rows = []
-    seen = set()
+    tensor = alg.integer_tensor()
+    rows = {}
     for i in range(n):
         for j in range(n):
-            cij = alg.product_vec(i, j)
             for m in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    c = cij[k]
-                    if c:
-                        row[k * n + m] = row[k * n + m] + c
+                re, im = [0] * (n * n), [0] * (n * n)
+                for k, (a, b) in enumerate(tensor[i][j]):
+                    re[k * n + m] += a
+                    im[k * n + m] += b
                 for p in range(n):
-                    c = alg.entry(p, j, m)
-                    if c:
-                        row[i * n + p] = row[i * n + p] - c
-                for q in range(n):
-                    c = alg.entry(i, q, m)
-                    if c:
-                        row[j * n + q] = row[j * n + q] - c
-                if any(row):
-                    key = tuple(row)
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(row)
-    return rows
-
-
-def _gaussian_int_rows(rows):
-    """Clear denominators rowwise into (re, im) integer pairs."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for c in row:
-            for part in (c.re, c.im):
-                d = part.denominator
-                if d != 1:
-                    g = gcd(lcm, d)
-                    lcm = lcm // g * d
-        out.append([(int(c.re * lcm), int(c.im * lcm)) for c in row])
-    return out
+                    a, b = tensor[p][j][m]
+                    re[i * n + p] -= a
+                    im[i * n + p] -= b
+                    a, b = tensor[i][p][m]
+                    re[j * n + p] -= a
+                    im[j * n + p] -= b
+                if any(re) or any(im):
+                    rows.setdefault(tuple(zip(re, im)), None)
+    return list(rows)
 
 
 def derivation_dimension(alg: StructureTable) -> int:
-    """dim Der, via the fraction-free integer elimination when possible."""
-    rows = _leibniz_rows(alg)
-    if not rows:
-        return alg.dim * alg.dim
-    if isinstance(next(iter(alg.entries.values()), None), GaussianRational):
-        return alg.dim * alg.dim - gaussian_int_rank(_gaussian_int_rows(rows))
-    zero, one = alg.field.zero, alg.field.one
-    return alg.dim * alg.dim - rank(rows, zero, one)
+    """dim Der = dim^2 - rank of the Leibniz system, by integer Bareiss."""
+    return alg.dim * alg.dim - gaussian_int_rank(_leibniz_rows(alg))
 
 
 def derivation_space(alg: StructureTable) -> DerivationSpace:
     """Kernel basis of the Leibniz system as dim x dim matrices."""
     n = alg.dim
-    zero, one = alg.field.zero, alg.field.one
-    rows = _leibniz_rows(alg)
-    flat = kernel_basis(rows, n * n, zero, one)
+    rows = [[GaussianRational(a, b) for a, b in row] for row in _leibniz_rows(alg)]
+    flat = kernel_basis(rows, n * n, alg.field.zero, alg.field.one)
     basis = tuple(tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
                   for v in flat)
     return DerivationSpace(len(basis), basis)

@@ -30,7 +30,8 @@ Claims file (several blocks)::
     require poly c(1,3,4)*c(2,2,5) - c(1,3,5)*c(2,2,4) = 0
 
 Other condition forms: ``require A_p^k = 0`` and ``require ann >= d``.  Flag
-indices lie in 1..dim and power exponents are at least 1; a ``poly`` condition
+indices lie in 1..dim, power exponents in 1..MAX_EXPONENT (64, the bound of
+every ``^`` in the grammar) and ``d`` in 0..dim; a ``poly`` condition
 is a polynomial in the c(i,j,k), 1 <= i, j, k <= dim, with Q(i) coefficients,
 parsed by the expression grammar of ``parser``.
 
@@ -46,8 +47,8 @@ from .algebra import GAUSSIAN_FIELD, MAX_DIM, StructureTable
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
                            NonDegenerationClaim, PolynomialEq, PowerVanish)
 from .degeneration import DegenerationWitness, ParametricMatrix
-from .parser import (format_vector, parse_condition, parse_constants,
-                     parse_expression)
+from .parser import (MAX_EXPONENT, format_vector, parse_condition,
+                     parse_constants, parse_expression)
 
 
 class FileFormatError(ValueError):
@@ -208,7 +209,8 @@ def _parse_condition(line, lineno, dim):
         rest = body.removeprefix("ann").strip()
         if not rest.startswith(">="):
             raise FileFormatError(f"line {lineno}: expected 'ann >= d'")
-        return AnnDimAtLeast(_parse_int(rest.removeprefix(">="), lineno, "ann bound"))
+        return AnnDimAtLeast(_parse_int(rest.removeprefix(">="), lineno, "ann bound",
+                                        0, dim))
     if body.startswith("poly "):
         expr = body.removeprefix("poly ").strip()
         if not expr.endswith("= 0"):
@@ -221,9 +223,7 @@ def _parse_condition(line, lineno, dim):
         if rhs.strip() != "0":
             raise FileFormatError(f"line {lineno}: power condition must be '= 0'")
         base, k = lhs.split("^", 1)
-        k = _parse_int(k, lineno, "power exponent")
-        if k < 1:
-            raise FileFormatError(f"line {lineno}: power exponent {k} must be >= 1")
+        k = _parse_int(k, lineno, "power exponent", 1, MAX_EXPONENT)
         return PowerVanish(_parse_flag_atom(base, lineno, dim), k)
     if "<=" in body:
         lhs, rhs = body.split("<=", 1)

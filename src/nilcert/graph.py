@@ -24,10 +24,6 @@ class DegenerationGraph:
     edges: tuple                      # proper verified edges + trivial edges
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def der_levels(self):
-        return {name: catalog.DER_DIMS[name] for name in self.nodes}
-
 
 def build(verdicts, include_trivial=True) -> DegenerationGraph:
     """Graph from VERIFIED verdicts plus the trivial edges into C5."""

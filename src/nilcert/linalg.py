@@ -2,8 +2,9 @@
 
 All routines are deterministic: pivots are chosen as the first nonzero entry
 scanning columns left to right and rows top to bottom, so echelon forms are
-reproducible for golden tests.  A fraction-free fast path over Gaussian
-integers backs the large kernel computations.
+reproducible for golden tests.  One fraction-free Bareiss elimination over
+Gaussian integers, gaussian_int_echelon, gives the ranks and spans of the
+identify path (powers, annihilator, dim Der).
 """
 
 from __future__ import annotations
@@ -158,51 +159,51 @@ def matmul(a, b, zero):
 
 # -- fraction-free fast path over Gaussian integers ------------------------------
 
-def gaussian_int_rank(rows) -> int:
-    """Rank of a matrix of Gaussian integers given as (re, im) int pairs.
+def gaussian_int_echelon(rows):
+    """Row echelon form of a matrix of Gaussian integers given as (re, im)
+    int pairs: its nonzero rows, which span the row space of the input.
 
     Single-step Bareiss elimination: the cross-multiplied update is divided
     exactly by the previous pivot, so intermediate entries stay minors of the
     input instead of growing exponentially.  No content stripping: it would
-    break the exactness of the Bareiss division.
+    break the exactness of the Bareiss division.  Only columns right of the
+    pivot are updated, and a row that becomes zero is dropped.
     """
     rows = [list(r) for r in rows if any(a or b for a, b in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
+    echelon = []
     prev_re, prev_im, prev_norm = 1, 0, 1
-    for col in range(ncols):
-        pr = None
-        for k in range(rk, len(rows)):
-            if rows[k][col] != (0, 0):
-                pr = k
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        pr = next((k for k, row in enumerate(rows) if row[col] != (0, 0)), None)
         if pr is None:
             continue
-        if pr != rk:
-            rows[rk], rows[pr] = rows[pr], rows[rk]
-        pa, pb = rows[rk][col]
-        prow = rows[rk]
-        for k in range(rk + 1, len(rows)):
-            ka, kb = rows[k][col]
-            row = rows[k]
-            new = []
+        prow = rows.pop(pr)
+        echelon.append(prow)
+        pa, pb = prow[col]
+        ptail = prow[col + 1:]
+        below = []
+        for row in rows:
+            ka, kb = row[col]
+            new = row[:col] + [(0, 0)]
             # every row below is rescaled, zero pivot entries included;
             # skipping them would break the exactness of the division
-            for (xa, xb), (ya, yb) in zip(row, prow):
+            for (xa, xb), (ya, yb) in zip(row[col + 1:], ptail):
                 na = pa * xa - pb * xb - (ka * ya - kb * yb)
                 nb = pa * xb + pb * xa - (ka * yb + kb * ya)
-                if prev_norm != 1 or prev_im:
+                if na or nb:
                     # exact division by the previous pivot (Bareiss identity)
-                    da = na * prev_re + nb * prev_im
-                    db = nb * prev_re - na * prev_im
-                    na, nb = da // prev_norm, db // prev_norm
+                    if prev_im:
+                        na, nb = ((na * prev_re + nb * prev_im) // prev_norm,
+                                  (nb * prev_re - na * prev_im) // prev_norm)
+                    elif prev_re != 1:
+                        na, nb = na // prev_re, nb // prev_re
                 new.append((na, nb))
-            rows[k] = new
-        prev_re, prev_im = pa, pb
-        prev_norm = pa * pa + pb * pb
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+            if new.count((0, 0)) < len(new):
+                below.append(new)
+        rows = below
+        prev_re, prev_im, prev_norm = pa, pb, pa * pa + pb * pb
+    return echelon
+
+
+def gaussian_int_rank(rows) -> int:
+    """Rank of a matrix of Gaussian integers given as (re, im) int pairs."""
+    return len(gaussian_int_echelon(rows))

@@ -171,10 +171,24 @@ def test_claims_loader_rejects_conditions_outside_blocks():
     "require poly c(1,1,2)/c(1,2,3) = 0",
     "require poly c(1,1,2)/0 = 0",
     "witness A_05 : e_1, e_2, e_3, e_4, e_9",
+    "require A_1^1000000 = 0",
+    "require A_1^65 = 0",
+    "require ann >= -3",
+    "require ann >= 6",
+    "require ann >= 1000000000",
 ])
 def test_claims_loader_rejects_malformed_lines(line):
     with pytest.raises(files.FileFormatError):
         files.load_claims(f"claim A_05 !-> A_15\n{line}\n")
+
+
+def test_claims_loader_accepts_the_ends_of_each_range():
+    for line, conj in (("require A_1^64 = 0", PowerVanish(1, 64)),
+                       ("require A_5^1 = 0", PowerVanish(5, 1)),
+                       ("require ann >= 0", AnnDimAtLeast(0)),
+                       ("require ann >= 5", AnnDimAtLeast(5))):
+        claim, = files.load_claims(f"claim A_05 !-> A_15\n{line}\n")
+        assert claim.spec.conjuncts == (conj,)
 
 
 def test_claims_round_trip():

@@ -1,0 +1,185 @@
+"""The Gaussian-integer identify path against Fraction oracles.
+
+Identities, powers, annihilators and dim Der are computed on the scaled
+integer tensor of a table.  The oracles here are the direct Q(i)
+computations: the per-triple associativity check, powers as sums of
+subspace products, and the rank of the Leibniz system by ``linalg.rank``.
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from nilcert import catalog
+from nilcert.algebra import (StructureTable, Subspace, annihilator,
+                             flag_subspace, power_chain, subspace_product)
+from nilcert.derivations import (derivation_dimension, derivation_space,
+                                 is_derivation)
+from nilcert.linalg import gaussian_int_echelon, kernel_basis, rank
+from nilcert.sampling import derive_rng, random_invertible, random_sparse_table
+from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
+
+
+def fraction_associative(table):
+    """Oracle: (e_i e_j) e_k = e_i (e_j e_k) on every basis triple."""
+    for i, j, k in product(range(table.dim), repeat=3):
+        left = table.multiply(table.product_vec(i, j), table.basis_vector(k))
+        right = table.multiply(table.basis_vector(i), table.product_vec(j, k))
+        if left != right:
+            return False
+    return True
+
+
+def subspace_powers(table, up_to, base):
+    """Oracle: S^m as the span of every S^p S^q with p + q = m, no early stop."""
+    powers = [None, base]
+    for m in range(2, up_to + 1):
+        rows = [row for p in range(1, m)
+                for row in subspace_product(table, powers[p], powers[m - p]).rows]
+        powers.append(Subspace.spanned_by(rows, table.dim))
+    return powers
+
+
+def fraction_leibniz_rank(table):
+    """Oracle: rank of the Leibniz system over Q(i), by ``linalg.rank``."""
+    n = table.dim
+    rows = []
+    for i, j, m in product(range(n), repeat=3):
+        row = [GR_ZERO] * (n * n)
+        for k in range(n):
+            row[k * n + m] = row[k * n + m] + table.entry(i, j, k)
+        for p in range(n):
+            row[i * n + p] = row[i * n + p] - table.entry(p, j, m)
+            row[j * n + p] = row[j * n + p] - table.entry(i, p, m)
+        rows.append(row)
+    return rank(rows, GR_ZERO, GR_ONE)
+
+
+def fraction_annihilator(table):
+    n = table.dim
+    rows = [[table.entry(i, j, k) for i in range(n)] for j in range(n) for k in range(n)]
+    rows += [[table.entry(j, i, k) for i in range(n)] for j in range(n) for k in range(n)]
+    return Subspace.spanned_by(kernel_basis(rows, n, GR_ZERO, GR_ONE), n)
+
+
+def with_fractions(table, rng):
+    """Every constant times its own random Q(i) factor with denominators."""
+    def factor():
+        return GaussianRational(Fraction(rng.randrange(1, 9), rng.randrange(1, 9)),
+                                Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)))
+    return StructureTable(table.dim, {key: c * factor()
+                                      for key, c in table.entries.items()})
+
+
+def sample_tables():
+    """Seeded tables covering every case the integer path distinguishes."""
+    rng = derive_rng(17, "integer-path")
+    frac_rng = random.Random(17)
+    tables = []
+    for index in range(48):
+        dim = 2 + index % 4
+        table = random_sparse_table(rng, dim, max_entries=1 + index % 10,
+                                    symmetric=index % 2 == 0)
+        tables.append(with_fractions(table, frac_rng) if index % 3 == 0 else table)
+    # associative and nilpotent, with Gaussian-rational constants
+    for name in ("A_01", "A_07", "A_13", "A_21", "C5"):
+        moved = catalog.get(name).table.change_basis(random_invertible(rng, 5))
+        tables.append(moved)
+    # associative but not nilpotent: e_1^2 = e_1 beside e_2^2 = e_3
+    idempotent = StructureTable(3, {(0, 0, 0): GR_ONE, (1, 1, 2): GR_ONE})
+    tables.append(idempotent.change_basis(random_invertible(rng, 3)))
+    return tables
+
+
+def nilpotent(table):
+    return subspace_powers(table, table.dim + 1, Subspace.full(table.dim))[-1].is_zero
+
+
+def test_samples_cover_every_case():
+    tables = sample_tables()
+    cases = {(t.is_commutative(), fraction_associative(t), nilpotent(t)) for t in tables}
+    for position in range(3):
+        assert {case[position] for case in cases} == {True, False}
+    assert any(c.re.denominator > 1 or c.im.denominator > 1
+               for t in tables for c in t.entries.values())
+    assert any(c.im for t in tables for c in t.entries.values())
+
+
+def test_identities_match_the_per_triple_oracle():
+    for table in sample_tables():
+        report = table.check_identities()
+        assert report.associative == fraction_associative(table), table
+        assert report.commutative == table.is_commutative()
+
+
+def test_powers_match_sums_of_subspace_products():
+    rng = derive_rng(18, "integer-path-bases")
+    for table in sample_tables():
+        n = table.dim
+        bases = (Subspace.full(n), flag_subspace(n, 1 + rng.randrange(n)),
+                 Subspace.spanned_by([[GaussianRational(rng.randrange(-2, 3),
+                                                        rng.randrange(-1, 2))
+                                       for _ in range(n)]], n))
+        for base in bases:
+            want = subspace_powers(table, 6, base)
+            got = power_chain(table, 6, base)
+            assert [got[k] for k in range(1, 7)] == want[1:], table
+
+
+def test_annihilator_and_dim_der_match_the_fraction_oracles():
+    for table in sample_tables():
+        n = table.dim
+        assert annihilator(table) == fraction_annihilator(table), table
+        assert derivation_dimension(table) == n * n - fraction_leibniz_rank(table)
+        space = derivation_space(table)
+        assert space.dimension == derivation_dimension(table)
+        assert all(is_derivation(table, d) for d in space.basis)
+
+
+def test_scaling_by_a_gaussian_rational_keeps_identities_and_fingerprint():
+    lam = GaussianRational(Fraction(3, 7), 2)
+    rng = derive_rng(19, "integer-path-scaling")
+    for name in catalog.names():
+        moved = catalog.get(name).table.change_basis(random_invertible(rng, 5))
+        scaled = StructureTable(5, {key: c * lam for key, c in moved.entries.items()})
+        assert scaled.check_identities() == moved.check_identities()
+        assert catalog.fingerprint(scaled) == catalog.catalog_fingerprint(name), name
+        assert name in catalog.identify(scaled)
+
+
+def test_echelon_spans_the_row_space():
+    rng = random.Random(23)
+    for trial in range(100):
+        n, gaussian = rng.randrange(1, 7), trial % 2
+        rows = [[(rng.randrange(-6, 7), rng.randrange(-3, 4) * gaussian)
+                 for _ in range(n)] for _ in range(rng.randrange(1, 7))]
+        rows.append([(a + c, b + d) for (a, b), (c, d) in zip(rows[0], rows[-1])])
+        as_q = [[GaussianRational(a, b) for a, b in row] for row in rows]
+        echelon = [[GaussianRational(a, b) for a, b in row]
+                   for row in gaussian_int_echelon(rows)]
+        assert Subspace.spanned_by(echelon, n) == Subspace.spanned_by(as_q, n)
+        assert len(echelon) == rank(as_q, GR_ZERO, GR_ONE)
+
+
+def test_power_chain_keeps_no_padding_past_a_zero_power():
+    table = catalog.get("A_05").table
+    tracemalloc.start()
+    try:
+        chain = power_chain(table, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a list of 10^6 entries alone takes 8 MB
+    assert len(chain) == 10 ** 6 + 1
+    assert chain[10 ** 6].is_zero and chain[-1].is_zero and not chain[4].is_zero
+    assert [power.dim for power in chain[1:8]] == [5, 3, 2, 1, 0, 0, 0]
+    with pytest.raises(IndexError):
+        chain[10 ** 6 + 1]
+
+
+def test_integer_tensor_refuses_tower_tables():
+    with pytest.raises(TypeError):
+        catalog.get("A_24").table.lift_to_tower().integer_tensor()
