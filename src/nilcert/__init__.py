@@ -31,9 +31,7 @@ from .graph import (DegenerationGraph, build, compare_with_reference,
                     emit_dot, emit_json, hasse_reduction, transitive_closure)
 from .parser import (format_vector, parse_constants, parse_expression,
                      parse_scalar)
-from .scalars import (BranchAmbiguous, GaussianRational, LimitDiverges,
-                      MixedRadicands, Poly, RationalFunction, TowerElement,
-                      limit_at_zero, normalize, order_at_zero)
+from .scalars import GaussianRational, LimitDiverges, Poly, RationalFunction
 
 __all__ = [
     "__version__",
@@ -53,7 +51,5 @@ __all__ = [
     "DegenerationGraph", "build", "compare_with_reference", "emit_dot",
     "emit_json", "hasse_reduction", "transitive_closure",
     "format_vector", "parse_constants", "parse_expression", "parse_scalar",
-    "BranchAmbiguous", "GaussianRational", "LimitDiverges", "MixedRadicands",
-    "Poly", "RationalFunction", "TowerElement", "limit_at_zero", "normalize",
-    "order_at_zero",
+    "GaussianRational", "LimitDiverges", "Poly", "RationalFunction",
 ]

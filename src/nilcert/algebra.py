@@ -3,7 +3,8 @@
 A StructureTable stores the nonzero constants c[i][j][k] of a bilinear
 multiplication mu(e_i, e_j) = sum_k c[i][j][k] e_k with 0-based indices.
 Tables are generic over the scalar field (Gaussian rationals for the embedded
-catalog, tower elements for parametric families) via a small Field adapter.
+catalog, rational functions in t for parametric families) via a small Field
+adapter.
 
 Construction helpers accept the 1-based (i, j) -> {k: coefficient} layout of
 printed multiplication tables so transcriptions stay literal.  The
@@ -19,13 +20,13 @@ from math import lcm
 
 from .linalg import (Field, SingularMatrixError, gaussian_int_echelon,
                      invert_matrix, kernel_basis, rref, vec_matmul)
-from .scalars import (GR_ONE, GR_ZERO, TOWER_ONE, TOWER_ZERO, GaussianRational,
-                      TowerElement)
+from .scalars import (GR_ONE, GR_ZERO, RF_ONE, RF_ZERO, GaussianRational,
+                      RationalFunction)
 
 MAX_DIM = 16  # exact arithmetic guard rail
 
 GAUSSIAN_FIELD = Field(GR_ZERO, GR_ONE, "Q(i)", GaussianRational.coerce)
-TOWER_FIELD = Field(TOWER_ZERO, TOWER_ONE, "Q(i)(t)", TowerElement.coerce)
+TOWER_FIELD = Field(RF_ZERO, RF_ONE, "Q(i)(t)", RationalFunction.coerce)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import catalog
-from .algebra import (StructureTable, annihilator, flag_subspace,
-                      power_chain, subspace_product)
+from .algebra import StructureTable, annihilator, flag_subspace, power_chain
 from .sampling import random_borel_matrix, random_invertible
 from .scalars import GR_ZERO, GaussianRational
 
@@ -118,13 +117,18 @@ class NonDegenerationClaim:
 
 
 def conjunct_holds(conj, alg: StructureTable) -> bool:
-    """Evaluate one condition through the subspace machinery."""
+    """Evaluate one condition on the table's nonzero entries, its powers or
+    its annihilator.
+
+    A_p A_q <= A_r fails iff some nonzero c(i,j,k) has i >= p, j >= q and
+    k < r (1-based; every k when r is None): the flag tails are spanned by
+    basis vectors, so their product is spanned by the e_i e_j it contains.
+    """
     n = alg.dim
     if isinstance(conj, FlagContainment):
-        prod = subspace_product(alg, flag_subspace(n, conj.p, alg.field),
-                                flag_subspace(n, conj.q, alg.field))
-        target = flag_subspace(n, conj.r if conj.r is not None else n + 1, alg.field)
-        return target.contains_subspace(prod)
+        p, q = conj.p - 1, conj.q - 1
+        r = conj.r - 1 if conj.r is not None else n
+        return not any(i >= p and j >= q and k < r for i, j, k in alg.entries)
     if isinstance(conj, PowerVanish):
         base = flag_subspace(n, conj.p, alg.field)
         return power_chain(alg, conj.k, base)[conj.k].is_zero

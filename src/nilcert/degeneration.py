@@ -5,11 +5,10 @@ E_i(t) = sum_j a_ij(t) e_j of the source algebra.  Verification is exact:
 
 1. the family must be generically invertible (det as a field element != 0;
    the finitely many exceptional t values are reported, never silently used),
-2. the structure constants of the source in the E-basis are computed over the
-   exact function-field tower,
-3. every constant must have a branch-independent limit at t -> 0, and the
-   limit table must equal the target's table entry for entry, with no
-   tolerance.
+2. the structure constants of the source in the E-basis are computed
+   exactly in Q(i)(t), the rational functions in t,
+3. every constant must have a finite limit at t -> 0, and the limit table
+   must equal the target's table entry for entry, with no tolerance.
 
 A successful verdict additionally cross-checks the strict increase of the
 derivation dimension for proper claims.  A floating-point spot evaluation of
@@ -25,13 +24,12 @@ from math import gcd, isqrt
 from . import catalog
 from .algebra import GAUSSIAN_FIELD, TOWER_FIELD, StructureTable
 from .linalg import det
-from .scalars import BranchAmbiguous, LimitDiverges, Poly, TowerElement
+from .scalars import LimitDiverges, Poly, RationalFunction
 
 VERIFIED = "VERIFIED"
 SINGULAR_FAMILY = "SINGULAR_FAMILY"
 LIMIT_DIVERGES = "LIMIT_DIVERGES"
 LIMIT_MISMATCH = "LIMIT_MISMATCH"
-BRANCH_AMBIGUOUS = "BRANCH_AMBIGUOUS"
 
 
 class SingularFamilyError(ValueError):
@@ -49,27 +47,20 @@ class LimitFailure(Exception):
 
 
 class ParametricMatrix:
-    """Rows are the parametric basis vectors, entries exact tower elements."""
+    """Rows are the parametric basis vectors, entries rational functions in t."""
 
-    __slots__ = ("rows", "radicand", "_det")
+    __slots__ = ("rows", "_det")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(TowerElement.coerce(c) for c in row) for row in rows)
-        radicand = None
-        for row in self.rows:
-            for c in row:
-                if c.radicand is not None:
-                    if radicand is not None and radicand != c.radicand:
-                        raise ValueError("parametric matrix mixes two radicands")
-                    radicand = c.radicand
-        self.radicand = radicand
+        self.rows = tuple(tuple(RationalFunction.coerce(c) for c in row)
+                          for row in rows)
         self._det = None
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def det(self) -> TowerElement:
+    def det(self) -> RationalFunction:
         """Determinant of the family; computed on first use, the rows are immutable."""
         if self._det is None:
             zero, one = TOWER_FIELD.zero, TOWER_FIELD.one
@@ -90,17 +81,8 @@ class ParametricMatrix:
         """
         candidates = set()
         unresolved = []
-        polys = []
-        for row in self.rows:
-            for c in row:
-                polys.append(c.base.den)
-                if c.radicand is not None:
-                    polys.append(c.rad.den)
-                    polys.append(c.radicand.den)
-        d = self.det()
-        for part in (d.base, d.rad):
-            if not part.is_zero:
-                polys.append(part.num)
+        polys = [c.den for row in self.rows for c in row]
+        polys.append(self.det().num)
         for p in polys:
             if p.degree <= 0:
                 continue
@@ -224,7 +206,7 @@ def transformed_constants(source: StructureTable,
                           matrix: ParametricMatrix) -> StructureTable:
     """Structure constants of the source in the parametric basis.
 
-    This is StructureTable.change_basis over the function-field tower;
+    This is StructureTable.change_basis over Q(i)(t);
     raises SingularFamilyError when the family is identically singular.
     """
     if not generic_invertibility(matrix):
@@ -241,8 +223,6 @@ def limit_table(param: StructureTable) -> StructureTable:
             value = c.limit_at_zero()
         except LimitDiverges as exc:
             raise LimitFailure((i + 1, j + 1, k + 1), LIMIT_DIVERGES, str(exc)) from exc
-        except BranchAmbiguous as exc:
-            raise LimitFailure((i + 1, j + 1, k + 1), BRANCH_AMBIGUOUS, str(exc)) from exc
         if not value.is_zero:
             entries[(i, j, k)] = value
     return StructureTable(param.dim, entries, GAUSSIAN_FIELD)
@@ -322,11 +302,11 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, param=None,
                        condition_bound: float = 1e12):
     """Evaluate the exact transformed constants at small complex t.
 
-    Reports the max absolute deviation from the target constants per sample,
-    choosing the principal branch for the radical.  Samples whose E-matrix
-    condition estimate exceeds the bound are flagged ILL_CONDITIONED and the
-    deviation is advisory only.  param is the transformed table when the
-    caller already has it; otherwise it is computed here.
+    Reports the max absolute deviation from the target constants per sample.
+    Samples whose E-matrix condition estimate exceeds the bound are flagged
+    ILL_CONDITIONED and the deviation is advisory only.  param is the
+    transformed table when the caller already has it; otherwise it is
+    computed here.
     """
     target = catalog.get(witness.target)
     if param is None:

@@ -36,7 +36,8 @@ is a polynomial in the c(i,j,k), 1 <= i, j, k <= dim, with Q(i) coefficients,
 parsed by the expression grammar of ``parser``.
 
 Algebra products and claims witness bases are read in Q(i) (``t`` is
-rejected, ``sqrt`` needs a square), witness files in the tower Q(i)(t)[s].
+rejected), witness files in Q(i)(t), the rational functions in t.  No format
+has roots: a ``sqrt`` is a FileFormatError on its line.
 """
 
 from __future__ import annotations

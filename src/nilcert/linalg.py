@@ -128,19 +128,6 @@ def det(matrix, zero, one):
     return out
 
 
-def solve_right(matrix, rhs, zero, one):
-    """One exact solution of A x = rhs (free variables set to 0), or None."""
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    reduced, pivots = rref(aug, zero, one)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = reduced[ri][ncols]
-    return x
-
-
 def vec_matmul(vector, matrix, zero):
     """Row vector times matrix."""
     ncols = len(matrix[0])

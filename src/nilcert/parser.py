@@ -9,7 +9,7 @@ Grammar (ASCII only):
     factor     := prefixed ['^' signed_integer]
     prefixed   := '-' prefixed | atom
     atom       := integer | 't' | 'i' | 'e_<k>' | 'c(<i>,<j>,<k>)'
-                | 'sqrt' '(' expression ')' | '(' expression ')'
+                | '(' expression ')'
 
 Precedence: unary minus binds tighter than '^', which binds tighter than
 multiplication and division, which bind tighter than addition.  So ``-t^2``
@@ -18,15 +18,15 @@ juxtaposition; a '-' never starts a juxtaposed factor, so ``a - b`` stays a
 subtraction.
 
 Linear combinations (parse_expression, parse_scalar) evaluate to a linear
-combination of the basis vectors e_1..e_n with coefficients in the tower
-Q(i)(t)[s]; at most one distinct radicand may occur, and c(i,j,k) is
-rejected.  Constant combinations (parse_constants) have Q(i) coefficients:
-'t' is rejected too, and sqrt(x) needs a square x in Q(i).  Each '^' is
-bounded before it is computed (MAX_EXPONENT and the limits beside it).
+combination of the basis vectors e_1..e_n with coefficients in Q(i)(t), the
+rational functions in t; c(i,j,k) is rejected.  Constant combinations
+(parse_constants) have Q(i) coefficients: 't' is rejected too.  Each '^' is
+bounded before it is computed (MAX_EXPONENT and the limits beside it).  The
+grammar has no roots: any other letter, 'sqrt' included, is a syntax error.
 
 Conditions (parse_condition) are polynomials in the structure constants
-c(i,j,k), 1 <= i, j, k <= n, with Q(i) coefficients: 't', 'sqrt' and 'e_k'
-are rejected, and only a nonzero constant may divide or carry a negative
+c(i,j,k), 1 <= i, j, k <= n, with Q(i) coefficients: 't' and 'e_k' are
+rejected, and only a nonzero constant may divide or carry a negative
 exponent.  A condition is folded into its monomial normal form, the
 (monomial, coefficient) pairs sorted by monomial, where a monomial is the
 sorted tuple of its 0-based (i, j, k) factors.
@@ -41,9 +41,8 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import GAUSSIAN_FIELD, TOWER_FIELD
-from .scalars import (GR_ONE, GR_ZERO, POLY_ONE, TOWER_ONE, TOWER_T,
-                      GaussianRational, MixedRadicands, Poly, RationalFunction,
-                      TowerElement)
+from .scalars import (GR_ONE, GR_ZERO, POLY_ONE, RF_ONE, RF_T,
+                      GaussianRational, Poly, RationalFunction)
 
 
 class ExpressionSyntaxError(ValueError):
@@ -52,10 +51,6 @@ class ExpressionSyntaxError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class MultipleRadicalsError(ValueError):
-    """More than one distinct radicand in a single expression or file."""
 
 
 class NonlinearExpressionError(ValueError):
@@ -85,10 +80,6 @@ def _tokenize(text):
             tokens.append(("op", ch, pos))
             pos += 1
             continue
-        if text.startswith("sqrt", pos):
-            tokens.append(("sqrt", "sqrt", pos))
-            pos += 4
-            continue
         if ch == "e" and pos + 1 < n and text[pos + 1] == "_":
             start = pos
             pos += 2
@@ -112,7 +103,7 @@ def _tokenize(text):
 # Limits on one '^', checked at its position before the power is computed;
 # the shipped data use exponents of at most 7.
 MAX_EXPONENT = 64
-MAX_T_DEGREE = 128        # in t, of each numerator, denominator and radicand
+MAX_T_DEGREE = 128        # in t, of each numerator and denominator
 MAX_C_MONOMIALS = 10_000  # monomials of the result's total degree in the c(i,j,k)
 MAX_COEFF_BITS = 1024
 
@@ -195,21 +186,12 @@ class _Linear:
 
     def _size(self):
         """Degree in t and Q(i) coefficients of the scalar."""
-        x = self.scalar
-        polys = [p for f in (x.base, x.rad, x.radicand) if f is not None
-                 for p in (f.num, f.den)]
-        return max(p.degree for p in polys), [c for p in polys for c in p.coeffs]
-
-    @classmethod
-    def sqrt(cls, x, pos, dim):
-        if x.has_radical:
-            raise MultipleRadicalsError("nested radicals are not supported")
-        return cls.constant(TowerElement.sqrt_of(x.base), dim)
+        num, den = self.scalar.num, self.scalar.den
+        return max(num.degree, den.degree), num.coeffs + den.coeffs
 
 
 class _Constants(_Linear):
-    """A linear combination with Q(i) coefficients: no 't', and sqrt only of
-    a square in Q(i)."""
+    """A linear combination with Q(i) coefficients: no 't'."""
 
     __slots__ = ()
 
@@ -218,13 +200,6 @@ class _Constants(_Linear):
 
     def _size(self):
         return 0, [self.scalar]
-
-    @classmethod
-    def sqrt(cls, x, pos, dim):
-        root = x.sqrt()
-        if root is None:
-            raise ExpressionSyntaxError(f"sqrt({x!r}) has no root in Q(i)", pos)
-        return cls.constant(root, dim)
 
 
 def _accumulate(terms, monomial, coeff):
@@ -241,7 +216,7 @@ class _Polynomial:
 
     __slots__ = ("terms",)
 
-    context, excluded = "a condition", {"t", "sqrt", "basis"}
+    context, excluded = "a condition", {"t", "basis"}
 
     def __init__(self, terms):
         self.terms = terms
@@ -329,10 +304,7 @@ class _Parser:
     # -- grammar ----------------------------------------------------------------
 
     def parse(self):
-        try:
-            out = self.expression()
-        except MixedRadicands as exc:
-            raise MultipleRadicalsError(str(exc)) from exc
+        out = self.expression()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError("trailing input", pos)
@@ -357,7 +329,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 out = out.times(rhs, pos) if value == "*" else out.over(rhs, pos)
-            elif kind in ("int", "t", "i", "c", "basis", "sqrt") or \
+            elif kind in ("int", "t", "i", "c", "basis") or \
                     (kind == "op" and value == "("):
                 out = out.times(self.factor(), pos)
             else:
@@ -398,7 +370,7 @@ class _Parser:
         if kind == "int":
             return self.values.constant(value, self.dim)
         if kind == "t":
-            return self.values.constant(TOWER_T, self.dim)
+            return self.values.constant(RF_T, self.dim)
         if kind == "i":
             return self.values.constant(GaussianRational(0, 1), self.dim)
         if kind == "basis":
@@ -413,13 +385,6 @@ class _Parser:
                 ijk.append(self.index("c(i,j,k)"))
                 self.expect_op(closing)
             return _Polynomial({(tuple(ijk),): GR_ONE})
-        if kind == "sqrt":
-            self.expect_op("(")
-            inner = self.expression()
-            self.expect_op(")")
-            if not inner.is_scalar:
-                raise NonlinearExpressionError("sqrt of a basis-vector expression")
-            return self.values.sqrt(inner.scalar, pos, self.dim)
         if kind == "op" and value == "(":
             inner = self.expression()
             self.expect_op(")")
@@ -435,30 +400,23 @@ def _vector(out):
 
 
 def parse_expression(text, dim=5):
-    """Parse a linear combination; returns a list of dim TowerElements.
+    """Parse a linear combination; returns a list of dim RationalFunctions.
 
     A pure-scalar expression is accepted only when it is zero (the zero
-    vector); any other constant term is an error.  At most one distinct
-    radicand may occur across the whole expression, even in components that
-    never meet arithmetically.
+    vector); any other constant term is an error.
     """
-    vector = _vector(_Parser(text, dim).parse())
-    radicands = {c.radicand for c in vector if c.radicand is not None}
-    if len(radicands) > 1:
-        raise MultipleRadicalsError(
-            f"{len(radicands)} distinct radicands in one expression")
-    return vector
+    return _vector(_Parser(text, dim).parse())
 
 
 def parse_constants(text, dim=5):
     """Parse a linear combination with Q(i) coefficients; returns a list of
     dim GaussianRationals.  Same rules as parse_expression, but 't' is
-    rejected and sqrt(x) must have a root in Q(i)."""
+    rejected."""
     return _vector(_Parser(text, dim, _Constants).parse())
 
 
 def parse_scalar(text):
-    """Parse a pure scalar expression into a TowerElement."""
+    """Parse a pure scalar expression into a RationalFunction."""
     out = _Parser(text, 1).parse()
     if not out.is_scalar:
         raise NonlinearExpressionError("expected a scalar expression")
@@ -515,32 +473,22 @@ def format_poly(p: Poly) -> str:
 
 
 def format_rational_function(f: RationalFunction) -> str:
+    """A rational function as one parenthesizable expression."""
     if f.den == POLY_ONE:
         return format_poly(f.num)
     return f"({format_poly(f.num)})/({format_poly(f.den)})"
-
-
-def format_scalar(x: TowerElement) -> str:
-    """A tower element as one parenthesizable expression."""
-    if not x.has_radical:
-        return format_rational_function(x.base)
-    radical = (f"sqrt({format_rational_function(x.radicand)}) * "
-               f"({format_rational_function(x.rad)})")
-    if x.base.is_zero:
-        return radical
-    return f"{format_rational_function(x.base)} + {radical}"
 
 
 def format_vector(coeffs) -> str:
     """Canonical printed form of a coefficient vector; '0' for the zero vector."""
     terms = []
     for k, c in enumerate(coeffs):
-        c = TowerElement.coerce(c)
+        c = RationalFunction.coerce(c)
         if c.is_zero:
             continue
-        if c == TOWER_ONE:
+        if c == RF_ONE:
             terms.append(f"e_{k + 1}")
         else:
-            terms.append(f"({format_scalar(c)}) * e_{k + 1}")
+            terms.append(f"({format_rational_function(c)}) * e_{k + 1}")
     text = " + ".join(terms) if terms else "0"
     return text.replace(" + -", " - ")

@@ -43,6 +43,35 @@ def test_a13_needs_its_witness_basis():
     assert not satisfies(R_A13, table)  # identity basis fails A_1 A_2 <= A_5
 
 
+def test_a05_row_holds_for_a15_in_a_permuted_basis():
+    # A data-level finding, not a defect of the checker: in the basis
+    # (e_1, e_4, e_3, e_2, e_5) the only products of A_15 are E_1 E_4 = E_3
+    # and E_2 E_2 = E_5, which satisfy both conditions of the A_05 row.  So
+    # that row does not separate A_05 from A_15.
+    claim = next(c for c in files.load_shipped_claims()
+                 if c.sources == ("A_05",))
+    assert claim.targets == ("A_15",)
+    order = (0, 3, 2, 1, 4)
+    basis = [[GaussianRational(1 if j == order[i] else 0) for j in range(5)]
+             for i in range(5)]
+    moved = catalog.get("A_15").table.change_basis(basis)
+    assert satisfies(claim.spec, moved)
+    assert all(conjunct_holds_bruteforce(c, moved) for c in claim.spec.conjuncts)
+
+
+def test_flag_containment_is_read_off_the_nonzero_entries():
+    # A_02: e_1 e_1 = e_3, e_1 e_3 = e_4, e_1 e_4 = e_5, e_2 e_2 = e_3 e_3 = e_5
+    table = catalog.get("A_02").table
+    for conj, want in ((FlagContainment(1, 1, 3), True),
+                       (FlagContainment(1, 1, 4), False),   # e_1 e_1 = e_3
+                       (FlagContainment(2, 2, 5), True),
+                       (FlagContainment(2, 3, None), False),  # e_3 e_3 = e_5
+                       (FlagContainment(2, 4, None), True),
+                       (FlagContainment(1, 5, None), True)):
+        assert conjunct_holds(conj, table) is want, conj
+        assert conjunct_holds_bruteforce(conj, table) is want, conj
+
+
 def test_identity_witness_equals_plain_satisfies():
     table = catalog.get("A_03").table
     eye = [[GaussianRational(1 if i == j else 0) for j in range(5)]
@@ -181,15 +210,17 @@ def test_no_claim_pair_is_reachable_in_the_verified_graph():
 # -- oracle equivalence -----------------------------------------------------------------
 
 
-def shipped_conjuncts():
-    out = []
+def oracle_conjuncts():
+    """The conjuncts of the shipped claims, and every flag containment."""
+    out = [FlagContainment(p, q, r) for p in range(1, 6) for q in range(1, 6)
+           for r in (*range(1, 6), None)]
     for claim in files.load_shipped_claims():
         out.extend(claim.spec.conjuncts)
     return out
 
 
 def test_conjunct_evaluators_agree_on_catalog_tables():
-    conjuncts = shipped_conjuncts()
+    conjuncts = oracle_conjuncts()
     for name in catalog.names():
         table = catalog.get(name).table
         for conj in conjuncts:
@@ -199,7 +230,7 @@ def test_conjunct_evaluators_agree_on_catalog_tables():
 
 def test_conjunct_evaluators_agree_on_random_sparse_tables():
     rng = derive_rng(41, "oracle-smoke")
-    conjuncts = shipped_conjuncts()
+    conjuncts = oracle_conjuncts()
     for _ in range(60):
         table = random_sparse_table(rng, 5)
         for conj in conjuncts:

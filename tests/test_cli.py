@@ -47,10 +47,23 @@ def test_verify_failing_witness_exits_1(tmp_path, capsys):
 
 def test_unparsable_witness_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.wit"
-    path.write_text("witness A_23 -> A_24\nE_1 = @@@\n", encoding="ascii")
-    assert main(["verify", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert json.loads(err)["error"] == "input"
+    for rhs in ("@@@", "sqrt((-1 - t^3)/t) e_2"):
+        path.write_text(f"witness A_23 -> A_24\nE_1 = {rhs}\n", encoding="ascii")
+        assert main(["verify", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "line 2: " in err["detail"], rhs
+
+
+def test_sqrt_in_an_algebra_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "root.alg"
+    path.write_text("algebra X\ndim 5\ne_1 * e_1 = sqrt(4) e_2\n",
+                    encoding="ascii")
+    for command in ("invariants", "derivations", "identify"):
+        assert main([command, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input", command
+        assert err["detail"].startswith(f"{path}: line 3: "), command
 
 
 def test_missing_file_exits_2(capsys):

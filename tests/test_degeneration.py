@@ -15,7 +15,7 @@ from nilcert.degeneration import (DegenerationWitness, ParametricMatrix,
 from nilcert.linalg import invert_matrix
 from nilcert.parser import parse_expression
 from nilcert.sampling import derive_rng, random_invertible
-from nilcert.scalars import TowerElement
+from nilcert.scalars import RF_ONE, RF_ZERO, RationalFunction
 
 
 def matrix_of(lines):
@@ -27,6 +27,7 @@ def identity_matrix():
 
 
 A23_TO_A24 = ["t e_1 + e_2", "2t e_3", "2t e_2", "e_4", "e_5"]
+A02_TO_A06 = ["e_1", "e_3", "e_4", "t^-1 e_2", "t^-2 e_5"]
 
 
 # -- generic invertibility ---------------------------------------------------------
@@ -60,16 +61,27 @@ def test_a23_constants_by_hand():
     # E_1 = t e_1 + e_2, E_2 = 2t e_3, E_3 = 2t e_2: E_1^2 = E_2 and
     # E_1 E_3 = t E_2, so c(1,1,2) = 1 and c(1,3,2) = t
     moved = transformed_constants(catalog.get("A_23").table, matrix_of(A23_TO_A24))
-    assert moved.entry(0, 0, 1) == TowerElement.one()
-    assert moved.entry(0, 2, 1) == TowerElement.t()
+    assert moved.entry(0, 0, 1) == RF_ONE
+    assert moved.entry(0, 2, 1) == RationalFunction.t()
 
 
-def test_radical_witness_constant_is_exact():
-    # E_4 = sqrt((-1 - t^3)/t) e_2 + t e_3 squares to (-1/t) e_5 = E_5 exactly
-    m = matrix_of(["e_1", "e_3", "e_4",
-                   "sqrt((-1 - t^3)/t) e_2 + t e_3", "-(1/t) e_5"])
-    moved = transformed_constants(catalog.get("A_02").table, m)
-    assert moved.entry(3, 3, 4) == TowerElement.one()
+def test_a02_constants_by_hand():
+    # E_1^2 = E_2, E_1 E_2 = E_3 and E_4^2 = t^-2 e_5 = E_5, while
+    # E_1 E_3 = E_2^2 = e_5 = t^2 E_5 vanish in the limit
+    moved = transformed_constants(catalog.get("A_02").table, matrix_of(A02_TO_A06))
+    t = RationalFunction.t()
+    for ijk in ((0, 0, 1), (0, 1, 2), (3, 3, 4)):
+        assert moved.entry(*ijk) == RF_ONE, ijk
+    assert moved.entry(0, 2, 4) == t ** 2
+    assert moved.entry(1, 1, 4) == t ** 2
+    assert limit_table(moved) == catalog.get("A_06").table
+
+
+def test_rational_a02_family_has_no_exceptional_values():
+    # the rows permute e_2, e_3, e_4 cyclically and scale two of them
+    m = matrix_of(A02_TO_A06)
+    assert m.det() == RationalFunction.t() ** -3
+    assert m.exceptional_values() == ([], [])
 
 
 # -- limit tables ----------------------------------------------------------------------
@@ -83,7 +95,7 @@ def test_limit_of_a23_constants():
 
 def test_limit_failure_carries_index():
     bad = StructureTable(
-        5, {(0, 0, 1): TowerElement.one() / TowerElement.t()}, TOWER_FIELD)
+        5, {(0, 0, 1): RF_ONE / RationalFunction.t()}, TOWER_FIELD)
     from nilcert.degeneration import LimitFailure
     with pytest.raises(LimitFailure) as err:
         limit_table(bad)
@@ -99,9 +111,10 @@ def test_constant_table_is_its_own_limit():
 
 
 def test_shipped_witness_verifies():
-    verdict = verify(files.load_shipped_witness("a23_to_a24"))
-    assert verdict.verified
-    assert verdict.details["dim_der"] == {"source": 14, "target": 17}
+    for wid, source, target in (("a23_to_a24", 14, 17), ("a02_to_a06", 6, 7)):
+        verdict = verify(files.load_shipped_witness(wid))
+        assert verdict.verified, wid
+        assert verdict.details["dim_der"] == {"source": source, "target": target}
 
 
 def test_trivial_self_witness():
@@ -120,15 +133,6 @@ def test_diverging_family_reported():
     verdict = verify(DegenerationWitness("A_24", "A_24", m))
     assert verdict.status == "LIMIT_DIVERGES"
     assert verdict.details["failed_at"] == (1, 1, 2)
-
-
-def test_branch_ambiguous_family_reported():
-    # E_1 = sqrt(t) e_1 makes c(1,1,2) = sqrt(t)^2 / ... wait: for A_24,
-    # E_1^2 = t e_2 = t E_2: fine. Use E_2 = sqrt(t) e_2 instead:
-    # E_1^2 = e_2 = (1/sqrt(t)) E_2, order -1/2: branch ambiguous.
-    m = matrix_of(["e_1", "sqrt(t) e_2", "e_3", "e_4", "e_5"])
-    verdict = verify(DegenerationWitness("A_24", "A_24", m))
-    assert verdict.status == "BRANCH_AMBIGUOUS"
 
 
 def test_exceptional_values_recorded():
@@ -178,13 +182,13 @@ def test_witness_conjugated_on_the_source_side_still_verifies():
         inverse = invert_matrix(conjugation, GAUSSIAN_FIELD.zero,
                                 GAUSSIAN_FIELD.one)
         moved_source = source.change_basis(conjugation)
-        lifted_inverse = [[TowerElement.coerce(c) for c in row]
+        lifted_inverse = [[RationalFunction.coerce(c) for c in row]
                           for row in inverse]
         new_rows = []
         for row in witness.matrix.rows:
             new_rows.append([
                 sum((row[j] * lifted_inverse[j][k] for j in range(5)),
-                    TowerElement.zero())
+                    RF_ZERO)
                 for k in range(5)])
         moved = transformed_constants(moved_source, ParametricMatrix(new_rows))
         assert limit_table(moved) == catalog.get(witness.target).table, wid

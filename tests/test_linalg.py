@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilcert.linalg import (SingularMatrixError, det, gaussian_int_rank,
-                            invert_matrix, kernel_basis, rank, rref,
-                            solve_right)
+                            invert_matrix, kernel_basis, rank, rref)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -57,13 +56,6 @@ def test_det_values():
     assert det(gm([[1, 2], [3, 4]]), GR_ZERO, GR_ONE) == g(-2)
     assert det(gm([[1, 2], [2, 4]]), GR_ZERO, GR_ONE) == GR_ZERO
     assert det([[g(0, 1)]], GR_ZERO, GR_ONE) == g(0, 1)
-
-
-def test_solve_right():
-    x = solve_right(gm([[2, 0], [0, 4]]), [g(6), g(8)], GR_ZERO, GR_ONE)
-    assert x == [g(3), g(2)]
-    assert solve_right(gm([[1, 1], [1, 1]]), [g(0), g(1)],
-                       GR_ZERO, GR_ONE) is None
 
 
 def test_gaussian_int_rank_agrees_with_rational_rank():

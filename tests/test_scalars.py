@@ -1,4 +1,4 @@
-"""Exact scalar tower: normalization, orders, limits, and field axioms."""
+"""Exact scalars in Q(i)(t): normalization, orders, limits, and field axioms."""
 
 import math
 import random
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcert.scalars import (GR_ZERO, POLY_ONE, BranchAmbiguous,
+from nilcert.scalars import (GR_ZERO, POLY_ONE, RF_ONE, RF_ZERO,
                              GaussianRational, LimitDiverges, Poly,
-                             RationalFunction, TowerElement, limit_at_zero,
-                             normalize, order_at_zero, poly_gcd)
+                             RationalFunction, poly_gcd)
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -19,8 +18,6 @@ def rf(num_coeffs, den_coeffs=(1,)):
 
 
 T = RationalFunction.t()
-RADICAND = (rf((-1,)) - T ** 3) / T          # (-1 - t^3)/t
-S = TowerElement.sqrt_of(RADICAND)           # formal square root
 
 
 # -- normalization -------------------------------------------------------------
@@ -32,12 +29,6 @@ def test_common_factor_cancels():
     assert x == rf((1, 1))
 
 
-def test_perfect_square_radicand_collapses():
-    x = TowerElement(0, 1, T * T)
-    assert not x.has_radical
-    assert x == TowerElement.t()
-
-
 def test_monic_denominator_normalization():
     # (1 + i t)/(2t): denominator becomes monic t, numerator 1/2 + (i/2) t
     x = RationalFunction(Poly((1, GaussianRational(0, 1))), Poly((0, 2)))
@@ -46,15 +37,18 @@ def test_monic_denominator_normalization():
 
 
 def test_normalize_is_idempotent_on_canonical_values():
-    x = TowerElement(T ** 2 / (T + 1), rf((1,), (0, 1)), RADICAND)
-    assert normalize(x) == x
+    # rebuilding a value from its own numerator and denominator changes nothing
+    for x in (T ** 2 / (T + 1), rf((1,), (0, 1)), (rf((-1,)) - T ** 3) / T,
+              RationalFunction(Poly((1, GaussianRational(0, 1))), Poly((0, 2)))):
+        again = RationalFunction(x.num, x.den)
+        assert again.num == x.num and again.den == x.den
 
 
-def test_constant_radicand_in_qi_collapses():
-    # sqrt(-1) = i inside Q(i)
-    x = TowerElement(0, 1, rf((-1,)))
-    assert not x.has_radical
-    assert x == TowerElement.coerce(GaussianRational(0, 1))
+def test_gaussian_constants_embed_as_order_zero_functions():
+    i = RationalFunction.coerce(GaussianRational(0, 1))
+    assert i * i == RationalFunction.coerce(-1)
+    assert i.order == 0
+    assert i.limit_at_zero() == GaussianRational(0, 1)
 
 
 def test_gcd_of_zero_and_poly():
@@ -66,67 +60,66 @@ def test_gcd_of_zero_and_poly():
 
 
 def test_order_cancels_to_constant():
-    assert order_at_zero(rf((0, 3, 1), (0, 1))) == 0  # (t^2 + 3t)/t
+    assert rf((0, 3, 1), (0, 1)).order == 0  # (t^2 + 3t)/t
 
 
 def test_order_of_simple_pole():
-    assert order_at_zero(rf((1,), (0, 1))) == -1  # 1/t
+    assert rf((1,), (0, 1)).order == -1  # 1/t
 
 
-def test_order_of_radical_term_matches_float_slope():
-    # oracle first: |t * sqrt((-1 - t^3)/t)| ~ t^(1/2), slope of log|f| vs log t
-    x = TowerElement.t() * S
+def test_order_matches_float_slope():
+    # oracle first: near 0, the slope of log|f| against log t is the order
     t1, t2 = 1e-4, 1e-6
-    f1, f2 = abs(x.eval_complex(t1)), abs(x.eval_complex(t2))
-    slope = (math.log(f1) - math.log(f2)) / (math.log(t1) - math.log(t2))
-    assert abs(slope - 0.5) < 1e-3
-    assert order_at_zero(x) == Fraction(1, 2)
+    for x, want in ((T ** 3 * (1 + T) / (2 - T), 3),
+                    ((1 + T) / (T ** 2 * (3 + T)), -2),
+                    ((T ** 2 + T ** 5) / (T - T ** 3), 1)):
+        f1, f2 = abs(x.eval_complex(t1)), abs(x.eval_complex(t2))
+        slope = (math.log(f1) - math.log(f2)) / (math.log(t1) - math.log(t2))
+        assert abs(slope - want) < 1e-3
+        assert x.order == want
 
 
 def test_order_of_zero_is_infinite():
-    assert order_at_zero(TowerElement.zero()) == math.inf
-    assert order_at_zero(rf(())) == math.inf
+    assert RF_ZERO.order == math.inf
+    assert rf(()).order == math.inf
 
 
 # -- limits at zero -----------------------------------------------------------------------
 
 
 def test_limit_of_cancelling_quotient():
-    assert limit_at_zero(rf((0, 3, 1), (0, 1))) == GaussianRational(3)
+    assert rf((0, 3, 1), (0, 1)).limit_at_zero() == GaussianRational(3)
 
 
 def test_limit_of_pole_diverges():
     with pytest.raises(LimitDiverges):
-        limit_at_zero(rf((1,), (0, 1)))
+        rf((1,), (0, 1)).limit_at_zero()
 
 
-def test_radical_square_plus_t_squared_diverges():
-    # oracle: s^2 + t^2 = (-1 - t^3)/t + t^2 = -1/t, so |f| ~ t^(-1)
-    x = S * S + TowerElement.t() ** 2
-    assert not x.has_radical
-    assert x.base == rf((-1,), (0, 1))
-    slope_t = 1e-6
-    assert abs(x.eval_complex(slope_t)) > 1e5
+def test_sum_cancelling_to_a_pole_diverges():
+    # oracle: (-1 - t^3)/t + t^2 = -1/t, so |f| ~ t^(-1)
+    x = (rf((-1,)) - T ** 3) / T + T ** 2
+    assert x == rf((-1,), (0, 1))
+    assert abs(x.eval_complex(1e-6)) > 1e5
     with pytest.raises(LimitDiverges):
-        limit_at_zero(x)
+        x.limit_at_zero()
 
 
-def test_branch_rules():
-    assert limit_at_zero(S * TowerElement.t()) == GR_ZERO  # order 1/2
-    with pytest.raises(BranchAmbiguous):
-        limit_at_zero(S)  # order -1/2: sign depends on the branch
-    # radical part of order exactly 0: 1 + t*sqrt((1+t)/t^2) -> constant term
-    # would depend on the branch
-    even_radicand = (rf((1,)) + T) / (T * T)
-    with pytest.raises(BranchAmbiguous):
-        limit_at_zero(TowerElement(rf((1,)), T, even_radicand))
-    mixed = TowerElement.one() + S * TowerElement.t()
-    assert limit_at_zero(mixed) == GaussianRational(1)
+def test_limit_rules():
+    # order > 0 tends to 0, order 0 to the ratio of the lowest coefficients,
+    # order < 0 diverges
+    assert (T * (1 + T) / (2 - T)).limit_at_zero() == GR_ZERO
+    assert RF_ZERO.limit_at_zero() == GR_ZERO
+    assert ((3 + T) / (2 - T)).limit_at_zero() == GaussianRational(Fraction(3, 2))
+    i = GaussianRational(0, 1)
+    assert ((T * i + T ** 2) / (2 * T)).limit_at_zero() == i / 2
+    with pytest.raises(LimitDiverges):
+        ((1 + T) / T ** 3).limit_at_zero()
 
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        TowerElement.zero().inverse()
+        RF_ZERO.inverse()
     with pytest.raises(ZeroDivisionError):
         RationalFunction(POLY_ONE, Poly())
 
@@ -141,35 +134,26 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 rationals = st.builds(lambda n, d: RationalFunction(n, d), polys, nonzero_polys)
 
 
-def towers_from(draw_base, draw_rad):
-    return st.builds(lambda b, r: TowerElement(b, r, RADICAND),
-                     draw_base, draw_rad)
-
-
-towers = towers_from(rationals, rationals)
-nonzero_towers = towers.filter(lambda x: not x.is_zero)
-
-
 @settings(max_examples=60, deadline=None)
-@given(towers, towers, towers)
+@given(rationals, rationals, rationals)
 def test_addition_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
 
 
 @settings(max_examples=60, deadline=None)
-@given(towers, towers, towers)
+@given(rationals, rationals, rationals)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
 @settings(max_examples=60, deadline=None)
-@given(nonzero_towers)
+@given(rationals.filter(bool))
 def test_multiplicative_inverse(a):
-    assert a * a.inverse() == TowerElement.one()
+    assert a * a.inverse() == RF_ONE
 
 
 @settings(max_examples=60, deadline=None)
-@given(towers, towers)
+@given(rationals, rationals)
 def test_multiplication_commutative(a, b):
     assert a * b == b * a
 
@@ -177,25 +161,25 @@ def test_multiplication_commutative(a, b):
 @settings(max_examples=80, deadline=None)
 @given(rationals.filter(bool), rationals.filter(bool))
 def test_order_is_additive_on_products(a, b):
-    assert order_at_zero(a * b) == order_at_zero(a) + order_at_zero(b)
+    assert (a * b).order == a.order + b.order
 
 
-@settings(max_examples=40, deadline=None)
-@given(nonzero_towers, nonzero_towers)
-def test_order_additive_for_odd_order_radicand(a, b):
-    # the shared radicand has odd order, so base and radical parts live in
-    # disjoint half-integer cosets and the minimum never cancels
-    assert order_at_zero(a * b) == order_at_zero(a) + order_at_zero(b)
+@settings(max_examples=60, deadline=None)
+@given(rationals.filter(bool), rationals.filter(bool))
+def test_order_of_a_sum_is_the_smaller_when_orders_differ(a, b):
+    if a.order == b.order:
+        b = b * T
+    assert (a + b).order == min(a.order, b.order)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rationals, rationals)
 def test_limit_is_additive_when_both_exist(a, b):
     try:
-        la, lb = limit_at_zero(a), limit_at_zero(b)
+        la, lb = a.limit_at_zero(), b.limit_at_zero()
     except LimitDiverges:
         return
-    assert limit_at_zero(a + b) == la + lb
+    assert (a + b).limit_at_zero() == la + lb
 
 
 def test_thousand_random_rational_function_limits_match_floats():
@@ -210,7 +194,7 @@ def test_thousand_random_rational_function_limits_match_floats():
             continue
         f = RationalFunction(num, den)
         try:
-            limit = limit_at_zero(f)
+            limit = f.limit_at_zero()
         except LimitDiverges:
             continue
         value = f.eval_complex(1e-6)
