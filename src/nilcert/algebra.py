@@ -9,17 +9,20 @@ adapter.
 Construction helpers accept the 1-based (i, j) -> {k: coefficient} layout of
 printed multiplication tables so transcriptions stay literal.  The
 identities, powers and annihilator of a Q(i) table are computed in Gaussian
-integers on its scaled table (``integer_tensor``, with the scaling lemma).
+integers on its scaled table (``integer_tensor``, with the scaling lemma),
+and so is its change of basis, up to one exact division per constant.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
-from .linalg import (Field, SingularMatrixError, gaussian_int_echelon,
-                     invert_matrix, kernel_basis, rref, vec_matmul)
+from .linalg import (Field, SingularMatrixError, gaussian_int_adjugate,
+                     gaussian_int_echelon, invert_matrix, kernel_basis, rref,
+                     vec_matmul)
 from .scalars import (GR_ONE, GR_ZERO, RF_ONE, RF_ZERO, GaussianRational,
                       RationalFunction)
 
@@ -156,7 +159,45 @@ class StructureTable:
 
         When the entries show a commutative table, f_j f_i = f_i f_j, so only
         the products with j >= i are formed and each is mirrored.
+
+        A Q(i) table is conjugated in Gaussian integers.  Row i of the
+        matrix times s_i, the lcm of its denominators, is a Gaussian-integer
+        row G_i; with P = lambda mu the integer tensor and (d, d G^-1) from
+        ``gaussian_int_adjugate``,
+
+            c'(i, j, k) = s_k (P(G_i, G_j) d G^-1)_k / (lambda s_i s_j d),
+
+        one exact division per constant.  A Q(i)(t) table is conjugated by
+        the inverse of the matrix over its own field.
         """
+        if self.field is not GAUSSIAN_FIELD:
+            return self._change_basis_by_inverse(matrix)
+        scales, rows = zip(*(_scaled_ints(row) for row in matrix))
+        try:
+            d, adj = gaussian_int_adjugate(rows)
+        except SingularMatrixError:
+            raise SingularMatrixError("basis-change matrix is singular") from None
+        lam = _denominator_lcm(self.entries.values())
+        tensor = self.integer_tensor()
+        commutative = self.is_commutative()
+        entries = {}
+        for i in range(self.dim):
+            for j in range(i if commutative else 0, self.dim):
+                # c' = s_k N_k / D with D = lambda s_i s_j d, as N_k conj(D) / |D|^2
+                f = lam * scales[i] * scales[j]
+                da, db = f * d[0], f * d[1]
+                norm = da * da + db * db
+                coords = _combine(_int_multiply(tensor, rows[i], rows[j]), adj)
+                for k, ((a, b), s_k) in enumerate(zip(coords, scales)):
+                    if a or b:
+                        c = GaussianRational(Fraction(s_k * (a * da + b * db), norm),
+                                             Fraction(s_k * (b * da - a * db), norm))
+                        entries[(i, j, k)] = c
+                        if commutative:
+                            entries[(j, i, k)] = c
+        return StructureTable(self.dim, entries, self.field)
+
+    def _change_basis_by_inverse(self, matrix) -> "StructureTable":
         zero, one = self.field.zero, self.field.one
         try:
             inv = invert_matrix(matrix, zero, one)
@@ -285,12 +326,22 @@ def _int_multiply(tensor, x, y):
                         for (a, b), row in zip(x, tensor)])
 
 
+def _denominator_lcm(values):
+    return lcm(*(x.denominator for c in values for x in (c.re, c.im)))
+
+
+def _scaled_ints(values):
+    """(s, s * values) for Q(i) values and s the lcm of their denominators,
+    the products as Gaussian-integer (re, im) pairs."""
+    values = list(values)
+    scale = _denominator_lcm(values)
+    return scale, [(c.re.numerator * (scale // c.re.denominator),
+                    c.im.numerator * (scale // c.im.denominator)) for c in values]
+
+
 def _gaussian_ints(values):
     """Q(i) values times the lcm of their denominators, as (re, im) pairs."""
-    values = list(values)
-    scale = lcm(*(x.denominator for c in values for x in (c.re, c.im)))
-    return [(c.re.numerator * (scale // c.re.denominator),
-             c.im.numerator * (scale // c.im.denominator)) for c in values]
+    return _scaled_ints(values)[1]
 
 
 def _rationals(int_rows):

@@ -2,9 +2,13 @@
 
 All routines are deterministic: pivots are chosen as the first nonzero entry
 scanning columns left to right and rows top to bottom, so echelon forms are
-reproducible for golden tests.  One fraction-free Bareiss elimination over
-Gaussian integers, gaussian_int_echelon, gives the ranks and spans of the
-identify path (powers, annihilator, dim Der).
+reproducible for golden tests.  One fraction-free Bareiss update over
+Gaussian integers, with its exact division by the previous pivot, serves two
+routines: the elimination gaussian_int_echelon gives the ranks and spans of
+the identify path (powers, annihilator, dim Der) and the invertibility test
+of random bases; its Gauss-Jordan form gaussian_int_adjugate gives det and
+adjugate for the change of basis of a Q(i) table.  invert_matrix and det
+work over any field and serve the Q(i)(t) tower.
 """
 
 from __future__ import annotations
@@ -140,55 +144,92 @@ def vec_matmul(vector, matrix, zero):
     return out
 
 
-def matmul(a, b, zero):
-    return [vec_matmul(row, b, zero) for row in a]
-
-
 # -- fraction-free fast path over Gaussian integers ------------------------------
 
 def gaussian_int_echelon(rows):
     """Row echelon form of a matrix of Gaussian integers given as (re, im)
     int pairs: its nonzero rows, which span the row space of the input.
 
-    Single-step Bareiss elimination: the cross-multiplied update is divided
-    exactly by the previous pivot, so intermediate entries stay minors of the
-    input instead of growing exponentially.  No content stripping: it would
-    break the exactness of the Bareiss division.  Only columns right of the
-    pivot are updated, and a row that becomes zero is dropped.
+    Single-step Bareiss elimination (``_bareiss_tails``): intermediate
+    entries stay minors of the input instead of growing exponentially.  No
+    content stripping: it would break the exactness of the Bareiss division.
+    Only columns right of the pivot are updated, and a row that becomes zero
+    is dropped.
     """
     rows = [list(r) for r in rows if any(a or b for a, b in r)]
     echelon = []
-    prev_re, prev_im, prev_norm = 1, 0, 1
+    prev = (1, 0, 1)
     for col in range(len(rows[0]) if rows else 0):
         pr = next((k for k, row in enumerate(rows) if row[col] != (0, 0)), None)
         if pr is None:
             continue
         prow = rows.pop(pr)
         echelon.append(prow)
+        zeros = [(0, 0)] * (col + 1)
+        rows = [zeros + tail for tail in _bareiss_tails(rows, prow, col, prev)
+                if tail.count((0, 0)) < len(tail)]
         pa, pb = prow[col]
-        ptail = prow[col + 1:]
-        below = []
-        for row in rows:
-            ka, kb = row[col]
-            new = row[:col] + [(0, 0)]
-            # every row below is rescaled, zero pivot entries included;
-            # skipping them would break the exactness of the division
-            for (xa, xb), (ya, yb) in zip(row[col + 1:], ptail):
-                na = pa * xa - pb * xb - (ka * ya - kb * yb)
-                nb = pa * xb + pb * xa - (ka * yb + kb * ya)
-                if na or nb:
-                    # exact division by the previous pivot (Bareiss identity)
-                    if prev_im:
-                        na, nb = ((na * prev_re + nb * prev_im) // prev_norm,
-                                  (nb * prev_re - na * prev_im) // prev_norm)
-                    elif prev_re != 1:
-                        na, nb = na // prev_re, nb // prev_re
-                new.append((na, nb))
-            if new.count((0, 0)) < len(new):
-                below.append(new)
-        rows = below
-        prev_re, prev_im, prev_norm = pa, pb, pa * pa + pb * pb
+        prev = (pa, pb, pa * pa + pb * pb)
     return echelon
+
+
+def gaussian_int_adjugate(rows):
+    """(d, d G^-1) for a square matrix G of Gaussian integers given as
+    (re, im) int pairs, with d = +-det G; d G^-1 is the adjugate up to that
+    sign.  Raises SingularMatrixError when det G = 0.
+
+    Fraction-free Gauss-Jordan on [G | I]: the Bareiss update of
+    ``gaussian_int_echelon`` applied to the rows above the pivot as well.
+    After the pivot of column k every row holds the pivot p_k in its own
+    pivot column, so the rows end as [d I | d G^-1] with d the last pivot.
+    """
+    n = len(rows)
+    aug = [list(row) + [(1, 0) if c == r else (0, 0) for c in range(n)]
+           for r, row in enumerate(rows)]
+    prev = (1, 0, 1)
+    for col in range(n):
+        pr = next((k for k in range(col, n) if aug[k][col] != (0, 0)), None)
+        if pr is None:
+            raise SingularMatrixError("matrix is singular")
+        aug[col], aug[pr] = aug[pr], aug[col]
+        prow = aug.pop(col)
+        # columns up to col would hold only each row's own pivot, which is
+        # never read again, so they are filled with zeros
+        aug = [[(0, 0)] * (col + 1) + tail
+               for tail in _bareiss_tails(aug, prow, col, prev)]
+        aug.insert(col, prow)
+        pa, pb = prow[col]
+        prev = (pa, pb, pa * pa + pb * pb)
+    return (prev[0], prev[1]), [row[n:] for row in aug]
+
+
+def _bareiss_tails(rows, prow, col, prev):
+    """For each row, the entries right of ``col`` of (p row - row[col] prow) / q,
+    where p is the pivot prow[col] and q the previous pivot, given as
+    (re, im, norm).
+
+    The division is exact (Bareiss identity).  Every row is rescaled, zero
+    entries in the pivot column included; skipping them would break that.
+    """
+    pa, pb = prow[col]
+    ptail = prow[col + 1:]
+    prev_re, prev_im, prev_norm = prev
+    tails = []
+    for row in rows:
+        ka, kb = row[col]
+        tail = []
+        for (xa, xb), (ya, yb) in zip(row[col + 1:], ptail):
+            na = pa * xa - pb * xb - (ka * ya - kb * yb)
+            nb = pa * xb + pb * xa - (ka * yb + kb * ya)
+            if na or nb:
+                if prev_im:
+                    na, nb = ((na * prev_re + nb * prev_im) // prev_norm,
+                              (nb * prev_re - na * prev_im) // prev_norm)
+                elif prev_re != 1:
+                    na, nb = na // prev_re, nb // prev_re
+            tail.append((na, nb))
+        tails.append(tail)
+    return tails
 
 
 def gaussian_int_rank(rows) -> int:

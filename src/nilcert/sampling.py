@@ -1,7 +1,8 @@
 """Seeded random generators for matrices and tables over small Gaussian rationals.
 
 Entries are drawn uniformly from {-2,-1,0,1,2} + i*{-1,0,1} (the documented
-distribution for all randomized probes), with rejection on singularity.
+distribution for all randomized probes), with rejection on singularity,
+decided by the rank of the Gaussian-integer rows.
 Sub-generators are derived from the run seed and a label through sha256 so
 parallel and sequential runs see identical streams.
 """
@@ -12,7 +13,7 @@ import hashlib
 import random
 
 from .algebra import GAUSSIAN_FIELD, StructureTable
-from .linalg import det
+from .linalg import gaussian_int_rank
 from .scalars import GaussianRational
 
 RE_POOL = (-2, -1, 0, 1, 2)
@@ -34,11 +35,12 @@ def random_vector(rng: random.Random, dim: int):
 
 
 def random_invertible(rng: random.Random, dim: int):
-    """Random matrix over the small Gaussian pool, rejected until det != 0."""
-    zero, one = GAUSSIAN_FIELD.zero, GAUSSIAN_FIELD.one
+    """Random matrix over the small Gaussian pool, rejected until det != 0,
+    that is until its rows, all Gaussian integers, have rank dim."""
     while True:
         m = [random_vector(rng, dim) for _ in range(dim)]
-        if det(m, zero, one) != zero:
+        if gaussian_int_rank([[(c.re.numerator, c.im.numerator) for c in row]
+                              for row in m]) == dim:
             return m
 
 

@@ -3,8 +3,9 @@
 Every value is exact: Gaussian rationals are pairs of ``fractions.Fraction``,
 univariate polynomials in ``t`` are dense coefficient tuples over the Gaussian
 rationals, and rational functions are coprime numerator/denominator pairs with
-a monic denominator.  A parametric witness has its entries in Q(i)(t); orders
-at ``t -> 0`` are integers and limits are exact.
+a monic denominator.  The gcd is taken only when both have positive degree: a
+nonzero constant is coprime to every polynomial.  A parametric witness has its
+entries in Q(i)(t); orders at ``t -> 0`` are integers and limits are exact.
 """
 
 from __future__ import annotations
@@ -334,9 +335,10 @@ class RationalFunction:
         if num.is_zero:
             self.num, self.den = POLY_ZERO, POLY_ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
+        if num.degree > 0 and den.degree > 0:  # else the gcd is 1
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         if not den.is_monic:
             inv = den.lead.inverse()
             num, den = num.scale(inv), den.scale(inv)

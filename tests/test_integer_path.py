@@ -1,9 +1,10 @@
-"""The Gaussian-integer identify path against Fraction oracles.
+"""The Gaussian-integer paths against Fraction oracles.
 
-Identities, powers, annihilators and dim Der are computed on the scaled
-integer tensor of a table.  The oracles here are the direct Q(i)
-computations: the per-triple associativity check, powers as sums of
-subspace products, and the rank of the Leibniz system by ``linalg.rank``.
+Identities, powers, annihilators, dim Der and the change of basis are
+computed on the scaled integer tensor of a table.  The oracles here are the
+direct Q(i) computations: the per-triple associativity check, powers as sums
+of subspace products, the rank of the Leibniz system by ``linalg.rank``, and
+the change of basis by ``linalg.invert_matrix``.
 """
 
 import random
@@ -18,8 +19,11 @@ from nilcert.algebra import (StructureTable, Subspace, annihilator,
                              flag_subspace, power_chain, subspace_product)
 from nilcert.derivations import (derivation_dimension, derivation_space,
                                  is_derivation)
-from nilcert.linalg import gaussian_int_echelon, kernel_basis, rank
-from nilcert.sampling import derive_rng, random_invertible, random_sparse_table
+from nilcert.linalg import (SingularMatrixError, det, gaussian_int_echelon,
+                            invert_matrix, kernel_basis, rank, vec_matmul)
+from nilcert.sampling import (derive_rng, random_borel_matrix,
+                              random_invertible, random_sparse_table,
+                              random_vector)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -183,3 +187,81 @@ def test_power_chain_keeps_no_padding_past_a_zero_power():
 def test_integer_tensor_refuses_tower_tables():
     with pytest.raises(TypeError):
         catalog.get("A_24").table.lift_to_tower().integer_tensor()
+
+
+def fraction_change_basis(table, matrix):
+    """Oracle: the products of the new basis vectors times the inverse of the
+    matrix, by Fraction Gauss-Jordan, in the insertion order of
+    ``change_basis``."""
+    inv = invert_matrix(matrix, GR_ZERO, GR_ONE)
+    commutative = table.is_commutative()
+    entries = {}
+    for i in range(table.dim):
+        for j in range(i if commutative else 0, table.dim):
+            coords = vec_matmul(table.multiply(matrix[i], matrix[j]), inv, GR_ZERO)
+            for k, c in enumerate(coords):
+                if c:
+                    entries[(i, j, k)] = c
+                    if commutative:
+                        entries[(j, i, k)] = c
+    return StructureTable(table.dim, entries)
+
+
+def change_basis_cases():
+    """Catalog tables in random dense and Borel bases, bases with rows
+    divided by 3 + i, tables scaled by 3/7 + 2i, non-commutative tables,
+    the empty table C5 and the permutation basis of the A_05 row finding."""
+    rng = derive_rng(31, "change-basis-oracle")
+    lam, divisor = GaussianRational(Fraction(3, 7), 2), GaussianRational(3, 1)
+    cases = []
+    for name in catalog.names():
+        table = catalog.get(name).table
+        cases += [(table, random_invertible(rng, 5)) for _ in range(3)]
+        cases += [(table, random_borel_matrix(rng, 5)) for _ in range(2)]
+        divided = [[c / divisor for c in row] if r % 2 else row
+                   for r, row in enumerate(random_invertible(rng, 5))]
+        scaled = StructureTable(5, {key: c * lam for key, c in table.entries.items()})
+        cases += [(table, divided), (scaled, random_invertible(rng, 5))]
+    for index in range(20):
+        dim = 2 + index % 4
+        table = random_sparse_table(rng, dim, symmetric=False)
+        cases.append((table, random_invertible(rng, dim)))
+    order = (0, 3, 2, 1, 4)
+    permutation = [[GaussianRational(1 if j == order[i] else 0) for j in range(5)]
+                   for i in range(5)]
+    cases.append((catalog.get("A_15").table, permutation))
+    return cases
+
+
+def test_change_basis_matches_the_fraction_oracle():
+    cases = change_basis_cases()
+    assert any(not table.is_commutative() for table, _ in cases)
+    assert any(not table.entries for table, _ in cases)  # C5
+    for table, matrix in cases:
+        got, want = table.change_basis(matrix), fraction_change_basis(table, matrix)
+        assert got == want, (table, matrix)
+        assert list(got.entries) == list(want.entries)  # same insertion order
+
+
+def test_singular_gaussian_basis_is_rejected():
+    rng = derive_rng(32, "singular-basis")
+    for table in (catalog.get("A_02").table, catalog.get("C5").table,
+                  random_sparse_table(rng, 4, symmetric=False)):
+        n = table.dim
+        matrix = random_invertible(rng, n)
+        # a multiple of the first row by 1/2 + i: det = 0
+        matrix[n - 1] = [c * GaussianRational(Fraction(1, 2), 1) for c in matrix[0]]
+        with pytest.raises(SingularMatrixError, match="basis-change matrix is singular"):
+            table.change_basis(matrix)
+
+
+def test_random_invertible_draws_what_the_det_oracle_draws():
+    for seed in (1, 7, 101, 102):
+        rng, oracle_rng = derive_rng(seed, "escape"), derive_rng(seed, "escape")
+        for dim in (1, 2, 3, 5, 5, 5):
+            while True:
+                want = [random_vector(oracle_rng, dim) for _ in range(dim)]
+                if det(want, GR_ZERO, GR_ONE) != GR_ZERO:
+                    break
+            assert random_invertible(rng, dim) == want
+        assert rng.getstate() == oracle_rng.getstate()

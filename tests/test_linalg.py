@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from nilcert.linalg import (SingularMatrixError, det, gaussian_int_rank,
-                            invert_matrix, kernel_basis, rank, rref)
+from nilcert.linalg import (SingularMatrixError, det, gaussian_int_adjugate,
+                            gaussian_int_rank, invert_matrix, kernel_basis,
+                            rank, rref)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -72,6 +73,28 @@ def test_gaussian_int_rank_agrees_with_rational_rank():
 def test_gaussian_int_rank_handles_rank_deficiency():
     rows = [[(1, 0), (2, 0)], [(2, 0), (4, 0)], [(0, 1), (0, 2)]]
     assert gaussian_int_rank(rows) == 1
+
+
+def test_gaussian_int_adjugate_is_det_times_inverse():
+    rng = random.Random(13)
+    tried = 0
+    while tried < 60:
+        n = rng.randrange(1, 7)
+        ints = [[(rng.randrange(-5, 6), rng.randrange(-3, 4)) for _ in range(n)]
+                for _ in range(n)]
+        grows = [[g(a, b) for a, b in row] for row in ints]
+        want_det = det(grows, GR_ZERO, GR_ONE)
+        if not want_det:
+            with pytest.raises(SingularMatrixError):
+                gaussian_int_adjugate(ints)
+            continue
+        tried += 1
+        (da, db), adj = gaussian_int_adjugate(ints)
+        d = g(da, db)
+        assert d in (want_det, -want_det)
+        inverse = invert_matrix(grows, GR_ZERO, GR_ONE)
+        assert [[g(a, b) for a, b in row] for row in adj] == \
+            [[d * x for x in row] for row in inverse]
 
 
 def test_rational_entries_stay_exact():

@@ -44,6 +44,25 @@ def test_normalize_is_idempotent_on_canonical_values():
         assert again.num == x.num and again.den == x.den
 
 
+def test_constant_numerator_or_denominator_skips_only_a_trivial_gcd():
+    # the gcd route: divide by poly_gcd, then make the denominator monic
+    def gcd_route(num, den):
+        g = poly_gcd(num, den)
+        num, den = num // g, den // g
+        lead = den.lead.inverse()
+        return num.scale(lead), den.scale(lead)
+
+    half_i = GaussianRational(Fraction(1, 2), 1)
+    for num, den in ((Poly((3,)), Poly((1, 2, 1))),
+                     (Poly((half_i,)), Poly((0, 0, GaussianRational(0, 3)))),
+                     (Poly((1, 2, 1)), Poly((GaussianRational(2, -1),))),
+                     (Poly((0, half_i, 5)), Poly((Fraction(-3, 4),))),
+                     (Poly((2,)), Poly((GaussianRational(0, 2),)))):
+        x = RationalFunction(num, den)
+        assert (x.num, x.den) == gcd_route(num, den)
+        assert x.den.is_monic
+
+
 def test_gaussian_constants_embed_as_order_zero_functions():
     i = RationalFunction.coerce(GaussianRational(0, 1))
     assert i * i == RationalFunction.coerce(-1)
