@@ -285,12 +285,8 @@ def load_claims(text, dim=5):
 
 
 def _condition_line(conj) -> str:
-    if isinstance(conj, FlagContainment):
-        if conj.r is None:
-            return f"A_{conj.p} A_{conj.q} = 0"
-        return f"A_{conj.p} A_{conj.q} <= A_{conj.r}"
-    if isinstance(conj, PowerVanish):
-        return f"A_{conj.p}^{conj.k} = 0"
+    if isinstance(conj, (FlagContainment, PowerVanish)):
+        return conj.describe()
     if isinstance(conj, AnnDimAtLeast):
         return f"ann >= {conj.d}"
     if isinstance(conj, PolynomialEq):

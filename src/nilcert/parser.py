@@ -17,19 +17,22 @@ is ``(-t)^2``; write ``-(t^2)`` for the negative.  ``2t e_3`` multiplies by
 juxtaposition; a '-' never starts a juxtaposed factor, so ``a - b`` stays a
 subtraction.
 
-Linear combinations (parse_expression, parse_scalar) evaluate to a linear
-combination of the basis vectors e_1..e_n with coefficients in Q(i)(t), the
-rational functions in t; c(i,j,k) is rejected.  Constant combinations
-(parse_constants) have Q(i) coefficients: 't' is rejected too.  Each '^' is
-bounded before it is computed (MAX_EXPONENT and the limits beside it).  The
-grammar has no roots: any other letter, 'sqrt' included, is a syntax error.
+Every entry point evaluates to one sparse value, {monomial: nonzero
+coefficient}: a monomial is the sorted tuple of its 0-based atoms, k for
+e_{k+1} or (i, j, k) for c(i+1,j+1,k+1); a scalar is {(): c} and zero is {}.
+Each entry point fixes a context: its field, the tokens it rejects, and
+whether values stay linear in the atoms.  parse_expression and parse_scalar
+read linear combinations of e_1..e_n over Q(i)(t), the rational functions in
+t, and reject c(i,j,k); parse_constants reads them over Q(i) and rejects 't'.
+parse_condition reads polynomials in the c(i,j,k), 1 <= i, j, k <= n, over
+Q(i), rejects 't' and 'e_k', and returns the (monomial, coefficient) pairs
+sorted by monomial.  A divisor must be a nonzero scalar; in a linear context
+so must one factor of each product and the base of each power.
 
-Conditions (parse_condition) are polynomials in the structure constants
-c(i,j,k), 1 <= i, j, k <= n, with Q(i) coefficients: 't' and 'e_k' are
-rejected, and only a nonzero constant may divide or carry a negative
-exponent.  A condition is folded into its monomial normal form, the
-(monomial, coefficient) pairs sorted by monomial, where a monomial is the
-sorted tuple of its 0-based (i, j, k) factors.
+One rule bounds every '^' before it is computed: |k| <= MAX_EXPONENT, and
+the power's degree in t, monomial count and coefficient bits stay within the
+MAX_* limits beside it.  A '(' or unary '-' nests at most MAX_NESTING deep.
+The grammar has no roots: any other letter, 'sqrt' included, is an error.
 
 The printer emits a canonical fully-parenthesized form with explicit '*', so
 parse -> print -> parse is a fixed point.
@@ -37,12 +40,13 @@ parse -> print -> parse is a fixed point.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
 from .algebra import GAUSSIAN_FIELD, TOWER_FIELD
-from .scalars import (GR_ONE, GR_ZERO, POLY_ONE, RF_ONE, RF_T,
-                      GaussianRational, Poly, RationalFunction)
+from .scalars import (GR_I, POLY_ONE, RF_ONE, RF_T, RF_ZERO, GaussianRational,
+                      Poly, RationalFunction)
 
 
 class ExpressionSyntaxError(ValueError):
@@ -100,180 +104,73 @@ def _tokenize(text):
     return tokens
 
 
-# Limits on one '^', checked at its position before the power is computed;
-# the shipped data use exponents of at most 7.
+# Limits checked at the position of their token before any work is done; the
+# shipped files use exponents of at most 7 and nest at most 4 deep.
 MAX_EXPONENT = 64
 MAX_T_DEGREE = 128        # in t, of each numerator and denominator
-MAX_C_MONOMIALS = 10_000  # monomials of the result's total degree in the c(i,j,k)
+MAX_C_MONOMIALS = 10_000  # monomials of the result's total degree in the atoms
 MAX_COEFF_BITS = 1024
+MAX_NESTING = 32          # open '(' and unary '-' around a token
 
 
-def _refuse_large_power(k, pos, coeffs, size, limit, what):
-    """Raise unless |k| <= MAX_EXPONENT, size(|k|) <= limit and the result's
-    coefficients stay within about MAX_COEFF_BITS bits: |k| times (the largest
-    bit length among the base's Q(i) coefficients + that of their count)."""
+def _is_scalar(value):
+    return value.keys() <= {()}
+
+
+def _collect(pairs):
+    """The sparse value of a sum of (monomial, coefficient) pairs."""
+    out = {}
+    for monomial, coeff in pairs:
+        out[monomial] = out[monomial] + coeff if monomial in out else coeff
+    return {monomial: coeff for monomial, coeff in out.items() if coeff}
+
+
+def _refuse_large_power(base, k, pos):
+    """Raise unless |k| <= MAX_EXPONENT and base^k stays within the MAX_*
+    bounds: |k| times the t-degree, comb(v + |k| d, v) monomials for v atoms
+    of degree d, and |k| (bits of the Q(i) coefficients + of their count)."""
     k = abs(k)
     if k > MAX_EXPONENT:
         raise ExpressionSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", pos)
-    if size(k) > limit:
-        raise ExpressionSyntaxError(f"power of {what} {size(k)} exceeds {limit}", pos)
-    bits = max((n.bit_length() for z in coeffs for q in (z.re, z.im)
+    parts, t_degree = [], 0
+    for c in base.values():
+        if isinstance(c, RationalFunction):
+            parts += c.num.coeffs + c.den.coeffs
+            t_degree = max(t_degree, c.num.degree, c.den.degree)
+        else:
+            parts.append(c)
+    if k * t_degree > MAX_T_DEGREE:
+        raise ExpressionSyntaxError(
+            f"power of degree {k * t_degree} exceeds {MAX_T_DEGREE}", pos)
+    degree = max(map(len, base), default=0)
+    variables = len({atom for monomial in base for atom in monomial})
+    count = comb(variables + k * degree, variables)
+    if count > MAX_C_MONOMIALS:
+        raise ExpressionSyntaxError(
+            f"power of monomial count {count} exceeds {MAX_C_MONOMIALS}", pos)
+    bits = max((n.bit_length() for z in parts for q in (z.re, z.im)
                 for n in (q.numerator, q.denominator)), default=0)
-    if k * (bits + len(coeffs).bit_length()) > MAX_COEFF_BITS:
+    if k * (bits + len(parts).bit_length()) > MAX_COEFF_BITS:
         raise ExpressionSyntaxError(
             f"power with coefficients over {MAX_COEFF_BITS} bits", pos)
 
 
-class _Linear:
-    """A scalar plus a linear combination of basis vectors over ``field``."""
-
-    __slots__ = ("scalar", "vector")
-
-    context, excluded, field = "a linear combination", {"c"}, TOWER_FIELD
-
-    def __init__(self, scalar, vector):
-        self.scalar = scalar
-        self.vector = vector
-
-    @classmethod
-    def constant(cls, value, dim):
-        return cls(cls.field.coerce(value), [cls.field.zero] * dim)
-
-    @classmethod
-    def basis(cls, index, dim):
-        zero, one = cls.field.zero, cls.field.one
-        return cls(zero, [one if k == index else zero for k in range(dim)])
-
-    @property
-    def is_scalar(self):
-        return all(c.is_zero for c in self.vector)
-
-    def __add__(self, other):
-        return type(self)(self.scalar + other.scalar,
-                          [a + b for a, b in zip(self.vector, other.vector)])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return type(self)(-self.scalar, [-c for c in self.vector])
-
-    def times(self, other, pos):
-        if self.is_scalar:
-            self, other = other, self
-        if not other.is_scalar:
-            raise NonlinearExpressionError(
-                f"product of two basis-vector expressions (position {pos})")
-        s = other.scalar
-        return type(self)(self.scalar * s, [c * s for c in self.vector])
-
-    def over(self, other, pos):
-        if not other.is_scalar:
-            raise NonlinearExpressionError("division by a basis-vector expression")
-        if other.scalar.is_zero:
-            raise ZeroDivisionError(f"division by zero at position {pos}")
-        inv = other.scalar.inverse()
-        return type(self)(self.scalar * inv, [c * inv for c in self.vector])
-
-    def power(self, exponent, pos):
-        if not self.is_scalar:
-            raise NonlinearExpressionError(
-                f"power of a basis-vector expression (position {pos})")
-        degree, coeffs = self._size()
-        _refuse_large_power(exponent, pos, coeffs, lambda k: k * degree,
-                            MAX_T_DEGREE, "degree")
-        return self.constant(self.scalar ** exponent, len(self.vector))
-
-    def _size(self):
-        """Degree in t and Q(i) coefficients of the scalar."""
-        num, den = self.scalar.num, self.scalar.den
-        return max(num.degree, den.degree), num.coeffs + den.coeffs
-
-
-class _Constants(_Linear):
-    """A linear combination with Q(i) coefficients: no 't'."""
-
-    __slots__ = ()
-
-    context, excluded = "a constant linear combination", {"t", "c"}
-    field = GAUSSIAN_FIELD
-
-    def _size(self):
-        return 0, [self.scalar]
-
-
-def _accumulate(terms, monomial, coeff):
-    total = terms.get(monomial, GR_ZERO) + coeff
-    if total:
-        terms[monomial] = total
-    else:
-        terms.pop(monomial, None)
-
-
-class _Polynomial:
-    """A polynomial in the structure constants with Q(i) coefficients:
-    {sorted tuple of 0-based (i, j, k) factors: nonzero coefficient}."""
-
-    __slots__ = ("terms",)
-
-    context, excluded = "a condition", {"t", "basis"}
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    @classmethod
-    def constant(cls, value, dim):
-        value = GaussianRational.coerce(value)
-        return cls({(): value} if value else {})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for monomial, coeff in other.terms.items():
-            _accumulate(out, monomial, coeff)
-        return _Polynomial(out)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return _Polynomial({m: -c for m, c in self.terms.items()})
-
-    def times(self, other, pos):
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                _accumulate(out, tuple(sorted(ma + mb)), ca * cb)
-        return _Polynomial(out)
-
-    def over(self, other, pos):
-        if any(other.terms):
-            raise NonlinearExpressionError(
-                f"division by an expression in the c(i,j,k) (position {pos})")
-        if not other.terms:
-            raise ZeroDivisionError(f"division by zero at position {pos}")
-        inv = other.terms[()].inverse()
-        return _Polynomial({m: c * inv for m, c in self.terms.items()})
-
-    def power(self, exponent, pos):
-        degree = max(map(len, self.terms), default=0)
-        variables = len({c for monomial in self.terms for c in monomial})
-        _refuse_large_power(exponent, pos, list(self.terms.values()),
-                            lambda k: comb(variables + k * degree, variables),
-                            MAX_C_MONOMIALS, "monomial count")
-        one = _Polynomial({(): GR_ONE})
-        base = self if exponent >= 0 else one.over(self, pos)
-        out = one
-        for _ in range(abs(exponent)):
-            out = out.times(base, pos)
-        return out
+# What an entry point accepts: its field, the tokens it rejects, and whether
+# values must stay linear in the atoms.
+_Context = namedtuple("_Context", "name field excluded linear")
+_LINEAR = _Context("a linear combination", TOWER_FIELD, {"c"}, True)
+_CONSTANTS = _Context("a constant linear combination", GAUSSIAN_FIELD,
+                      {"t", "c"}, True)
+_CONDITION = _Context("a condition", GAUSSIAN_FIELD, {"t", "basis"}, False)
 
 
 class _Parser:
-    def __init__(self, text, dim, values=_Linear):
+    def __init__(self, text, dim, context):
         self.dim = dim
-        self.values = values
+        self.context = context
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -301,6 +198,51 @@ class _Parser:
                 f"{name} index {value} out of range 1..{self.dim}", pos)
         return value - 1
 
+    def nested(self, pos, parse):
+        """parse() one level deeper, refused at pos beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(f"nesting exceeds {MAX_NESTING}", pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
+
+    # -- values: {monomial: nonzero coefficient} ------------------------------
+
+    def constant(self, value):
+        value = self.context.field.coerce(value)
+        return {(): value} if value else {}
+
+    def times(self, a, b, pos):
+        if self.context.linear and not (_is_scalar(a) or _is_scalar(b)):
+            raise NonlinearExpressionError(
+                f"product of two basis-vector expressions (position {pos})")
+        return _collect((tuple(sorted(ma + mb)), ca * cb)
+                        for ma, ca in a.items() for mb, cb in b.items())
+
+    def over(self, a, b, pos):
+        if not _is_scalar(b):
+            raise NonlinearExpressionError(
+                f"division by a non-scalar expression (position {pos})")
+        if not b:
+            raise ZeroDivisionError(f"division by zero at position {pos}")
+        inv = b[()].inverse()
+        return {monomial: coeff * inv for monomial, coeff in a.items()}
+
+    def power(self, base, k, pos):
+        if self.context.linear and not _is_scalar(base):
+            raise NonlinearExpressionError(
+                f"power of a basis-vector expression (position {pos})")
+        _refuse_large_power(base, k, pos)
+        out = self.constant(1)
+        if k < 0:
+            base, k = self.over(out, base, pos), -k
+        if _is_scalar(base):
+            return self.constant(base.get((), 0) ** k)
+        for _ in range(k):
+            out = self.times(out, base, pos)
+        return out
+
     # -- grammar ----------------------------------------------------------------
 
     def parse(self):
@@ -316,8 +258,10 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                out = out + rhs if value == "+" else out - rhs
+                rhs = self.term().items()
+                if value == "-":
+                    rhs = ((monomial, -coeff) for monomial, coeff in rhs)
+                out = _collect((*out.items(), *rhs))
             else:
                 return out
 
@@ -328,10 +272,11 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.factor()
-                out = out.times(rhs, pos) if value == "*" else out.over(rhs, pos)
+                out = self.times(out, rhs, pos) if value == "*" \
+                    else self.over(out, rhs, pos)
             elif kind in ("int", "t", "i", "c", "basis") or \
                     (kind == "op" and value == "("):
-                out = out.times(self.factor(), pos)
+                out = self.times(out, self.factor(), pos)
             else:
                 return out
 
@@ -340,7 +285,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return out.power(self._signed_exponent(), pos)
+            return self.power(out, self._signed_exponent(), pos)
         return out
 
     def _signed_exponent(self) -> int:
@@ -356,47 +301,49 @@ class _Parser:
         return sign * value
 
     def prefixed(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.prefixed()
+            out = self.nested(pos, self.prefixed)
+            return {monomial: -coeff for monomial, coeff in out.items()}
         return self.atom()
 
     def atom(self):
         kind, value, pos = self.advance()
-        if kind in self.values.excluded:
+        if kind in self.context.excluded:
             raise ExpressionSyntaxError(
-                f"{kind!r} is not allowed in {self.values.context}", pos)
+                f"{kind!r} is not allowed in {self.context.name}", pos)
         if kind == "int":
-            return self.values.constant(value, self.dim)
+            return self.constant(value)
         if kind == "t":
-            return self.values.constant(RF_T, self.dim)
+            return self.constant(RF_T)
         if kind == "i":
-            return self.values.constant(GaussianRational(0, 1), self.dim)
+            return self.constant(GR_I)
         if kind == "basis":
             if not 1 <= value <= self.dim:
                 raise ExpressionSyntaxError(
                     f"basis index e_{value} out of range 1..{self.dim}", pos)
-            return self.values.basis(value - 1, self.dim)
+            return {(value - 1,): self.context.field.one}
         if kind == "c":
             self.expect_op("(")
             ijk = []
             for closing in ",,)":
                 ijk.append(self.index("c(i,j,k)"))
                 self.expect_op(closing)
-            return _Polynomial({(tuple(ijk),): GR_ONE})
+            return {(tuple(ijk),): self.context.field.one}
         if kind == "op" and value == "(":
-            inner = self.expression()
+            inner = self.nested(pos, self.expression)
             self.expect_op(")")
             return inner
         raise ExpressionSyntaxError("expected a value", pos)
 
 
-def _vector(out):
-    if not out.scalar.is_zero:
+def _vector(text, dim, context):
+    out = _Parser(text, dim, context).parse()
+    if () in out:
         raise NonlinearExpressionError(
-            f"constant term {out.scalar!r} without a basis vector")
-    return list(out.vector)
+            f"constant term {out[()]!r} without a basis vector")
+    return [out.get((k,), context.field.zero) for k in range(dim)]
 
 
 def parse_expression(text, dim=5):
@@ -405,28 +352,27 @@ def parse_expression(text, dim=5):
     A pure-scalar expression is accepted only when it is zero (the zero
     vector); any other constant term is an error.
     """
-    return _vector(_Parser(text, dim).parse())
+    return _vector(text, dim, _LINEAR)
 
 
 def parse_constants(text, dim=5):
     """Parse a linear combination with Q(i) coefficients; returns a list of
     dim GaussianRationals.  Same rules as parse_expression, but 't' is
     rejected."""
-    return _vector(_Parser(text, dim, _Constants).parse())
+    return _vector(text, dim, _CONSTANTS)
 
 
 def parse_scalar(text):
     """Parse a pure scalar expression into a RationalFunction."""
-    out = _Parser(text, 1).parse()
-    if not out.is_scalar:
+    out = _Parser(text, 1, _LINEAR).parse()
+    if not _is_scalar(out):
         raise NonlinearExpressionError("expected a scalar expression")
-    return out.scalar
+    return out.get((), RF_ZERO)
 
 
 def parse_condition(text, dim=5):
     """Parse a polynomial in the c(i,j,k) into its monomial normal form."""
-    terms = _Parser(text, dim, _Polynomial).parse().terms
-    return tuple(sorted(terms.items(), key=lambda item: item[0]))
+    return tuple(sorted(_Parser(text, dim, _CONDITION).parse().items()))
 
 
 # -- canonical printer ---------------------------------------------------------

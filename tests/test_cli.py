@@ -66,6 +66,23 @@ def test_sqrt_in_an_algebra_file_exits_2(tmp_path, capsys):
         assert err["detail"].startswith(f"{path}: line 3: "), command
 
 
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    for label, rhs in (("paren", "(" * 3000 + "e_2" + ")" * 3000),
+                       ("minus", "-" * 3000 + "e_2")):
+        algebra = tmp_path / f"{label}.alg"
+        algebra.write_text(f"algebra X\ndim 5\ne_1 * e_1 = {rhs}\n",
+                           encoding="ascii")
+        witness = tmp_path / f"{label}.wit"
+        witness.write_text(f"witness A_23 -> A_24\nE_1 = {rhs}\n",
+                           encoding="ascii")
+        for command, path, lineno in (("identify", algebra, 3),
+                                      ("verify", witness, 2)):
+            assert main([command, str(path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "input", (command, label)
+            assert f"line {lineno}: nesting exceeds" in err["detail"]
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["verify", "/nonexistent/file.wit"]) == 2
 

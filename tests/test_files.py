@@ -103,7 +103,7 @@ def test_loader_errors_name_their_line(text, lineno):
 
 
 OVERSIZED_POWERS = ("(1+t)^800 e_1", "t^100000000 e_1", "((1+t)^64)^64 e_1",
-                    "((((2^64)^64)^64)^64)^64 e_1")
+                    "(t^64)^64 e_1", "((((2^64)^64)^64)^64)^64 e_1")
 
 
 @pytest.mark.parametrize("load, text", [
@@ -113,12 +113,41 @@ OVERSIZED_POWERS = ("(1+t)^800 e_1", "t^100000000 e_1", "((1+t)^64)^64 e_1",
       for rhs in OVERSIZED_POWERS],
     (files.load_claims,
      "claim A_05 !-> A_15\nrequire poly (c(1,1,2)+c(1,1,3))^800 = 0\n"),
+    (files.load_claims, "claim A_05 !-> A_15\n"
+     "require poly (c(1,1,1)+c(1,1,2)+c(1,1,3))^64 = 0\n"),
+    (files.load_claims,
+     "claim A_05 !-> A_15\nrequire poly ((2^64)^64)^64 * c(1,1,2) = 0\n"),
+    (files.load_claims, "claim A_05 !-> A_15\n"
+     "witness A_05 : ((1+i)^64)^64 e_1, e_2, e_3, e_4, e_5\n"),
 ])
 def test_oversized_powers_are_refused_quickly(load, text):
     started = time.perf_counter()
     with pytest.raises(files.FileFormatError, match=r"\(at position \d+\)"):
         load(text)
     assert time.perf_counter() - started < 1.0
+
+
+DEEP_NESTING = {"paren": "(" * 3000 + "{}" + ")" * 3000,
+                "minus": "-" * 3000 + "{}"}
+NESTED_LINES = {  # loader, file text around the nested value, its line
+    "algebra": (files.load_algebra, "algebra X\ndim 5\ne_1 * e_1 = {}\n", 3),
+    "witness": (files.load_witness, "witness A_23 -> A_24\nE_1 = {}\n", 2),
+    "claims-poly": (files.load_claims,
+                    "claim A_05 !-> A_15\nrequire poly {} = 0\n", 2),
+    "claims-witness": (files.load_claims, "claim A_05 !-> A_15\n"
+                       "witness A_05 : e_1, {}, e_3, e_4, e_5\n", 2),
+}
+
+
+@pytest.mark.parametrize("nesting", sorted(DEEP_NESTING))
+@pytest.mark.parametrize("line", sorted(NESTED_LINES))
+def test_deep_nesting_is_a_format_error(line, nesting):
+    load, text, lineno = NESTED_LINES[line]
+    value = "c(1,1,2)" if line == "claims-poly" else "e_2"
+    with pytest.raises(files.FileFormatError,
+                       match=rf"^line {lineno}: nesting exceeds \d+ "
+                             r"\(at position \d+\)$"):
+        load(text.format(DEEP_NESTING[nesting].format(value)))
 
 
 def test_paper_row_of_a02_to_a06_is_kept_only_as_a_comment():

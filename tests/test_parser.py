@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcert.parser import (ExpressionSyntaxError, NonlinearExpressionError,
-                            format_vector, parse_condition, parse_constants,
+from nilcert.parser import (MAX_NESTING, ExpressionSyntaxError,
+                            NonlinearExpressionError, format_vector,
+                            parse_condition, parse_constants,
                             parse_expression, parse_scalar)
 from nilcert.scalars import RF_ONE, GaussianRational, Poly, RationalFunction
 
@@ -90,6 +91,28 @@ def test_nonlinear_expressions_rejected():
         parse_expression("1/e_1")
     with pytest.raises(NonlinearExpressionError):
         parse_expression("t e_1 + 3")  # stray constant term
+    # one rule serves every context: a product, power or divisor must stay
+    # linear in the basis vectors, and a divisor must be a scalar
+    for parse, text in ((parse_constants, "e_1 e_2"),
+                        (parse_constants, "e_1^2"),
+                        (parse_constants, "e_1^0"),
+                        (parse_expression, "(t e_1)^1"),
+                        (parse_scalar, "e_1"),
+                        (parse_condition, "1/c(1,1,2)"),
+                        (parse_condition, "c(1,1,2)^-1")):
+        with pytest.raises(NonlinearExpressionError):
+            parse(text)
+
+
+def test_nesting_is_bounded():
+    for open_, close in (("(", ")"), ("-", ""), ("-(", ")")):
+        depth = MAX_NESTING // len(open_)
+        text = open_ * depth + "e_1" + close * depth
+        assert parse_expression(text)[0] == RF_ONE * (-1) ** text.count("-")
+        deeper = open_ * (depth + 1) + "e_1" + close * (depth + 1)
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(deeper)
+        assert err.value.position == MAX_NESTING, open_
 
 
 def test_basis_index_out_of_range():
