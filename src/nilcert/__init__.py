@@ -13,9 +13,8 @@ The package re-derives, with no floating point on any load-bearing path:
 
 __version__ = "1.0.0"
 
-from .algebra import (GAUSSIAN_FIELD, TOWER_FIELD, StructureTable, Subspace,
-                      annihilator, flag_subspace, power_chain,
-                      subspace_product)
+from .algebra import (StructureTable, Subspace, annihilator, flag_subspace,
+                      power_chain, subspace_product)
 from .catalog import (CatalogEntry, InvariantFingerprint, fingerprint,
                       get, identify, names)
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
@@ -35,8 +34,8 @@ from .scalars import GaussianRational, LimitDiverges, Poly, RationalFunction
 
 __all__ = [
     "__version__",
-    "GAUSSIAN_FIELD", "TOWER_FIELD", "StructureTable", "Subspace",
-    "annihilator", "flag_subspace", "power_chain", "subspace_product",
+    "StructureTable", "Subspace", "annihilator", "flag_subspace",
+    "power_chain", "subspace_product",
     "CatalogEntry", "InvariantFingerprint", "fingerprint", "get", "identify",
     "names",
     "AnnDimAtLeast", "ClosedSetSpec", "FlagContainment",

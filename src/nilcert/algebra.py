@@ -1,16 +1,16 @@
 """Structure-constant algebras on a fixed basis.
 
 A StructureTable stores the nonzero constants c[i][j][k] of a bilinear
-multiplication mu(e_i, e_j) = sum_k c[i][j][k] e_k with 0-based indices.
-Tables are generic over the scalar field (Gaussian rationals for the embedded
-catalog, rational functions in t for parametric families) via a small Field
-adapter.
+multiplication mu(e_i, e_j) = sum_k c[i][j][k] e_k with 0-based indices, all
+of them Gaussian rationals (Q(i)).  Constants over Q(i)(t) arise only while a
+parametric witness basis is checked, and live in the degeneration module.
 
 Construction helpers accept the 1-based (i, j) -> {k: coefficient} layout of
 printed multiplication tables so transcriptions stay literal.  The
-identities, powers and annihilator of a Q(i) table are computed in Gaussian
+identities, powers and annihilator of a table are computed in Gaussian
 integers on its scaled table (``integer_tensor``, with the scaling lemma),
 and so is its change of basis, up to one exact division per constant.
+Subspaces are spanned over Q(i) and kept in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -20,16 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import (Field, SingularMatrixError, gaussian_int_adjugate,
-                     gaussian_int_echelon, invert_matrix, kernel_basis, rref,
-                     vec_matmul)
-from .scalars import (GR_ONE, GR_ZERO, RF_ONE, RF_ZERO, GaussianRational,
-                      RationalFunction)
+from .linalg import (SingularMatrixError, gaussian_int_adjugate,
+                     gaussian_int_echelon, kernel_basis, rref)
+from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 MAX_DIM = 16  # exact arithmetic guard rail
-
-GAUSSIAN_FIELD = Field(GR_ZERO, GR_ONE, "Q(i)", GaussianRational.coerce)
-TOWER_FIELD = Field(RF_ZERO, RF_ONE, "Q(i)(t)", RationalFunction.coerce)
 
 
 @dataclass(frozen=True)
@@ -41,31 +36,29 @@ class IdentityReport:
 class StructureTable:
     """Multiplication table of an algebra on a fixed basis; immutable by contract."""
 
-    __slots__ = ("dim", "entries", "field")
+    __slots__ = ("dim", "entries")
 
-    def __init__(self, dim, entries, field=GAUSSIAN_FIELD):
+    def __init__(self, dim, entries):
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
-        coerce = field.coerce or (lambda c: c)
         clean = {}
         for (i, j, k), c in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"index ({i},{j},{k}) out of range for dim {dim}")
-            c = coerce(c)
-            if c != field.zero:
+            c = GaussianRational.coerce(c)
+            if c:
                 clean[(i, j, k)] = c
         self.dim = dim
         self.entries = clean
-        self.field = field
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_products(cls, dim, products, field=GAUSSIAN_FIELD, symmetrize=True):
+    def from_products(cls, dim, products):
         """Build from 1-based {(i, j): {k: coeff}} products as printed in tables.
 
-        With symmetrize=True each listed product also defines the mirrored one
-        (commutative presentation); explicit mirrored entries must agree.
+        Each listed product also defines the mirrored one (commutative
+        presentation); explicit mirrored entries must agree.
         """
         entries = {}
 
@@ -78,36 +71,35 @@ class StructureTable:
         for (i, j), rhs in products.items():
             for k, c in rhs.items():
                 put(i, j, k, c)
-                if symmetrize and i != j:
+                if i != j:
                     put(j, i, k, c)
-        return cls(dim, entries, field)
+        return cls(dim, entries)
 
     @classmethod
-    def zero_algebra(cls, dim, field=GAUSSIAN_FIELD):
-        return cls(dim, {}, field)
+    def zero_algebra(cls, dim):
+        return cls(dim, {})
 
     # -- basic access -------------------------------------------------------------
 
     def entry(self, i, j, k):
-        return self.entries.get((i, j, k), self.field.zero)
+        return self.entries.get((i, j, k), GR_ZERO)
 
     def product_vec(self, i, j):
         """The vector e_i * e_j."""
-        out = [self.field.zero] * self.dim
+        out = [GR_ZERO] * self.dim
         for (a, b, k), c in self.entries.items():
             if a == i and b == j:
                 out[k] = out[k] + c
         return out
 
     def basis_vector(self, i):
-        return [self.field.one if k == i else self.field.zero for k in range(self.dim)]
+        return [GR_ONE if k == i else GR_ZERO for k in range(self.dim)]
 
     def multiply(self, x, y):
         """Bilinear extension of the table to coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        zero = self.field.zero
-        out = [zero] * self.dim
+        out = [GR_ZERO] * self.dim
         for (i, j, k), c in self.entries.items():
             xi = x[i]
             if xi:
@@ -136,19 +128,17 @@ class StructureTable:
     def integer_tensor(self):
         """Dense products of the scaled table lambda mu, lambda the lcm of
         the denominators of all constants: P[i][j][k] = lambda c[i][j][k] as
-        a Gaussian-integer (re, im) pair.  Q(i) tables only.
+        a Gaussian-integer (re, im) pair.
 
         Scaling lemma: for lambda != 0, x -> x / lambda maps (A, mu) onto
         (A, lambda mu) isomorphically, as lambda mu(x/lambda, y/lambda) =
         mu(x, y) / lambda.  So commutativity, associativity, nilpotency, the
         power and annihilator dimensions and dim Der are those of lambda mu.
         """
-        if self.field is not GAUSSIAN_FIELD:
-            raise TypeError("the integer tensor needs Q(i) constants")
         n = self.dim
         tensor = [[[(0, 0)] * n for _ in range(n)] for _ in range(n)]
         for (i, j, k), pair in zip(self.entries,
-                                   _gaussian_ints(self.entries.values())):
+                                   _scaled_ints(self.entries.values())[1]):
             tensor[i][j][k] = pair
         return tensor
 
@@ -160,18 +150,15 @@ class StructureTable:
         When the entries show a commutative table, f_j f_i = f_i f_j, so only
         the products with j >= i are formed and each is mirrored.
 
-        A Q(i) table is conjugated in Gaussian integers.  Row i of the
+        The table is conjugated in Gaussian integers.  Row i of the Q(i)
         matrix times s_i, the lcm of its denominators, is a Gaussian-integer
         row G_i; with P = lambda mu the integer tensor and (d, d G^-1) from
         ``gaussian_int_adjugate``,
 
             c'(i, j, k) = s_k (P(G_i, G_j) d G^-1)_k / (lambda s_i s_j d),
 
-        one exact division per constant.  A Q(i)(t) table is conjugated by
-        the inverse of the matrix over its own field.
+        one exact division per constant.
         """
-        if self.field is not GAUSSIAN_FIELD:
-            return self._change_basis_by_inverse(matrix)
         scales, rows = zip(*(_scaled_ints(row) for row in matrix))
         try:
             d, adj = gaussian_int_adjugate(rows)
@@ -195,29 +182,7 @@ class StructureTable:
                         entries[(i, j, k)] = c
                         if commutative:
                             entries[(j, i, k)] = c
-        return StructureTable(self.dim, entries, self.field)
-
-    def _change_basis_by_inverse(self, matrix) -> "StructureTable":
-        zero, one = self.field.zero, self.field.one
-        try:
-            inv = invert_matrix(matrix, zero, one)
-        except SingularMatrixError:
-            raise SingularMatrixError("basis-change matrix is singular") from None
-        commutative = self.is_commutative()
-        entries = {}
-        for i in range(self.dim):
-            for j in range(i if commutative else 0, self.dim):
-                prod = self.multiply(matrix[i], matrix[j])
-                coords = vec_matmul(prod, inv, zero)
-                for k, c in enumerate(coords):
-                    if c:
-                        entries[(i, j, k)] = c
-                        if commutative:
-                            entries[(j, i, k)] = c
-        return StructureTable(self.dim, entries, self.field)
-
-    def lift_to_tower(self) -> "StructureTable":
-        return StructureTable(self.dim, self.entries, TOWER_FIELD)
+        return StructureTable(self.dim, entries)
 
     # -- equality ------------------------------------------------------------------------
 
@@ -236,30 +201,24 @@ class StructureTable:
 class Subspace:
     """A subspace given by a reduced-echelon basis matrix; rows are the basis."""
 
-    __slots__ = ("ambient", "rows", "field")
+    __slots__ = ("ambient", "rows")
 
-    def __init__(self, ambient, rows, field=GAUSSIAN_FIELD):
+    def __init__(self, ambient, rows):
         self.ambient = ambient
-        self.field = field
-        if rows:
-            reduced, pivots = rref(rows, field.zero, field.one)
-            self.rows = tuple(tuple(r) for r in reduced[:len(pivots)])
-        else:
-            self.rows = ()
+        reduced, pivots = rref(rows, GR_ZERO, GR_ONE)
+        self.rows = tuple(tuple(r) for r in reduced[:len(pivots)])
 
     @classmethod
-    def spanned_by(cls, vectors, ambient, field=GAUSSIAN_FIELD):
-        return cls(ambient, [list(v) for v in vectors], field)
+    def spanned_by(cls, vectors, ambient):
+        return cls(ambient, [list(v) for v in vectors])
 
     @classmethod
-    def zero(cls, ambient, field=GAUSSIAN_FIELD):
-        return cls(ambient, [], field)
+    def zero(cls, ambient):
+        return cls(ambient, [])
 
     @classmethod
-    def full(cls, ambient, field=GAUSSIAN_FIELD):
-        rows = [[field.one if c == r else field.zero for c in range(ambient)]
-                for r in range(ambient)]
-        return cls(ambient, rows, field)
+    def full(cls, ambient):
+        return flag_subspace(ambient, 1)
 
     @property
     def dim(self) -> int:
@@ -290,22 +249,22 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.ambient})"
 
 
-def flag_subspace(dim, start, field=GAUSSIAN_FIELD) -> Subspace:
+def flag_subspace(dim, start) -> Subspace:
     """The flag tail <e_start, ..., e_dim> for a 1-based start index.
 
     start = dim + 1 yields the zero subspace (the '= 0' case of containments).
     """
     if start < 1:
         raise ValueError("flag index must be >= 1")
-    rows = [[field.one if c == r else field.zero for c in range(dim)]
+    rows = [[GR_ONE if c == r else GR_ZERO for c in range(dim)]
             for r in range(start - 1, dim)]
-    return Subspace(dim, rows, field)
+    return Subspace(dim, rows)
 
 
 def subspace_product(alg: StructureTable, left: Subspace, right: Subspace) -> Subspace:
     """Span of {u * w : u in basis(left), w in basis(right)}."""
     vectors = [alg.multiply(list(u), list(w)) for u in left.rows for w in right.rows]
-    return Subspace.spanned_by(vectors, alg.dim, alg.field)
+    return Subspace.spanned_by(vectors, alg.dim)
 
 
 def _combine(coeffs, vectors):
@@ -337,11 +296,6 @@ def _scaled_ints(values):
     scale = _denominator_lcm(values)
     return scale, [(c.re.numerator * (scale // c.re.denominator),
                     c.im.numerator * (scale // c.im.denominator)) for c in values]
-
-
-def _gaussian_ints(values):
-    """Q(i) values times the lcm of their denominators, as (re, im) pairs."""
-    return _scaled_ints(values)[1]
 
 
 def _rationals(int_rows):
@@ -378,8 +332,8 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
     n = alg.dim
     tensor = alg.integer_tensor()
     if base is None:
-        base = Subspace.full(n, alg.field)
-    spans = [None, [_gaussian_ints(row) for row in base.rows]]
+        base = Subspace.full(n)
+    spans = [None, [_scaled_ints(row)[1] for row in base.rows]]
     powers = [None, base]
     first_zero = 1 if base.is_zero else None
     for m in range(2, up_to + 1):
@@ -388,7 +342,7 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
         products = [_int_multiply(tensor, u, w) for p in range(1, m)
                     for u in spans[p] for w in spans[m - p]]
         powers.append(Subspace(n, _rationals(gaussian_int_echelon(products))))
-        spans.append([_gaussian_ints(row) for row in powers[-1].rows])
+        spans.append([_scaled_ints(row)[1] for row in powers[-1].rows])
         if spans[-1]:
             first_zero = None
         elif first_zero is None:
@@ -403,5 +357,5 @@ def annihilator(alg: StructureTable) -> Subspace:
     rows = [[p[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
     rows += [[p[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
     basis = kernel_basis(_rationals(gaussian_int_echelon(rows)), n,
-                         alg.field.zero, alg.field.one)
-    return Subspace.spanned_by(basis, n, alg.field)
+                         GR_ZERO, GR_ONE)
+    return Subspace.spanned_by(basis, n)

@@ -130,7 +130,7 @@ def conjunct_holds(conj, alg: StructureTable) -> bool:
         r = conj.r - 1 if conj.r is not None else n
         return not any(i >= p and j >= q and k < r for i, j, k in alg.entries)
     if isinstance(conj, PowerVanish):
-        base = flag_subspace(n, conj.p, alg.field)
+        base = flag_subspace(n, conj.p)
         return power_chain(alg, conj.k, base)[conj.k].is_zero
     if isinstance(conj, PolynomialEq):
         return conj.value(alg).is_zero

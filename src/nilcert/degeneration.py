@@ -6,13 +6,17 @@ E_i(t) = sum_j a_ij(t) e_j of the source algebra.  Verification is exact:
 1. the family must be generically invertible (det as a field element != 0;
    the finitely many exceptional t values are reported, never silently used),
 2. the structure constants of the source in the E-basis are computed
-   exactly in Q(i)(t), the rational functions in t,
+   exactly in Q(i)(t), the rational functions in t: the products of the rows
+   on the source's Q(i) constants, times the inverse of E(t) over Q(i)(t),
 3. every constant must have a finite limit at t -> 0, and the limit table
    must equal the target's table entry for entry, with no tolerance.
 
-A successful verdict additionally cross-checks the strict increase of the
-derivation dimension for proper claims.  A floating-point spot evaluation of
-the exact constants at small t is available as an advisory sanity check.
+The Q(i)(t) constants exist only here, as a {(i, j, k): RationalFunction}
+dict of the nonzero ones; every StructureTable holds Q(i) constants.  A
+successful verdict additionally cross-checks the strict increase of the
+derivation dimension for proper claims.  A floating-point evaluation of the
+exact constants at small t is an advisory sanity check: its deviation from
+the target is that of the exact constants, whatever the conditioning of E(t).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import catalog
-from .algebra import GAUSSIAN_FIELD, TOWER_FIELD, StructureTable
-from .linalg import det
-from .scalars import LimitDiverges, Poly, RationalFunction
+from .algebra import StructureTable
+from .linalg import det, invert_matrix, vec_matmul
+from .scalars import RF_ONE, RF_ZERO, LimitDiverges, Poly, RationalFunction
 
 VERIFIED = "VERIFIED"
 SINGULAR_FAMILY = "SINGULAR_FAMILY"
@@ -63,12 +67,8 @@ class ParametricMatrix:
     def det(self) -> RationalFunction:
         """Determinant of the family; computed on first use, the rows are immutable."""
         if self._det is None:
-            zero, one = TOWER_FIELD.zero, TOWER_FIELD.one
-            self._det = det([list(r) for r in self.rows], zero, one)
+            self._det = det([list(r) for r in self.rows], RF_ZERO, RF_ONE)
         return self._det
-
-    def eval_complex(self, at: complex):
-        return [[c.eval_complex(at) for c in row] for row in self.rows]
 
     def exceptional_values(self):
         """Rational t values where the family breaks down (poles, det zeros).
@@ -202,30 +202,50 @@ def generic_invertibility(matrix: ParametricMatrix) -> bool:
     return not matrix.det().is_zero
 
 
-def transformed_constants(source: StructureTable,
-                          matrix: ParametricMatrix) -> StructureTable:
-    """Structure constants of the source in the parametric basis.
+def transformed_constants(source: StructureTable, matrix: ParametricMatrix):
+    """Structure constants of the source in the parametric basis, as a
+    {(i, j, k): RationalFunction} dict of the nonzero ones.
 
-    This is StructureTable.change_basis over Q(i)(t);
-    raises SingularFamilyError when the family is identically singular.
+    c'(i, j, k) is coordinate k of E_i E_j, the product of the rows on the
+    source's constants, times the inverse of E(t) over Q(i)(t).  When the
+    source is commutative only the products with j >= i are formed and each
+    is mirrored.  Raises SingularFamilyError when the family is identically
+    singular.
     """
     if not generic_invertibility(matrix):
         raise SingularFamilyError("parametric basis has identically zero determinant")
-    lifted = source if source.field is TOWER_FIELD else source.lift_to_tower()
-    return lifted.change_basis(matrix.rows)
+    rows = matrix.rows
+    inv = invert_matrix(rows, RF_ZERO, RF_ONE)
+    commutative = source.is_commutative()
+    constants = {}
+    for i, x in enumerate(rows):
+        for j in range(i if commutative else 0, len(rows)):
+            y = rows[j]
+            prod = [RF_ZERO] * len(rows)
+            for (a, b, k), c in source.entries.items():
+                if x[a] and y[b]:
+                    prod[k] = prod[k] + x[a] * y[b] * c
+            for k, c in enumerate(vec_matmul(prod, inv, RF_ZERO)):
+                if c:
+                    constants[(i, j, k)] = c
+                    if commutative:
+                        constants[(j, i, k)] = c
+    return constants
 
 
-def limit_table(param: StructureTable) -> StructureTable:
-    """Entrywise limit at t -> 0; raises LimitFailure with the offending index."""
+def limit_table(constants, dim) -> StructureTable:
+    """Entrywise limit at t -> 0 of {(i, j, k): RationalFunction} constants
+    as a table of dimension dim; raises LimitFailure with the offending
+    index."""
     entries = {}
-    for (i, j, k), c in sorted(param.entries.items()):
+    for (i, j, k), c in sorted(constants.items()):
         try:
             value = c.limit_at_zero()
         except LimitDiverges as exc:
             raise LimitFailure((i + 1, j + 1, k + 1), LIMIT_DIVERGES, str(exc)) from exc
         if not value.is_zero:
             entries[(i, j, k)] = value
-    return StructureTable(param.dim, entries, GAUSSIAN_FIELD)
+    return StructureTable(dim, entries)
 
 
 def verify(witness: DegenerationWitness, t_samples=()) -> Verdict:
@@ -247,9 +267,9 @@ def verify(witness: DegenerationWitness, t_samples=()) -> Verdict:
     if not generic_invertibility(witness.matrix):
         return Verdict(SINGULAR_FAMILY, witness.source, witness.target, details)
 
-    param = transformed_constants(source.table, witness.matrix)
+    constants = transformed_constants(source.table, witness.matrix)
     try:
-        limit = limit_table(param)
+        limit = limit_table(constants, witness.matrix.dim)
     except LimitFailure as failure:
         details["failed_at"] = failure.index
         details["reason"] = failure.detail
@@ -268,7 +288,7 @@ def verify(witness: DegenerationWitness, t_samples=()) -> Verdict:
                                     else der_source == der_target) else "violated"
     if t_samples:
         details["numeric"] = [asdict(sample) for sample in
-                              numeric_crosscheck(witness, t_samples, param)]
+                              numeric_crosscheck(witness, t_samples, constants)]
     return Verdict(VERIFIED, witness.source, witness.target, details)
 
 
@@ -287,66 +307,25 @@ def _table_diff(got: StructureTable, want: StructureTable):
 # -- advisory numeric cross-check -------------------------------------------------
 
 
-ILL_CONDITIONED = "ILL_CONDITIONED"
-
-
 @dataclass
 class NumericSample:
     t: float
-    status: str            # "ok" or ILL_CONDITIONED
     max_deviation: float
-    condition_estimate: float
 
 
-def numeric_crosscheck(witness: DegenerationWitness, t_samples, param=None,
-                       condition_bound: float = 1e12):
-    """Evaluate the exact transformed constants at small complex t.
+def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
+    """Evaluate the witness's exact transformed constants at small complex t.
 
     Reports the max absolute deviation from the target constants per sample.
-    Samples whose E-matrix condition estimate exceeds the bound are flagged
-    ILL_CONDITIONED and the deviation is advisory only.  param is the
-    transformed table when the caller already has it; otherwise it is
-    computed here.
     """
-    target = catalog.get(witness.target)
-    if param is None:
-        param = transformed_constants(catalog.get(witness.source).table,
-                                      witness.matrix)
+    target = catalog.get(witness.target).table.entries
     samples = []
     for t in t_samples:
         t = complex(t)
-        cond = _condition_estimate(witness.matrix.eval_complex(t))
         deviation = 0.0
-        for i in range(param.dim):
-            for j in range(param.dim):
-                for k in range(param.dim):
-                    value = param.entry(i, j, k).eval_complex(t)
-                    wanted = target.table.entry(i, j, k).eval_complex()
-                    deviation = max(deviation, abs(value - wanted))
-        status = ILL_CONDITIONED if cond > condition_bound else "ok"
-        samples.append(NumericSample(abs(t), status, deviation, cond))
+        for key in constants.keys() | target.keys():
+            value = constants[key].eval_complex(t) if key in constants else 0j
+            wanted = target[key].eval_complex() if key in target else 0j
+            deviation = max(deviation, abs(value - wanted))
+        samples.append(NumericSample(abs(t), deviation))
     return samples
-
-
-def _condition_estimate(matrix) -> float:
-    """Frobenius condition number of a small complex matrix (inf if singular)."""
-    n = len(matrix)
-    aug = [list(row) + [1.0 + 0j if i == j else 0j for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv, piv_abs = None, 0.0
-        for r in range(col, n):
-            if abs(aug[r][col]) > piv_abs:
-                piv, piv_abs = r, abs(aug[r][col])
-        if piv is None or piv_abs == 0.0:
-            return float("inf")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    norm = sum(abs(matrix[i][j]) ** 2 for i in range(n) for j in range(n)) ** 0.5
-    inv_norm = sum(abs(aug[i][n + j]) ** 2 for i in range(n) for j in range(n)) ** 0.5
-    return norm * inv_norm

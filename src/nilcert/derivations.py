@@ -9,7 +9,7 @@ system
 over the dim^2 unknowns D[p][q].  The system is linear in the constants, so
 the scaled table of StructureTable.integer_tensor has the same derivations:
 the rows are built in Gaussian integers, the dimension comes from integer
-Bareiss and the basis from a rational echelon form.  Q(i) tables only.
+Bareiss and the basis from a rational echelon form.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 from .algebra import StructureTable
 from .linalg import gaussian_int_rank, kernel_basis
-from .scalars import GaussianRational
+from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
     dimension: int
-    basis: tuple  # tuple of dim x dim matrices over the scalar field
+    basis: tuple  # tuple of dim x dim matrices over Q(i)
 
 
 def _leibniz_rows(alg: StructureTable):
@@ -65,7 +65,7 @@ def derivation_space(alg: StructureTable) -> DerivationSpace:
     """Kernel basis of the Leibniz system as dim x dim matrices."""
     n = alg.dim
     rows = [[GaussianRational(a, b) for a, b in row] for row in _leibniz_rows(alg)]
-    flat = kernel_basis(rows, n * n, alg.field.zero, alg.field.one)
+    flat = kernel_basis(rows, n * n, GR_ZERO, GR_ONE)
     basis = tuple(tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
                   for v in flat)
     return DerivationSpace(len(basis), basis)
@@ -79,16 +79,15 @@ def orbit_dimension(alg: StructureTable) -> int:
 def is_derivation(alg: StructureTable, matrix) -> bool:
     """Exact Leibniz check of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on all pairs."""
     n = alg.dim
-    zero = alg.field.zero
     for i in range(n):
         di = list(matrix[i])
         ei = alg.basis_vector(i)
         for j in range(n):
             cij = alg.product_vec(i, j)
-            left = [zero] * n
+            left = [GR_ZERO] * n
             for k in range(n):
                 c = cij[k]
-                if c != zero:
+                if c:
                     left = [acc + c * m for acc, m in zip(left, matrix[k])]
             right = alg.multiply(di, alg.basis_vector(j))
             right = [a + b for a, b in zip(right, alg.multiply(ei, list(matrix[j])))]

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .algebra import GAUSSIAN_FIELD, MAX_DIM, StructureTable
+from .algebra import MAX_DIM, StructureTable
 from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
                            NonDegenerationClaim, PolynomialEq, PowerVanish)
 from .degeneration import DegenerationWitness, ParametricMatrix
@@ -128,7 +128,7 @@ def load_algebra(text):
                 if key in entries and entries[key] != value:
                     raise FileFormatError(f"line {lineno}: conflicting entry {key}")
                 entries[key] = value
-    return name, StructureTable(dim, entries, GAUSSIAN_FIELD)
+    return name, StructureTable(dim, entries)
 
 
 def dump_algebra(name, table: StructureTable) -> str:

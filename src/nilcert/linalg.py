@@ -7,27 +7,17 @@ Gaussian integers, with its exact division by the previous pivot, serves two
 routines: the elimination gaussian_int_echelon gives the ranks and spans of
 the identify path (powers, annihilator, dim Der) and the invertibility test
 of random bases; its Gauss-Jordan form gaussian_int_adjugate gives det and
-adjugate for the change of basis of a Q(i) table.  invert_matrix and det
-work over any field and serve the Q(i)(t) tower.
+adjugate for the change of basis of a Q(i) table.  rref, invert_matrix and
+det take the field's zero and one and work over any exact field: Q(i) for
+subspaces and kernels, and the rational functions Q(i)(t) for the inverse and
+determinant of a parametric witness basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class SingularMatrixError(ValueError):
     """Matrix inversion or basis change attempted with a singular matrix."""
-
-
-@dataclass(frozen=True)
-class Field:
-    """Minimal scalar-domain adapter: identities plus an element coercion."""
-
-    zero: object
-    one: object
-    name: str
-    coerce: object = None  # callable turning ints/Fractions into field scalars
 
 
 def rref(rows, zero, one):
@@ -68,8 +58,6 @@ def rref(rows, zero, one):
 
 
 def rank(rows, zero, one) -> int:
-    if not rows:
-        return 0
     return len(rref(rows, zero, one)[1])
 
 
@@ -79,8 +67,6 @@ def kernel_basis(rows, ncols, zero, one):
     The basis is the standard free-column parametrization of the RREF, taken
     in ascending free-column order, so the output is deterministic.
     """
-    if not rows:
-        return [[one if c == f else zero for c in range(ncols)] for f in range(ncols)]
     reduced, pivots = rref(rows, zero, one)
     pivot_set = set(pivots)
     basis = []

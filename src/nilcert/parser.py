@@ -20,7 +20,8 @@ subtraction.
 Every entry point evaluates to one sparse value, {monomial: nonzero
 coefficient}: a monomial is the sorted tuple of its 0-based atoms, k for
 e_{k+1} or (i, j, k) for c(i+1,j+1,k+1); a scalar is {(): c} and zero is {}.
-Each entry point fixes a context: its field, the tokens it rejects, and
+Each entry point fixes a context: its scalar class (GaussianRational or
+RationalFunction) with that class's zero and one, the tokens it rejects, and
 whether values stay linear in the atoms.  parse_expression and parse_scalar
 read linear combinations of e_1..e_n over Q(i)(t), the rational functions in
 t, and reject c(i,j,k); parse_constants reads them over Q(i) and rejects 't'.
@@ -31,7 +32,9 @@ so must one factor of each product and the base of each power.
 
 One rule bounds every '^' before it is computed: |k| <= MAX_EXPONENT, and
 the power's degree in t, monomial count and coefficient bits stay within the
-MAX_* limits beside it.  A '(' or unary '-' nests at most MAX_NESTING deep.
+MAX_* limits beside it.  Every product and quotient is refused the same way,
+before it is formed, when its degree in t or its monomial count would pass
+those limits.  A '(' or unary '-' nests at most MAX_NESTING deep.
 The grammar has no roots: any other letter, 'sqrt' included, is an error.
 
 The printer emits a canonical fully-parenthesized form with explicit '*', so
@@ -44,9 +47,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .algebra import GAUSSIAN_FIELD, TOWER_FIELD
-from .scalars import (GR_I, POLY_ONE, RF_ONE, RF_T, RF_ZERO, GaussianRational,
-                      Poly, RationalFunction)
+from .scalars import (GR_I, GR_ONE, GR_ZERO, POLY_ONE, RF_ONE, RF_T, RF_ZERO,
+                      GaussianRational, Poly, RationalFunction)
 
 
 class ExpressionSyntaxError(ValueError):
@@ -105,9 +107,10 @@ def _tokenize(text):
 
 
 # Limits checked at the position of their token before any work is done; the
-# shipped files use exponents of at most 7 and nest at most 4 deep.
+# shipped files use exponents of at most 7, reach t-degree 7 and nest at most
+# 4 deep.
 MAX_EXPONENT = 64
-MAX_T_DEGREE = 128        # in t, of each numerator and denominator
+MAX_T_DEGREE = 32         # in t, of each numerator and denominator
 MAX_C_MONOMIALS = 10_000  # monomials of the result's total degree in the atoms
 MAX_COEFF_BITS = 1024
 MAX_NESTING = 32          # open '(' and unary '-' around a token
@@ -125,29 +128,38 @@ def _collect(pairs):
     return {monomial: coeff for monomial, coeff in out.items() if coeff}
 
 
-def _refuse_large_power(base, k, pos):
-    """Raise unless |k| <= MAX_EXPONENT and base^k stays within the MAX_*
-    bounds: |k| times the t-degree, comb(v + |k| d, v) monomials for v atoms
-    of degree d, and |k| (bits of the Q(i) coefficients + of their count)."""
+def _refuse_large_result(what, t_degree, count, pos):
+    """Raise unless a result of the given t-degree and at most count
+    monomials stays within MAX_T_DEGREE and MAX_C_MONOMIALS."""
+    if t_degree > MAX_T_DEGREE:
+        raise ExpressionSyntaxError(
+            f"{what} of degree {t_degree} exceeds {MAX_T_DEGREE}", pos)
+    if count > MAX_C_MONOMIALS:
+        raise ExpressionSyntaxError(
+            f"{what} of monomial count {count} exceeds {MAX_C_MONOMIALS}", pos)
+
+
+def _monomial_bound(factors, degree):
+    """comb(v + degree, v): the number of monomials of total degree at most
+    degree in the v atoms of the factors."""
+    variables = len({atom for factor in factors for monomial in factor
+                     for atom in monomial})
+    return comb(variables + degree, variables)
+
+
+def _refuse_large_power(base, k, t_degree, pos):
+    """Raise unless |k| <= MAX_EXPONENT and base^k, with base of the given
+    t-degree, stays within the MAX_* bounds: |k| times the t-degree,
+    _monomial_bound for |k| times the largest monomial degree of the base
+    (which also bounds the total degree of a power of one monomial), and
+    |k| (bits of the Q(i) coefficients + of their count)."""
     k = abs(k)
     if k > MAX_EXPONENT:
         raise ExpressionSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", pos)
-    parts, t_degree = [], 0
-    for c in base.values():
-        if isinstance(c, RationalFunction):
-            parts += c.num.coeffs + c.den.coeffs
-            t_degree = max(t_degree, c.num.degree, c.den.degree)
-        else:
-            parts.append(c)
-    if k * t_degree > MAX_T_DEGREE:
-        raise ExpressionSyntaxError(
-            f"power of degree {k * t_degree} exceeds {MAX_T_DEGREE}", pos)
-    degree = max(map(len, base), default=0)
-    variables = len({atom for monomial in base for atom in monomial})
-    count = comb(variables + k * degree, variables)
-    if count > MAX_C_MONOMIALS:
-        raise ExpressionSyntaxError(
-            f"power of monomial count {count} exceeds {MAX_C_MONOMIALS}", pos)
+    _refuse_large_result("power", k * t_degree, _monomial_bound(
+        (base,), k * max(map(len, base), default=0)), pos)
+    parts = [z for c in base.values() for z in (
+        c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
     bits = max((n.bit_length() for z in parts for q in (z.re, z.im)
                 for n in (q.numerator, q.denominator)), default=0)
     if k * (bits + len(parts).bit_length()) > MAX_COEFF_BITS:
@@ -155,13 +167,16 @@ def _refuse_large_power(base, k, pos):
             f"power with coefficients over {MAX_COEFF_BITS} bits", pos)
 
 
-# What an entry point accepts: its field, the tokens it rejects, and whether
-# values must stay linear in the atoms.
-_Context = namedtuple("_Context", "name field excluded linear")
-_LINEAR = _Context("a linear combination", TOWER_FIELD, {"c"}, True)
-_CONSTANTS = _Context("a constant linear combination", GAUSSIAN_FIELD,
-                      {"t", "c"}, True)
-_CONDITION = _Context("a condition", GAUSSIAN_FIELD, {"t", "basis"}, False)
+# What an entry point accepts: its scalar class with that class's zero, one
+# and i, the tokens it rejects, and whether values must stay linear in the
+# atoms.
+_Context = namedtuple("_Context", "name scalar zero one i excluded linear")
+_LINEAR = _Context("a linear combination", RationalFunction, RF_ZERO, RF_ONE,
+                   RationalFunction(GR_I), {"c"}, True)
+_CONSTANTS = _Context("a constant linear combination", GaussianRational,
+                      GR_ZERO, GR_ONE, GR_I, {"t", "c"}, True)
+_CONDITION = _Context("a condition", GaussianRational, GR_ZERO, GR_ONE, GR_I,
+                      {"t", "basis"}, False)
 
 
 class _Parser:
@@ -209,14 +224,27 @@ class _Parser:
 
     # -- values: {monomial: nonzero coefficient} ------------------------------
 
-    def constant(self, value):
-        value = self.context.field.coerce(value)
-        return {(): value} if value else {}
+    def t_degree(self, value):
+        """The largest t-degree of a numerator or denominator in the value."""
+        if self.context.scalar is GaussianRational:
+            return 0
+        return max((max(c.num.degree, c.den.degree) for c in value.values()),
+                   default=0)
 
     def times(self, a, b, pos):
+        # one factor of each product is a scalar wherever t may appear, so
+        # the t-degree is at most the sum of theirs
         if self.context.linear and not (_is_scalar(a) or _is_scalar(b)):
             raise NonlinearExpressionError(
                 f"product of two basis-vector expressions (position {pos})")
+        # at most len(a) len(b) monomials, and at most _monomial_bound of
+        # the sum of their largest monomial degrees
+        count = len(a) * len(b)
+        if count > MAX_C_MONOMIALS:
+            count = min(count, _monomial_bound((a, b), max(map(len, a)) +
+                                               max(map(len, b))))
+        _refuse_large_result("product", self.t_degree(a) + self.t_degree(b),
+                             count, pos)
         return _collect((tuple(sorted(ma + mb)), ca * cb)
                         for ma, ca in a.items() for mb, cb in b.items())
 
@@ -226,6 +254,8 @@ class _Parser:
                 f"division by a non-scalar expression (position {pos})")
         if not b:
             raise ZeroDivisionError(f"division by zero at position {pos}")
+        _refuse_large_result("quotient", self.t_degree(a) + self.t_degree(b),
+                             len(a), pos)
         inv = b[()].inverse()
         return {monomial: coeff * inv for monomial, coeff in a.items()}
 
@@ -233,12 +263,12 @@ class _Parser:
         if self.context.linear and not _is_scalar(base):
             raise NonlinearExpressionError(
                 f"power of a basis-vector expression (position {pos})")
-        _refuse_large_power(base, k, pos)
-        out = self.constant(1)
+        _refuse_large_power(base, k, self.t_degree(base), pos)
+        out = {(): self.context.one}
         if k < 0:
             base, k = self.over(out, base, pos), -k
         if _is_scalar(base):
-            return self.constant(base.get((), 0) ** k)
+            return {(): base[()] ** k} if base else (out if k == 0 else {})
         for _ in range(k):
             out = self.times(out, base, pos)
         return out
@@ -314,23 +344,23 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"{kind!r} is not allowed in {self.context.name}", pos)
         if kind == "int":
-            return self.constant(value)
+            return {(): self.context.scalar(value)} if value else {}
         if kind == "t":
-            return self.constant(RF_T)
+            return {(): RF_T}
         if kind == "i":
-            return self.constant(GR_I)
+            return {(): self.context.i}
         if kind == "basis":
             if not 1 <= value <= self.dim:
                 raise ExpressionSyntaxError(
                     f"basis index e_{value} out of range 1..{self.dim}", pos)
-            return {(value - 1,): self.context.field.one}
+            return {(value - 1,): self.context.one}
         if kind == "c":
             self.expect_op("(")
             ijk = []
             for closing in ",,)":
                 ijk.append(self.index("c(i,j,k)"))
                 self.expect_op(closing)
-            return {(tuple(ijk),): self.context.field.one}
+            return {(tuple(ijk),): self.context.one}
         if kind == "op" and value == "(":
             inner = self.nested(pos, self.expression)
             self.expect_op(")")
@@ -343,7 +373,7 @@ def _vector(text, dim, context):
     if () in out:
         raise NonlinearExpressionError(
             f"constant term {out[()]!r} without a basis vector")
-    return [out.get((k,), context.field.zero) for k in range(dim)]
+    return [out.get((k,), context.zero) for k in range(dim)]
 
 
 def parse_expression(text, dim=5):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .algebra import GAUSSIAN_FIELD, StructureTable
+from .algebra import StructureTable
 from .linalg import gaussian_int_rank
-from .scalars import GaussianRational
+from .scalars import GR_ZERO, GaussianRational
 
 RE_POOL = (-2, -1, 0, 1, 2)
 IM_POOL = (-1, 0, 1)
@@ -50,12 +50,11 @@ def random_borel_matrix(rng: random.Random, dim: int):
     Row i is supported on columns >= i with a nonzero diagonal; as an operator
     on column vectors this is an invertible lower-triangular matrix.
     """
-    zero = GAUSSIAN_FIELD.zero
     m = []
     for i in range(dim):
-        row = [zero] * dim
-        diag = zero
-        while diag == zero:
+        row = [GR_ZERO] * dim
+        diag = GR_ZERO
+        while not diag:
             diag = random_gaussian(rng)
         row[i] = diag
         for j in range(i + 1, dim):
@@ -76,4 +75,4 @@ def random_sparse_table(rng: random.Random, dim: int, max_entries: int = 8,
         entries[(i, j, k)] = c
         if symmetric:
             entries[(j, i, k)] = c
-    return StructureTable(dim, entries, GAUSSIAN_FIELD)
+    return StructureTable(dim, entries)

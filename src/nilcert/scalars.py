@@ -407,9 +407,13 @@ class RationalFunction:
         return RationalFunction.coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
+        """num^k / den^k, with no gcd: powers of coprime polynomials stay
+        coprime and a power of a monic denominator stays monic."""
         if k < 0:
             return self.inverse() ** (-k)
-        return RationalFunction(self.num ** k, self.den ** k)
+        out = RationalFunction.__new__(RationalFunction)
+        out.num, out.den = self.num ** k, self.den ** k
+        return out
 
     # -- order and limits ---------------------------------------------------------------
 

@@ -104,6 +104,9 @@ def test_loader_errors_name_their_line(text, lineno):
 
 OVERSIZED_POWERS = ("(1+t)^800 e_1", "t^100000000 e_1", "((1+t)^64)^64 e_1",
                     "(t^64)^64 e_1", "((((2^64)^64)^64)^64)^64 e_1")
+HUNDRED_TERMS = "({})".format(" + ".join(
+    f"c({i},{j},{k})" for i in range(1, 5) for j in range(1, 6)
+    for k in range(1, 6)))
 
 
 @pytest.mark.parametrize("load, text", [
@@ -111,12 +114,28 @@ OVERSIZED_POWERS = ("(1+t)^800 e_1", "t^100000000 e_1", "((1+t)^64)^64 e_1",
       for rhs in OVERSIZED_POWERS],
     *[(files.load_witness, f"witness A_23 -> A_24\nE_1 = {rhs}\n")
       for rhs in OVERSIZED_POWERS],
+    # each power within MAX_T_DEGREE = 128 took seconds and their products
+    # had no bound; at 32 the powers are refused, then products and quotients
+    (files.load_witness,
+     "witness A_23 -> A_24\nE_1 = ((1-2t+t^3)/(3+t^2))^42 e_1\n"),
+    (files.load_witness, "witness A_23 -> A_24\n"
+     "E_1 = ((1-2t+t^3)/(3+t^2))^42 ((1+t+t^3)/(5+t^2))^42 e_1\n"),
+    (files.load_witness, "witness A_23 -> A_24\n"
+     "E_1 = ((1-2t+t^3)/(3+t^2))^10 ((1+t+t^3)/(5+t^2))^10 e_1\n"),
+    (files.load_witness,
+     "witness A_23 -> A_24\nE_1 = ((1-2t+t^3)^10 / (3+t^2)^10) e_1\n"),
+    pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
+                 f"require poly {HUNDRED_TERMS * 4} = 0\n",
+                 id="poly-four-100-term-sums"),
     (files.load_claims,
      "claim A_05 !-> A_15\nrequire poly (c(1,1,2)+c(1,1,3))^800 = 0\n"),
     (files.load_claims, "claim A_05 !-> A_15\n"
      "require poly (c(1,1,1)+c(1,1,2)+c(1,1,3))^64 = 0\n"),
     (files.load_claims,
      "claim A_05 !-> A_15\nrequire poly ((2^64)^64)^64 * c(1,1,2) = 0\n"),
+    # a power of one monomial keeps count 1; its degree 64^3 is refused
+    (files.load_claims, "claim A_05 !-> A_15\n"
+     "require poly (((c(1,1,2)^64)^64)^64)^64 = 0\n"),
     (files.load_claims, "claim A_05 !-> A_15\n"
      "witness A_05 : ((1+i)^64)^64 e_1, e_2, e_3, e_4, e_5\n"),
 ])

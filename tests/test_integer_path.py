@@ -184,11 +184,6 @@ def test_power_chain_keeps_no_padding_past_a_zero_power():
         chain[10 ** 6 + 1]
 
 
-def test_integer_tensor_refuses_tower_tables():
-    with pytest.raises(TypeError):
-        catalog.get("A_24").table.lift_to_tower().integer_tensor()
-
-
 def fraction_change_basis(table, matrix):
     """Oracle: the products of the new basis vectors times the inverse of the
     matrix, by Fraction Gauss-Jordan, in the insertion order of

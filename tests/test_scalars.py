@@ -63,6 +63,19 @@ def test_constant_numerator_or_denominator_skips_only_a_trivial_gcd():
         assert x.den.is_monic
 
 
+def test_power_skips_the_gcd_and_matches_repeated_products():
+    # each product below goes through the gcd; the power takes none
+    half_i = GaussianRational(Fraction(1, 2), 1)
+    for x in (rf((1, -2, 0, 1), (3, 0, 1)), rf((0, half_i), (-1, 0, 2)),
+              rf((5,), (0, 0, 1)), rf((2, 3)), RF_ZERO):
+        for k in range(-3 if x else 0, 4):
+            want = RF_ONE
+            for _ in range(abs(k)):
+                want = want * x if k > 0 else want / x
+            got = x ** k
+            assert (got.num, got.den) == (want.num, want.den), (x, k)
+
+
 def test_gaussian_constants_embed_as_order_zero_functions():
     i = RationalFunction.coerce(GaussianRational(0, 1))
     assert i * i == RationalFunction.coerce(-1)
