@@ -25,7 +25,7 @@ from .degeneration import (DegenerationWitness, ParametricMatrix, Verdict,
                            generic_invertibility, limit_table,
                            numeric_crosscheck, transformed_constants, verify)
 from .derivations import (DerivationSpace, derivation_dimension,
-                          derivation_space, orbit_dimension)
+                          derivation_space)
 from .graph import (DegenerationGraph, build, compare_with_reference,
                     emit_dot, emit_json, hasse_reduction, transitive_closure)
 from .parser import (format_vector, parse_constants, parse_expression,
@@ -46,7 +46,6 @@ __all__ = [
     "generic_invertibility", "limit_table", "numeric_crosscheck",
     "transformed_constants", "verify",
     "DerivationSpace", "derivation_dimension", "derivation_space",
-    "orbit_dimension",
     "DegenerationGraph", "build", "compare_with_reference", "emit_dot",
     "emit_json", "hasse_reduction", "transitive_closure",
     "format_vector", "parse_constants", "parse_expression", "parse_scalar",

@@ -21,7 +21,6 @@ random flag-preserving basis changes rather than proven.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import catalog
 from .algebra import StructureTable, annihilator, flag_subspace, power_chain
@@ -137,85 +136,6 @@ def conjunct_holds(conj, alg: StructureTable) -> bool:
     if isinstance(conj, AnnDimAtLeast):
         return annihilator(alg).dim >= conj.d
     raise TypeError(f"unknown conjunct {conj!r}")
-
-
-def conjunct_holds_bruteforce(conj, alg: StructureTable) -> bool:
-    """Independent oracle: the defining c(i,j,k) equations, checked directly."""
-    n = alg.dim
-    if isinstance(conj, FlagContainment):
-        k_top = (conj.r - 1) if conj.r is not None else n
-        for i in range(conj.p - 1, n):
-            for j in range(conj.q - 1, n):
-                for k in range(min(k_top, n)):
-                    if alg.entry(i, j, k):
-                        return False
-        return True
-    if isinstance(conj, PowerVanish):
-        return not _some_tail_product_nonzero(alg, conj.p, conj.k)
-    if isinstance(conj, PolynomialEq):
-        return conj.value(alg).is_zero
-    if isinstance(conj, AnnDimAtLeast):
-        return _annihilator_rank_by_minors(alg) <= n - conj.d
-    raise TypeError(f"unknown conjunct {conj!r}")
-
-
-def _some_tail_product_nonzero(alg, p, k):
-    """Enumerate every parenthesization of k-fold tail products."""
-    n = alg.dim
-    tails = [alg.basis_vector(i) for i in range(p - 1, n)]
-    layers = {1: tails}
-    for m in range(2, k + 1):
-        vectors = []
-        for a in range(1, m):
-            for u in layers[a]:
-                for w in layers[m - a]:
-                    vectors.append(alg.multiply(u, w))
-        layers[m] = vectors
-    return any(any(v) for v in layers[k])
-
-
-def _annihilator_rank_by_minors(alg):
-    """Rank of the two-sided multiplication matrix via exhaustive minors."""
-    n = alg.dim
-    columns = []
-    for j in range(n):
-        for k in range(n):
-            left = tuple(alg.entry(i, j, k) for i in range(n))
-            right = tuple(alg.entry(j, i, k) for i in range(n))
-            for col in (left, right):
-                if any(col) and col not in columns:
-                    columns.append(col)
-    if not columns:
-        return 0
-    rank = 0
-    for m in range(1, min(n, len(columns)) + 1):
-        found = False
-        for row_idx in combinations(range(n), m):
-            for col_idx in combinations(range(len(columns)), m):
-                minor = [[columns[c][r] for c in col_idx] for r in row_idx]
-                if _laplace_det(minor):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            rank = m
-        else:
-            break
-    return rank
-
-
-def _laplace_det(matrix):
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = GR_ZERO
-    for col, head in enumerate(matrix[0]):
-        if not head:
-            continue
-        sub = [[row[c] for c in range(len(row)) if c != col] for row in matrix[1:]]
-        term = head * _laplace_det(sub)
-        total = total + term if col % 2 == 0 else total - term
-    return total
 
 
 # -- membership, probes, escapes --------------------------------------------------------------

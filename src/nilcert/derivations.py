@@ -71,11 +71,6 @@ def derivation_space(alg: StructureTable) -> DerivationSpace:
     return DerivationSpace(len(basis), basis)
 
 
-def orbit_dimension(alg: StructureTable) -> int:
-    """dim GL - dim of the stabilizer's tangent space: dim^2 - dim Der."""
-    return alg.dim * alg.dim - derivation_dimension(alg)
-
-
 def is_derivation(alg: StructureTable, matrix) -> bool:
     """Exact Leibniz check of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on all pairs."""
     n = alg.dim

@@ -220,7 +220,7 @@ def _parse_condition(line, lineno, dim):
         return PolynomialEq(_parse_line(parse_condition, text, lineno, dim), text)
     # flag products and powers: 'A_p A_q <= A_r', 'A_p A_q = 0', 'A_p^k = 0'
     if "^" in body.split("=")[0] and "<=" not in body:
-        lhs, rhs = body.split("=", 1)
+        lhs, _, rhs = body.partition("=")
         if rhs.strip() != "0":
             raise FileFormatError(f"line {lineno}: power condition must be '= 0'")
         base, k = lhs.split("^", 1)

@@ -30,12 +30,14 @@ Q(i), rejects 't' and 'e_k', and returns the (monomial, coefficient) pairs
 sorted by monomial.  A divisor must be a nonzero scalar; in a linear context
 so must one factor of each product and the base of each power.
 
-One rule bounds every '^' before it is computed: |k| <= MAX_EXPONENT, and
-the power's degree in t, monomial count and coefficient bits stay within the
-MAX_* limits beside it.  Every product and quotient is refused the same way,
-before it is formed, when its degree in t or its monomial count would pass
-those limits.  A '(' or unary '-' nests at most MAX_NESTING deep.
-The grammar has no roots: any other letter, 'sqrt' included, is an error.
+One rule bounds every '+', product, quotient and '^' before it is formed:
+the result's degree in t stays within MAX_T_DEGREE and its size, monomials x
+(1 + largest monomial degree) predicted from the operands, within MAX_SIZE,
+which bounds both the atoms it holds and the work of forming it.  A '^' also
+has |k| <= MAX_EXPONENT and coefficients within MAX_COEFF_BITS, and a power
+of a non-scalar is formed as |k| checked products.  A '(' or unary '-' nests
+at most MAX_NESTING deep.  The grammar has no roots: any other letter, 'sqrt'
+included, is an error.
 
 The printer emits a canonical fully-parenthesized form with explicit '*', so
 parse -> print -> parse is a fixed point.
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
 
 from .scalars import (GR_I, GR_ONE, GR_ZERO, POLY_ONE, RF_ONE, RF_T, RF_ZERO,
                       GaussianRational, Poly, RationalFunction)
@@ -110,9 +111,9 @@ def _tokenize(text):
 # shipped files use exponents of at most 7, reach t-degree 7 and nest at most
 # 4 deep.
 MAX_EXPONENT = 64
-MAX_T_DEGREE = 32         # in t, of each numerator and denominator
-MAX_C_MONOMIALS = 10_000  # monomials of the result's total degree in the atoms
-MAX_COEFF_BITS = 1024
+MAX_T_DEGREE = 24         # in t, of each numerator and denominator
+MAX_SIZE = 10_000         # monomials x (1 + largest monomial degree)
+MAX_COEFF_BITS = 1024     # of the coefficients of a power
 MAX_NESTING = 32          # open '(' and unary '-' around a token
 
 
@@ -120,51 +121,31 @@ def _is_scalar(value):
     return value.keys() <= {()}
 
 
-def _collect(pairs):
-    """The sparse value of a sum of (monomial, coefficient) pairs."""
-    out = {}
+def _degree(value):
+    """The largest total degree of a monomial in the value."""
+    return max(map(len, value), default=0)
+
+
+def _add_into(out, pairs):
+    """Add (monomial, coefficient) pairs into the sparse value out."""
     for monomial, coeff in pairs:
-        out[monomial] = out[monomial] + coeff if monomial in out else coeff
-    return {monomial: coeff for monomial, coeff in out.items() if coeff}
+        if monomial in out:
+            coeff = out.pop(monomial) + coeff
+        if coeff:
+            out[monomial] = coeff
+    return out
 
 
-def _refuse_large_result(what, t_degree, count, pos):
-    """Raise unless a result of the given t-degree and at most count
-    monomials stays within MAX_T_DEGREE and MAX_C_MONOMIALS."""
+def _refuse(what, t_degree, size, pos):
+    """Raise unless a result of the given t-degree and size stays within
+    MAX_T_DEGREE and MAX_SIZE.  A linear value holds at most dim + 1
+    monomials of degree at most 1, so its size is passed as 0 uncomputed."""
     if t_degree > MAX_T_DEGREE:
         raise ExpressionSyntaxError(
             f"{what} of degree {t_degree} exceeds {MAX_T_DEGREE}", pos)
-    if count > MAX_C_MONOMIALS:
+    if size > MAX_SIZE:
         raise ExpressionSyntaxError(
-            f"{what} of monomial count {count} exceeds {MAX_C_MONOMIALS}", pos)
-
-
-def _monomial_bound(factors, degree):
-    """comb(v + degree, v): the number of monomials of total degree at most
-    degree in the v atoms of the factors."""
-    variables = len({atom for factor in factors for monomial in factor
-                     for atom in monomial})
-    return comb(variables + degree, variables)
-
-
-def _refuse_large_power(base, k, t_degree, pos):
-    """Raise unless |k| <= MAX_EXPONENT and base^k, with base of the given
-    t-degree, stays within the MAX_* bounds: |k| times the t-degree,
-    _monomial_bound for |k| times the largest monomial degree of the base
-    (which also bounds the total degree of a power of one monomial), and
-    |k| (bits of the Q(i) coefficients + of their count)."""
-    k = abs(k)
-    if k > MAX_EXPONENT:
-        raise ExpressionSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", pos)
-    _refuse_large_result("power", k * t_degree, _monomial_bound(
-        (base,), k * max(map(len, base), default=0)), pos)
-    parts = [z for c in base.values() for z in (
-        c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
-    bits = max((n.bit_length() for z in parts for q in (z.re, z.im)
-                for n in (q.numerator, q.denominator)), default=0)
-    if k * (bits + len(parts).bit_length()) > MAX_COEFF_BITS:
-        raise ExpressionSyntaxError(
-            f"power with coefficients over {MAX_COEFF_BITS} bits", pos)
+            f"{what} of size {size} exceeds {MAX_SIZE}", pos)
 
 
 # What an entry point accepts: its scalar class with that class's zero, one
@@ -231,22 +212,30 @@ class _Parser:
         return max((max(c.num.degree, c.den.degree) for c in value.values()),
                    default=0)
 
+    def plus(self, a, b, pos):
+        """a + b, formed in place in a, which no other value holds."""
+        # x + y = (nx dy + ny dx) / (dx dy), or (nx + ny) / d if dx = dy = d
+        t_degree = 0 if self.context.scalar is GaussianRational else max(
+            self.t_degree(a), self.t_degree(b), *(
+                0 if x.den == y.den else
+                max(x.num.degree + y.den.degree, y.num.degree + x.den.degree,
+                    x.den.degree + y.den.degree)
+                for x, y in ((a[m], b[m]) for m in a.keys() & b.keys())))
+        _refuse("sum", t_degree, 0 if self.context.linear else
+                (len(a) + len(b)) * (1 + max(_degree(a), _degree(b))), pos)
+        return _add_into(a, b.items())
+
     def times(self, a, b, pos):
         # one factor of each product is a scalar wherever t may appear, so
         # the t-degree is at most the sum of theirs
         if self.context.linear and not (_is_scalar(a) or _is_scalar(b)):
             raise NonlinearExpressionError(
                 f"product of two basis-vector expressions (position {pos})")
-        # at most len(a) len(b) monomials, and at most _monomial_bound of
-        # the sum of their largest monomial degrees
-        count = len(a) * len(b)
-        if count > MAX_C_MONOMIALS:
-            count = min(count, _monomial_bound((a, b), max(map(len, a)) +
-                                               max(map(len, b))))
-        _refuse_large_result("product", self.t_degree(a) + self.t_degree(b),
-                             count, pos)
-        return _collect((tuple(sorted(ma + mb)), ca * cb)
-                        for ma, ca in a.items() for mb, cb in b.items())
+        _refuse("product", self.t_degree(a) + self.t_degree(b),
+                0 if self.context.linear else
+                len(a) * len(b) * (1 + _degree(a) + _degree(b)), pos)
+        return _add_into({}, ((tuple(sorted(ma + mb)), ca * cb)
+                              for ma, ca in a.items() for mb, cb in b.items()))
 
     def over(self, a, b, pos):
         if not _is_scalar(b):
@@ -254,8 +243,8 @@ class _Parser:
                 f"division by a non-scalar expression (position {pos})")
         if not b:
             raise ZeroDivisionError(f"division by zero at position {pos}")
-        _refuse_large_result("quotient", self.t_degree(a) + self.t_degree(b),
-                             len(a), pos)
+        _refuse("quotient", self.t_degree(a) + self.t_degree(b),
+                0 if self.context.linear else len(a) * (1 + _degree(a)), pos)
         inv = b[()].inverse()
         return {monomial: coeff * inv for monomial, coeff in a.items()}
 
@@ -263,15 +252,25 @@ class _Parser:
         if self.context.linear and not _is_scalar(base):
             raise NonlinearExpressionError(
                 f"power of a basis-vector expression (position {pos})")
-        _refuse_large_power(base, k, self.t_degree(base), pos)
+        if abs(k) > MAX_EXPONENT:
+            raise ExpressionSyntaxError(
+                f"exponent {abs(k)} exceeds {MAX_EXPONENT}", pos)
         out = {(): self.context.one}
         if k < 0:
             base, k = self.over(out, base, pos), -k
-        if _is_scalar(base):
-            return {(): base[()] ** k} if base else (out if k == 0 else {})
-        for _ in range(k):
-            out = self.times(out, base, pos)
-        return out
+        _refuse("power", k * self.t_degree(base), 1, pos)
+        parts = [z for c in base.values() for z in (
+            c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
+        bits = max((n.bit_length() for z in parts for q in (z.re, z.im)
+                    for n in (q.numerator, q.denominator)), default=0)
+        if k * (bits + len(parts).bit_length()) > MAX_COEFF_BITS:
+            raise ExpressionSyntaxError(
+                f"power with coefficients over {MAX_COEFF_BITS} bits", pos)
+        if not _is_scalar(base):
+            for _ in range(k):
+                out = self.times(out, base, pos)
+            return out
+        return {(): base[()] ** k} if base else (out if k == 0 else {})
 
     # -- grammar ----------------------------------------------------------------
 
@@ -285,13 +284,13 @@ class _Parser:
     def expression(self):
         out = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term().items()
+                rhs = self.term()
                 if value == "-":
-                    rhs = ((monomial, -coeff) for monomial, coeff in rhs)
-                out = _collect((*out.items(), *rhs))
+                    rhs = {monomial: -coeff for monomial, coeff in rhs.items()}
+                out = self.plus(out, rhs, pos)
             else:
                 return out
 

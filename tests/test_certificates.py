@@ -1,6 +1,8 @@
 """Closed-set certificates: membership, witnesses, probes, escapes, and the
 screening battery, with oracle equivalence against the raw defining equations."""
 
+from itertools import permutations
+
 import pytest
 
 from nilcert import catalog, files
@@ -8,12 +10,13 @@ from nilcert.algebra import StructureTable
 from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
                                   FlagContainment, PolynomialEq, PowerVanish,
                                   borel_stability_probe, check_claim,
-                                  conjunct_holds, conjunct_holds_bruteforce,
-                                  escape_evidence, necessary_conditions,
-                                  satisfies, screening_completeness)
+                                  conjunct_holds, escape_evidence,
+                                  necessary_conditions, satisfies,
+                                  screening_completeness)
 from nilcert.parser import parse_condition
 from nilcert.sampling import derive_rng, random_sparse_table
 from nilcert.scalars import GaussianRational
+from oracles import conjunct_holds_bruteforce
 
 R_A03 = ClosedSetSpec((PowerVanish(1, 4), PowerVanish(3, 2),
                        FlagContainment(1, 3, 5)))
@@ -43,20 +46,38 @@ def test_a13_needs_its_witness_basis():
     assert not satisfies(R_A13, table)  # identity basis fails A_1 A_2 <= A_5
 
 
+def permutation_basis(order):
+    """The basis (e_{order[0]+1}, ..., e_{order[-1]+1})."""
+    return [[GaussianRational(1 if j == k else 0) for j in range(len(order))]
+            for k in order]
+
+
 def test_a05_row_holds_for_a15_in_a_permuted_basis():
     # A data-level finding, not a defect of the checker: in the basis
     # (e_1, e_4, e_3, e_2, e_5) the only products of A_15 are E_1 E_4 = E_3
-    # and E_2 E_2 = E_5, which satisfy both conditions of the A_05 row.  So
-    # that row does not separate A_05 from A_15.
+    # and E_2 E_2 = E_5, which satisfy both conditions of the A_05 row as
+    # first shipped.  So that row did not separate A_05 from A_15.
+    claim, = files.load_claims(
+        "claim A_05 !-> A_15\nrequire A_2 A_3 = 0\n"
+        "require poly c(1,3,4)*c(2,2,5) - c(1,3,5)*c(2,2,4) = 0\n")
+    moved = catalog.get("A_15").table.change_basis(
+        permutation_basis((0, 3, 2, 1, 4)))
+    assert satisfies(claim.spec, moved)
+    assert all(conjunct_holds_bruteforce(c, moved) for c in claim.spec.conjuncts)
+
+
+def test_shipped_a05_row_holds_for_no_permuted_a15_or_a09():
+    # the repaired row adds A_1 A_3 <= A_4, A_1 A_4 = 0 and A_2 A_2 <= A_4;
+    # A_05 still satisfies it in its catalog basis
     claim = next(c for c in files.load_shipped_claims()
                  if c.sources == ("A_05",))
     assert claim.targets == ("A_15",)
-    order = (0, 3, 2, 1, 4)
-    basis = [[GaussianRational(1 if j == order[i] else 0) for j in range(5)]
-             for i in range(5)]
-    moved = catalog.get("A_15").table.change_basis(basis)
-    assert satisfies(claim.spec, moved)
-    assert all(conjunct_holds_bruteforce(c, moved) for c in claim.spec.conjuncts)
+    assert satisfies(claim.spec, catalog.get("A_05").table)
+    for name in ("A_15", "A_09"):
+        table = catalog.get(name).table
+        assert not any(
+            satisfies(claim.spec, table.change_basis(permutation_basis(order)))
+            for order in permutations(range(5))), name
 
 
 def test_flag_containment_is_read_off_the_nonzero_entries():

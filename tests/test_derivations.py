@@ -3,7 +3,7 @@
 from nilcert import catalog
 from nilcert.algebra import StructureTable
 from nilcert.derivations import (derivation_dimension, derivation_space,
-                                 is_derivation, orbit_dimension)
+                                 is_derivation)
 from nilcert.linalg import rref
 from nilcert.sampling import derive_rng, random_invertible
 from nilcert.scalars import GR_ONE, GR_ZERO
@@ -29,12 +29,6 @@ def test_full_expected_column():
     names = [n for n in catalog.names() if n != "C5"]
     got = tuple(derivation_dimension(catalog.get(n).table) for n in names)
     assert got == EXPECTED_COLUMN
-
-
-def test_orbit_dimensions():
-    assert orbit_dimension(catalog.get("A_01").table) == 20
-    assert orbit_dimension(StructureTable.zero_algebra(5)) == 0
-    assert orbit_dimension(catalog.get("A_24").table) == 8
 
 
 def test_basis_satisfies_leibniz_identity_exactly():

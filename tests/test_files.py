@@ -60,9 +60,10 @@ def test_claims_file_structure():
     matrix = witness_row.witness_bases["A_13"]
     assert matrix[0][2] == GaussianRational(1)  # f_1 = e_3
     poly_row = by_desc[("A_05",)]
-    kinds = [type(c) for c in poly_row.spec.conjuncts]
-    assert kinds == [FlagContainment, PolynomialEq]
-    assert poly_row.spec.conjuncts[0] == FlagContainment(2, 3, None)
+    *flags, poly = poly_row.spec.conjuncts
+    assert flags == [FlagContainment(1, 3, 4), FlagContainment(1, 4, None),
+                     FlagContainment(2, 2, 4), FlagContainment(2, 3, None)]
+    assert isinstance(poly, PolynomialEq)
 
 
 def test_reference_edges_shape():
@@ -95,9 +96,11 @@ def test_algebra_loader_rejects_bad_input():
     ("witness A_23 -> A_24\nE_1 e_1\n", 2),
     ("witness A_23 -> A_24\nE_1 = e_1 +\n", 2),
     ("algebra X\ndim 5\ne_1 * e_2 = e_3 +\n", 3),
+    ("claim A_05 !-> A_15\nrequire 0^0 e_1\n", 2),
 ])
 def test_loader_errors_name_their_line(text, lineno):
-    load = files.load_algebra if text.startswith("algebra") else files.load_witness
+    load = {"algebra": files.load_algebra, "witness": files.load_witness,
+            "claim": files.load_claims}[text.split()[0]]
     with pytest.raises(files.FileFormatError, match=f"^line {lineno}: "):
         load(text)
 
@@ -107,6 +110,12 @@ OVERSIZED_POWERS = ("(1+t)^800 e_1", "t^100000000 e_1", "((1+t)^64)^64 e_1",
 HUNDRED_TERMS = "({})".format(" + ".join(
     f"c({i},{j},{k})" for i in range(1, 5) for j in range(1, 6)
     for k in range(1, 6)))
+# a sum's degree in t grows with each term through the common denominator
+RECIPROCAL_SUMS = {n: " + ".join(f"1/(t+{k}) e_1" for k in range(1, n + 1))
+                   for n in (80, 160)}
+# a power of one atom in many monomials of high degree
+ONE_ATOM_POLY = "(1 + {})".format(" + ".join(
+    f"c(1,1,2)^{k}" for k in range(1, 60)))
 
 
 @pytest.mark.parametrize("load, text", [
@@ -114,8 +123,8 @@ HUNDRED_TERMS = "({})".format(" + ".join(
       for rhs in OVERSIZED_POWERS],
     *[(files.load_witness, f"witness A_23 -> A_24\nE_1 = {rhs}\n")
       for rhs in OVERSIZED_POWERS],
-    # each power within MAX_T_DEGREE = 128 took seconds and their products
-    # had no bound; at 32 the powers are refused, then products and quotients
+    # powers that cost seconds each, and their products and quotients: each
+    # is refused before it is formed
     (files.load_witness,
      "witness A_23 -> A_24\nE_1 = ((1-2t+t^3)/(3+t^2))^42 e_1\n"),
     (files.load_witness, "witness A_23 -> A_24\n"
@@ -133,15 +142,30 @@ HUNDRED_TERMS = "({})".format(" + ".join(
      "require poly (c(1,1,1)+c(1,1,2)+c(1,1,3))^64 = 0\n"),
     (files.load_claims,
      "claim A_05 !-> A_15\nrequire poly ((2^64)^64)^64 * c(1,1,2) = 0\n"),
-    # a power of one monomial keeps count 1; its degree 64^3 is refused
+    # a power of a non-scalar keeps the coefficient-bit rule
+    pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
+                 f"require poly (({'7' * 4300} c(1,1,2))^64)^64 = 0\n",
+                 id="poly-power-of-long-literal"),
+    (files.load_claims, "claim A_05 !-> A_15\n"
+     "require poly (((2^64)^15 c(1,1,2))^64)^64 = 0\n"),
+    # a power of one monomial is one monomial, whose size is its degree
     (files.load_claims, "claim A_05 !-> A_15\n"
      "require poly (((c(1,1,2)^64)^64)^64)^64 = 0\n"),
     (files.load_claims, "claim A_05 !-> A_15\n"
      "witness A_05 : ((1+i)^64)^64 e_1, e_2, e_3, e_4, e_5\n"),
+    # refused at the first sum past MAX_T_DEGREE, after the legal ones
+    *[pytest.param(files.load_witness,
+                   f"witness A_23 -> A_24\nE_1 = {RECIPROCAL_SUMS[n]}\n",
+                   id=f"sum-of-{n}-reciprocals") for n in (80, 160)],
+    # refused at the second product: few monomials, but many atoms each
+    *[pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
+                   f"require poly {ONE_ATOM_POLY}^{k} = 0\n",
+                   id=f"one-atom-poly-power-{k}") for k in (8, 16)],
 ])
 def test_oversized_powers_are_refused_quickly(load, text):
     started = time.perf_counter()
-    with pytest.raises(files.FileFormatError, match=r"\(at position \d+\)"):
+    with pytest.raises(files.FileFormatError,
+                       match=r"^line \d+: .* \(at position \d+\)$"):
         load(text)
     assert time.perf_counter() - started < 1.0
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcert.parser import (MAX_NESTING, ExpressionSyntaxError,
+from nilcert.parser import (MAX_NESTING, MAX_T_DEGREE, ExpressionSyntaxError,
                             NonlinearExpressionError, format_vector,
                             parse_condition, parse_constants,
                             parse_expression, parse_scalar)
@@ -113,6 +113,16 @@ def test_nesting_is_bounded():
         with pytest.raises(ExpressionSyntaxError) as err:
             parse_expression(deeper)
         assert err.value.position == MAX_NESTING, open_
+
+
+def test_sum_degree_is_predicted_from_the_denominators():
+    d = MAX_T_DEGREE // 2 + 1
+    # over a shared denominator the sum keeps its degree
+    assert (parse_expression(f"1/(t+1)^{d} e_1 + 1/(t+1)^{d} e_1")
+            == parse_expression(f"2/(t+1)^{d} e_1"))
+    # over coprime ones it has the degree of their product
+    with pytest.raises(ExpressionSyntaxError, match="sum of degree"):
+        parse_expression(f"1/(t+1)^{d} e_1 + 1/(t+2)^{d} e_1")
 
 
 def test_basis_index_out_of_range():
