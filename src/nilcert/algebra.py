@@ -5,9 +5,7 @@ multiplication mu(e_i, e_j) = sum_k c[i][j][k] e_k with 0-based indices, all
 of them Gaussian rationals (Q(i)).  Constants over Q(i)(t) arise only while a
 parametric witness basis is checked, and live in the degeneration module.
 
-Construction helpers accept the 1-based (i, j) -> {k: coefficient} layout of
-printed multiplication tables so transcriptions stay literal.  The
-identities, powers and annihilator of a table are computed in Gaussian
+The identities, powers and annihilator of a table are computed in Gaussian
 integers on its scaled table (``integer_tensor``, with the scaling lemma),
 and so is its change of basis, up to one exact division per constant.
 Subspaces are spanned over Q(i) and kept in reduced echelon form.
@@ -54,28 +52,6 @@ class StructureTable:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_products(cls, dim, products):
-        """Build from 1-based {(i, j): {k: coeff}} products as printed in tables.
-
-        Each listed product also defines the mirrored one (commutative
-        presentation); explicit mirrored entries must agree.
-        """
-        entries = {}
-
-        def put(i, j, k, c):
-            key = (i - 1, j - 1, k - 1)
-            if key in entries and entries[key] != c:
-                raise ValueError(f"conflicting entries for c{key}")
-            entries[key] = c
-
-        for (i, j), rhs in products.items():
-            for k, c in rhs.items():
-                put(i, j, k, c)
-                if i != j:
-                    put(j, i, k, c)
-        return cls(dim, entries)
-
-    @classmethod
     def zero_algebra(cls, dim):
         return cls(dim, {})
 
@@ -91,9 +67,6 @@ class StructureTable:
             if a == i and b == j:
                 out[k] = out[k] + c
         return out
-
-    def basis_vector(self, i):
-        return [GR_ONE if k == i else GR_ZERO for k in range(self.dim)]
 
     def multiply(self, x, y):
         """Bilinear extension of the table to coordinate vectors."""
@@ -213,10 +186,6 @@ class Subspace:
         return cls(ambient, [list(v) for v in vectors])
 
     @classmethod
-    def zero(cls, ambient):
-        return cls(ambient, [])
-
-    @classmethod
     def full(cls, ambient):
         return flag_subspace(ambient, 1)
 
@@ -227,18 +196,6 @@ class Subspace:
     @property
     def is_zero(self) -> bool:
         return not self.rows
-
-    def contains(self, vector) -> bool:
-        v = list(vector)
-        for row in self.rows:
-            pc = next(c for c, x in enumerate(row) if x)
-            if v[pc]:
-                f = v[pc]
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        return not any(v)
-
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

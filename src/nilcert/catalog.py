@@ -1,9 +1,10 @@
-"""Embedded catalog of the 5-dimensional nilpotent commutative associative algebras.
+"""Catalog of the 5-dimensional nilpotent commutative associative algebras.
 
 The 24 nonzero isomorphism classes are named A_01..A_24; the algebra with zero
-multiplication is named C5.  Each entry carries its multiplication table
-(exactly as printed in the classification, 1-based products) and the expected
-derivation dimension used as a cross-check.
+multiplication is named C5.  Each entry carries its multiplication table, read
+from the shipped algebra file that transcribes the printed classification
+(``data/algebras/a01.alg`` .. ``a24.alg``, ``c5.alg``), and the expected
+derivation dimension of the classification, used as a cross-check.
 
 Identification works through an invariant fingerprint (derivation dimension,
 dimensions of the power ideals, annihilator dimension, nilpotency index).
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import files
 from .algebra import StructureTable, annihilator, power_chain
 from .derivations import derivation_dimension
 
@@ -29,38 +31,6 @@ class UnknownAlgebraError(KeyError):
 class NotInVarietyError(ValueError):
     """Input algebra is not commutative, associative and nilpotent."""
 
-
-# 1-based products (i, j) -> {k: coefficient}, transcribed literally from the
-# printed classification; omitted products are zero, commutativity implied.
-_PRODUCTS = {
-    "A_01": {(1, 1): {2: 1}, (2, 2): {4: 1}, (1, 3): {4: 1},
-             (1, 2): {3: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}},
-    "A_02": {(1, 1): {3: 1}, (2, 2): {5: 1}, (3, 3): {5: 1},
-             (1, 3): {4: 1}, (1, 4): {5: 1}},
-    "A_03": {(1, 1): {3: 1}, (2, 2): {4: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}},
-    "A_04": {(1, 1): {3: 1}, (1, 2): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}},
-    "A_05": {(1, 1): {2: 1}, (2, 2): {4: 1}, (1, 2): {3: 1}, (1, 3): {4: 1}},
-    "A_06": {(1, 1): {2: 1}, (1, 2): {3: 1}, (4, 4): {5: 1}},
-    "A_07": {(1, 3): {4: 1}, (2, 3): {5: 1}, (1, 2): {4: 1, 5: 1}},
-    "A_08": {(1, 1): {3: 1}, (2, 2): {4: 1}, (1, 3): {4: 1}, (1, 2): {5: 1}},
-    "A_09": {(1, 3): {5: 1}, (1, 2): {4: 1}, (2, 3): {5: -1}},
-    "A_10": {(1, 1): {3: 1}, (1, 3): {4: 1}, (1, 2): {5: 1}},
-    "A_11": {(1, 1): {4: 1}, (2, 3): {4: 1}, (1, 3): {5: 1}},
-    "A_12": {(1, 2): {4: 1}, (1, 3): {5: 1}},
-    "A_13": {(3, 3): {4: 1}, (1, 2): {5: 1}, (3, 4): {5: 1}},
-    "A_14": {(1, 1): {3: 1}, (2, 2): {4: 1}, (1, 3): {4: 1}},
-    "A_15": {(1, 2): {3: 1}, (4, 4): {5: 1}},
-    "A_16": {(1, 1): {3: 1}, (2, 2): {5: 1}, (1, 2): {4: 1}},
-    "A_17": {(1, 1): {4: 1}, (3, 3): {5: 1}, (1, 2): {5: 1}},
-    "A_18": {(1, 1): {2: 1}, (1, 2): {3: 1}},
-    "A_19": {(1, 1): {3: 1}, (2, 2): {4: 1}},
-    "A_20": {(1, 1): {3: 1}, (1, 2): {4: 1}},
-    "A_21": {(2, 3): {5: 1}, (1, 4): {5: 1}},
-    "A_22": {(1, 1): {4: 1}, (2, 3): {4: 1}},
-    "A_23": {(1, 2): {3: 1}},
-    "A_24": {(1, 1): {2: 1}},
-    "C5": {},
-}
 
 # Derivation-dimension column of the classification.
 DER_DIMS = {
@@ -99,14 +69,20 @@ class InvariantFingerprint:
 
 def names():
     """Catalog names in table order, the zero algebra last."""
-    return [n for n in _PRODUCTS if n != "C5"] + ["C5"]
+    return list(DER_DIMS)
 
 
 @lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
-    if name not in _PRODUCTS:
+    """The entry of a catalog name, read from its shipped file (a05.alg for
+    A_05, the stem witness ids use).  Names come from witness headers, so an
+    unknown one is refused before a file name is formed from it."""
+    if name not in DER_DIMS:
         raise UnknownAlgebraError(name)
-    table = StructureTable.from_products(DIM, _PRODUCTS[name])
+    file_name = name.lower().replace("_", "") + ".alg"
+    printed, table = files.load_shipped_algebra(file_name)
+    if printed != name:
+        raise files.FileFormatError(f"{file_name} holds {printed}, not {name}")
     return CatalogEntry(name, table, DER_DIMS[name])
 
 

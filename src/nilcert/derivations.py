@@ -70,22 +70,3 @@ def derivation_space(alg: StructureTable) -> DerivationSpace:
                   for v in flat)
     return DerivationSpace(len(basis), basis)
 
-
-def is_derivation(alg: StructureTable, matrix) -> bool:
-    """Exact Leibniz check of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on all pairs."""
-    n = alg.dim
-    for i in range(n):
-        di = list(matrix[i])
-        ei = alg.basis_vector(i)
-        for j in range(n):
-            cij = alg.product_vec(i, j)
-            left = [GR_ZERO] * n
-            for k in range(n):
-                c = cij[k]
-                if c:
-                    left = [acc + c * m for acc, m in zip(left, matrix[k])]
-            right = alg.multiply(di, alg.basis_vector(j))
-            right = [a + b for a, b in zip(right, alg.multiply(ei, list(matrix[j])))]
-            if left != right:
-                return False
-    return True

@@ -33,11 +33,13 @@ so must one factor of each product and the base of each power.
 One rule bounds every '+', product, quotient and '^' before it is formed:
 the result's degree in t stays within MAX_T_DEGREE and its size, monomials x
 (1 + largest monomial degree) predicted from the operands, within MAX_SIZE,
-which bounds both the atoms it holds and the work of forming it.  A '^' also
-has |k| <= MAX_EXPONENT and coefficients within MAX_COEFF_BITS, and a power
-of a non-scalar is formed as |k| checked products.  A '(' or unary '-' nests
-at most MAX_NESTING deep.  The grammar has no roots: any other letter, 'sqrt'
-included, is an error.
+which bounds both the atoms it holds and the work of forming it.  The work
+of one expression, the sizes of its operations summed (a sum, formed in
+place, counts the size of the terms it adds), stays within MAX_WORK.  A '^'
+also has |k| <= MAX_EXPONENT and coefficients within MAX_COEFF_BITS, and a
+power of a non-scalar is formed as |k| checked products.  A '(' or unary '-'
+nests at most MAX_NESTING deep.  The grammar has no roots: any other letter,
+'sqrt' included, is an error.
 
 The printer emits a canonical fully-parenthesized form with explicit '*', so
 parse -> print -> parse is a fixed point.
@@ -113,6 +115,7 @@ def _tokenize(text):
 MAX_EXPONENT = 64
 MAX_T_DEGREE = 24         # in t, of each numerator and denominator
 MAX_SIZE = 10_000         # monomials x (1 + largest monomial degree)
+MAX_WORK = 40_000         # summed over the operations of one expression
 MAX_COEFF_BITS = 1024     # of the coefficients of a power
 MAX_NESTING = 32          # open '(' and unary '-' around a token
 
@@ -136,18 +139,6 @@ def _add_into(out, pairs):
     return out
 
 
-def _refuse(what, t_degree, size, pos):
-    """Raise unless a result of the given t-degree and size stays within
-    MAX_T_DEGREE and MAX_SIZE.  A linear value holds at most dim + 1
-    monomials of degree at most 1, so its size is passed as 0 uncomputed."""
-    if t_degree > MAX_T_DEGREE:
-        raise ExpressionSyntaxError(
-            f"{what} of degree {t_degree} exceeds {MAX_T_DEGREE}", pos)
-    if size > MAX_SIZE:
-        raise ExpressionSyntaxError(
-            f"{what} of size {size} exceeds {MAX_SIZE}", pos)
-
-
 # What an entry point accepts: its scalar class with that class's zero, one
 # and i, the tokens it rejects, and whether values must stay linear in the
 # atoms.
@@ -167,6 +158,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0
+        self.work = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -205,6 +197,24 @@ class _Parser:
 
     # -- values: {monomial: nonzero coefficient} ------------------------------
 
+    def refuse(self, what, t_degree, size, pos, work=None):
+        """Raise unless a result of the given t-degree and size stays within
+        MAX_T_DEGREE and MAX_SIZE, and the work of the expression, the sum
+        of its operations' work (by default their size), within MAX_WORK.
+        A linear value holds at most dim + 1 monomials of degree at most 1,
+        so its size and work are passed as 0 uncomputed."""
+        if t_degree > MAX_T_DEGREE:
+            raise ExpressionSyntaxError(
+                f"{what} of degree {t_degree} exceeds {MAX_T_DEGREE}", pos)
+        if size > MAX_SIZE:
+            raise ExpressionSyntaxError(
+                f"{what} of size {size} exceeds {MAX_SIZE}", pos)
+        if size:
+            self.work += size if work is None else work
+            if self.work > MAX_WORK:
+                raise ExpressionSyntaxError(
+                    f"{what} brings the work to {self.work}, over {MAX_WORK}", pos)
+
     def t_degree(self, value):
         """The largest t-degree of a numerator or denominator in the value."""
         if self.context.scalar is GaussianRational:
@@ -212,8 +222,9 @@ class _Parser:
         return max((max(c.num.degree, c.den.degree) for c in value.values()),
                    default=0)
 
-    def plus(self, a, b, pos):
-        """a + b, formed in place in a, which no other value holds."""
+    def plus(self, a, b, degree, pos):
+        """a + b, formed in place in a, which no other value holds, and a
+        bound on its largest monomial degree, given that bound for a."""
         # x + y = (nx dy + ny dx) / (dx dy), or (nx + ny) / d if dx = dy = d
         t_degree = 0 if self.context.scalar is GaussianRational else max(
             self.t_degree(a), self.t_degree(b), *(
@@ -221,9 +232,14 @@ class _Parser:
                 max(x.num.degree + y.den.degree, y.num.degree + x.den.degree,
                     x.den.degree + y.den.degree)
                 for x, y in ((a[m], b[m]) for m in a.keys() & b.keys())))
-        _refuse("sum", t_degree, 0 if self.context.linear else
-                (len(a) + len(b)) * (1 + max(_degree(a), _degree(b))), pos)
-        return _add_into(a, b.items())
+        if self.context.linear:
+            self.refuse("sum", t_degree, 0, pos)
+        else:  # formed in place, so its work is the terms it adds
+            db = _degree(b)
+            degree = max(degree, db)
+            self.refuse("sum", t_degree, (len(a) + len(b)) * (1 + degree), pos,
+                        len(b) * (1 + db))
+        return _add_into(a, b.items()), degree
 
     def times(self, a, b, pos):
         # one factor of each product is a scalar wherever t may appear, so
@@ -231,9 +247,9 @@ class _Parser:
         if self.context.linear and not (_is_scalar(a) or _is_scalar(b)):
             raise NonlinearExpressionError(
                 f"product of two basis-vector expressions (position {pos})")
-        _refuse("product", self.t_degree(a) + self.t_degree(b),
-                0 if self.context.linear else
-                len(a) * len(b) * (1 + _degree(a) + _degree(b)), pos)
+        self.refuse("product", self.t_degree(a) + self.t_degree(b),
+                    0 if self.context.linear else
+                    len(a) * len(b) * (1 + _degree(a) + _degree(b)), pos)
         return _add_into({}, ((tuple(sorted(ma + mb)), ca * cb)
                               for ma, ca in a.items() for mb, cb in b.items()))
 
@@ -243,8 +259,8 @@ class _Parser:
                 f"division by a non-scalar expression (position {pos})")
         if not b:
             raise ZeroDivisionError(f"division by zero at position {pos}")
-        _refuse("quotient", self.t_degree(a) + self.t_degree(b),
-                0 if self.context.linear else len(a) * (1 + _degree(a)), pos)
+        self.refuse("quotient", self.t_degree(a) + self.t_degree(b),
+                    0 if self.context.linear else len(a) * (1 + _degree(a)), pos)
         inv = b[()].inverse()
         return {monomial: coeff * inv for monomial, coeff in a.items()}
 
@@ -258,7 +274,7 @@ class _Parser:
         out = {(): self.context.one}
         if k < 0:
             base, k = self.over(out, base, pos), -k
-        _refuse("power", k * self.t_degree(base), 1, pos)
+        self.refuse("power", k * self.t_degree(base), 1, pos)
         parts = [z for c in base.values() for z in (
             c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
         bits = max((n.bit_length() for z in parts for q in (z.re, z.im)
@@ -283,6 +299,7 @@ class _Parser:
 
     def expression(self):
         out = self.term()
+        degree = 0 if self.context.linear else _degree(out)
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
@@ -290,7 +307,7 @@ class _Parser:
                 rhs = self.term()
                 if value == "-":
                     rhs = {monomial: -coeff for monomial, coeff in rhs.items()}
-                out = self.plus(out, rhs, pos)
+                out, degree = self.plus(out, rhs, degree, pos)
             else:
                 return out
 

@@ -1,4 +1,4 @@
-"""Seeded random generators for matrices and tables over small Gaussian rationals.
+"""Seeded random generators for matrices over small Gaussian rationals.
 
 Entries are drawn uniformly from {-2,-1,0,1,2} + i*{-1,0,1} (the documented
 distribution for all randomized probes), with rejection on singularity,
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .algebra import StructureTable
 from .linalg import gaussian_int_rank
 from .scalars import GR_ZERO, GaussianRational
 
@@ -62,17 +61,3 @@ def random_borel_matrix(rng: random.Random, dim: int):
         m.append(row)
     return m
 
-
-def random_sparse_table(rng: random.Random, dim: int, max_entries: int = 8,
-                        symmetric: bool = True) -> StructureTable:
-    """A random sparse structure table (not necessarily associative)."""
-    entries = {}
-    for _ in range(rng.randrange(1, max_entries + 1)):
-        i, j, k = (rng.randrange(dim) for _ in range(3))
-        c = random_gaussian(rng)
-        if not c:
-            continue
-        entries[(i, j, k)] = c
-        if symmetric:
-            entries[(j, i, k)] = c
-    return StructureTable(dim, entries)

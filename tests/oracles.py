@@ -1,12 +1,74 @@
-"""Test oracles for the certificate conditions, independent of
-certificates.conjunct_holds: the defining c(i,j,k) equations, every
-parenthesization of tail products, and exhaustive minors."""
+"""Test oracles, independent of the code they check: the certificate
+conditions from the defining c(i,j,k) equations, every parenthesization of
+tail products and exhaustive minors; the Leibniz rule on basis pairs;
+subspace membership by reduction against echelon rows; and random sparse
+tables."""
 
+import random
 from itertools import combinations
 
+from nilcert.algebra import StructureTable, Subspace
 from nilcert.certificates import (AnnDimAtLeast, FlagContainment,
                                   PolynomialEq, PowerVanish)
-from nilcert.scalars import GR_ZERO
+from nilcert.sampling import random_gaussian
+from nilcert.scalars import GR_ONE, GR_ZERO
+
+
+def basis_vector(alg, i):
+    return [GR_ONE if k == i else GR_ZERO for k in range(alg.dim)]
+
+
+def zero_subspace(ambient):
+    return Subspace(ambient, [])
+
+
+def contains(space, vector) -> bool:
+    v = list(vector)
+    for row in space.rows:
+        pc = next(c for c, x in enumerate(row) if x)
+        if v[pc]:
+            f = v[pc]
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return not any(v)
+
+
+def contains_subspace(space, other) -> bool:
+    return all(contains(space, r) for r in other.rows)
+
+
+def is_derivation(alg: StructureTable, matrix) -> bool:
+    """Exact Leibniz check of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on all pairs."""
+    n = alg.dim
+    for i in range(n):
+        di = list(matrix[i])
+        ei = basis_vector(alg, i)
+        for j in range(n):
+            cij = alg.product_vec(i, j)
+            left = [GR_ZERO] * n
+            for k in range(n):
+                c = cij[k]
+                if c:
+                    left = [acc + c * m for acc, m in zip(left, matrix[k])]
+            right = alg.multiply(di, basis_vector(alg, j))
+            right = [a + b for a, b in zip(right, alg.multiply(ei, list(matrix[j])))]
+            if left != right:
+                return False
+    return True
+
+
+def random_sparse_table(rng: random.Random, dim: int, max_entries: int = 8,
+                        symmetric: bool = True) -> StructureTable:
+    """A random sparse structure table (not necessarily associative)."""
+    entries = {}
+    for _ in range(rng.randrange(1, max_entries + 1)):
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        c = random_gaussian(rng)
+        if not c:
+            continue
+        entries[(i, j, k)] = c
+        if symmetric:
+            entries[(j, i, k)] = c
+    return StructureTable(dim, entries)
 
 
 def conjunct_holds_bruteforce(conj, alg):
@@ -32,7 +94,7 @@ def conjunct_holds_bruteforce(conj, alg):
 def some_tail_product_nonzero(alg, p, k):
     """Enumerate every parenthesization of k-fold tail products."""
     n = alg.dim
-    tails = [alg.basis_vector(i) for i in range(p - 1, n)]
+    tails = [basis_vector(alg, i) for i in range(p - 1, n)]
     layers = {1: tails}
     for m in range(2, k + 1):
         vectors = []

@@ -16,9 +16,9 @@ from nilcert.certificates import (check_claim, conjunct_holds,
 from nilcert.degeneration import (limit_table, numeric_crosscheck,
                                   transformed_constants, verify)
 from nilcert.derivations import derivation_dimension
-from nilcert.sampling import derive_rng, random_invertible, random_sparse_table
+from nilcert.sampling import derive_rng, random_invertible
 from nilcert.scalars import RF_ZERO
-from oracles import conjunct_holds_bruteforce
+from oracles import conjunct_holds_bruteforce, random_sparse_table
 
 EXPECTED_DER_COLUMN = (5, 6, 6, 7, 7, 7, 7, 8, 8, 9, 9, 11,
                        8, 9, 9, 10, 10, 11, 11, 12, 11, 12, 14, 17)

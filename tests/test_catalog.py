@@ -2,7 +2,7 @@
 
 import pytest
 
-from nilcert import catalog
+from nilcert import catalog, files
 from nilcert.algebra import StructureTable
 from nilcert.sampling import derive_rng, random_invertible
 from nilcert.scalars import GaussianRational
@@ -24,9 +24,50 @@ def test_sum_valued_product_of_a07():
     assert table.entry(0, 1, 4) == GaussianRational(1)
 
 
-def test_unknown_name():
+def shipped_text_with(monkeypatch, file_name, edit):
+    """Serve the shipped data with one algebra file's text edited."""
+    real = files.data_text
+
+    def data_text(*parts):
+        text = real(*parts)
+        return edit(text) if parts == ("algebras", file_name) else text
+
+    monkeypatch.setattr(files, "data_text", data_text)
+
+
+def test_catalog_reads_its_shipped_file(monkeypatch):
+    shipped = catalog.get("A_24").table
+    shipped_text_with(monkeypatch, "a24.alg",
+                      lambda text: text.replace("= e_2", "= 3 e_2"))
+    catalog.get.cache_clear()
+    try:
+        table = catalog.get("A_24").table
+    finally:
+        catalog.get.cache_clear()
+    assert table != shipped
+    assert table.entry(0, 0, 1) == GaussianRational(3)
+
+
+def test_shipped_file_must_name_its_algebra(monkeypatch):
+    shipped_text_with(monkeypatch, "a24.alg",
+                      lambda text: text.replace("algebra A_24", "algebra A_23"))
+    catalog.get.cache_clear()
+    try:
+        with pytest.raises(files.FileFormatError, match="a24.alg holds A_23"):
+            catalog.get("A_24")
+    finally:
+        catalog.get.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["A_99", "A_25", "../witnesses/a01_to_a02"])
+def test_unknown_name_reads_no_file(monkeypatch, name):
+    def no_read(*parts):
+        raise AssertionError(f"read {parts}")
+
+    monkeypatch.setattr(files, "data_text", no_read)
+    monkeypatch.setattr(files, "load_shipped_algebra", no_read)
     with pytest.raises(catalog.UnknownAlgebraError):
-        catalog.get("A_99")
+        catalog.get(name)
 
 
 def test_every_entry_is_in_the_variety():

@@ -14,9 +14,9 @@ from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
                                   necessary_conditions, satisfies,
                                   screening_completeness)
 from nilcert.parser import parse_condition
-from nilcert.sampling import derive_rng, random_sparse_table
+from nilcert.sampling import derive_rng
 from nilcert.scalars import GaussianRational
-from oracles import conjunct_holds_bruteforce
+from oracles import conjunct_holds_bruteforce, random_sparse_table
 
 R_A03 = ClosedSetSpec((PowerVanish(1, 4), PowerVanish(3, 2),
                        FlagContainment(1, 3, 5)))

@@ -54,6 +54,16 @@ def test_unparsable_witness_exits_2(tmp_path, capsys):
         assert "line 2: " in err["detail"], rhs
 
 
+@pytest.mark.parametrize("name", ["../witnesses/a01_to_a02", "A_25"])
+def test_witness_naming_an_unknown_algebra_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "unknown.wit"
+    path.write_text(f"witness {name} -> A_24\nE_1 = e_1\nE_2 = e_2\n"
+                    "E_3 = e_3\nE_4 = e_4\nE_5 = e_5\n", encoding="ascii")
+    assert main(["verify", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input" and name in err["detail"]
+
+
 def test_sqrt_in_an_algebra_file_exits_2(tmp_path, capsys):
     path = tmp_path / "root.alg"
     path.write_text("algebra X\ndim 5\ne_1 * e_1 = sqrt(4) e_2\n",

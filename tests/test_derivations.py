@@ -2,11 +2,11 @@
 
 from nilcert import catalog
 from nilcert.algebra import StructureTable
-from nilcert.derivations import (derivation_dimension, derivation_space,
-                                 is_derivation)
+from nilcert.derivations import derivation_dimension, derivation_space
 from nilcert.linalg import rref
 from nilcert.sampling import derive_rng, random_invertible
 from nilcert.scalars import GR_ONE, GR_ZERO
+from oracles import is_derivation
 
 # The full expected derivation-dimension column, A_01..A_24 in order.
 EXPECTED_COLUMN = (5, 6, 6, 7, 7, 7, 7, 8, 8, 9, 9, 11,

@@ -1,6 +1,7 @@
 """File formats: round trips, shipped-data integrity, and loader errors."""
 
 import time
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -116,6 +117,17 @@ RECIPROCAL_SUMS = {n: " + ".join(f"1/(t+{k}) e_1" for k in range(1, n + 1))
 # a power of one atom in many monomials of high degree
 ONE_ATOM_POLY = "(1 + {})".format(" + ".join(
     f"c(1,1,2)^{k}" for k in range(1, 60)))
+# every juxtaposed factor of a large legal value costs its size: a 3000-term
+# sum of size 9000, and the square of a 50-term sum
+C_ATOMS = [f"c({i},{j},{k})" for i in range(1, 6) for j in range(1, 6)
+           for k in range(1, 6)]
+PRODUCT_CHAINS = {
+    "3000-term-sum-times-100-factors": "({}){}".format(" + ".join(
+        f"{a}*{b}" for a, b in islice(combinations_with_replacement(C_ATOMS, 2),
+                                      3000)), " 2" * 100),
+    "square-of-50-term-sum-times-612-factors": "({})^2{}".format(
+        " + ".join(C_ATOMS[:50]), " 2" * 612),
+}
 
 
 @pytest.mark.parametrize("load, text", [
@@ -161,6 +173,10 @@ ONE_ATOM_POLY = "(1 + {})".format(" + ".join(
     *[pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
                    f"require poly {ONE_ATOM_POLY}^{k} = 0\n",
                    id=f"one-atom-poly-power-{k}") for k in (8, 16)],
+    # refused once the work of the line's operations exceeds its budget
+    *[pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
+                   f"require poly {PRODUCT_CHAINS[key]} = 0\n", id=key)
+      for key in sorted(PRODUCT_CHAINS)],
 ])
 def test_oversized_powers_are_refused_quickly(load, text):
     started = time.perf_counter()

@@ -1,14 +1,15 @@
 """Expression grammar: examples, precedence, errors, and print round trips."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcert.parser import (MAX_NESTING, MAX_T_DEGREE, ExpressionSyntaxError,
-                            NonlinearExpressionError, format_vector,
-                            parse_condition, parse_constants,
+from nilcert.parser import (MAX_NESTING, MAX_SIZE, MAX_T_DEGREE,
+                            ExpressionSyntaxError, NonlinearExpressionError,
+                            format_vector, parse_condition, parse_constants,
                             parse_expression, parse_scalar)
 from nilcert.scalars import RF_ONE, GaussianRational, Poly, RationalFunction
 
@@ -123,6 +124,18 @@ def test_sum_degree_is_predicted_from_the_denominators():
     # over coprime ones it has the degree of their product
     with pytest.raises(ExpressionSyntaxError, match="sum of degree"):
         parse_expression(f"1/(t+1)^{d} e_1 + 1/(t+2)^{d} e_1")
+
+
+def test_work_budget_admits_the_largest_sums():
+    # 3333 products of two atoms, the most a sum of size <= MAX_SIZE holds;
+    # a sum is charged the terms it adds, not the size of its result
+    atoms = [f"c({i},{j},{k})" for i in range(1, 6) for j in range(1, 6)
+             for k in range(1, 6)]
+    pairs = islice(combinations_with_replacement(atoms, 2), MAX_SIZE // 3)
+    text = " + ".join(f"{a}*{b}" for a, b in pairs)
+    assert len(parse_condition(text)) == MAX_SIZE // 3
+    with pytest.raises(ExpressionSyntaxError, match="brings the work to"):
+        parse_condition(f"({text}) 2 2 2 2")
 
 
 def test_basis_index_out_of_range():
