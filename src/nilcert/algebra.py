@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .linalg import (SingularMatrixError, gaussian_int_adjugate,
                      gaussian_int_echelon, kernel_basis, rref)
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, gaussian
 
 MAX_DIM = 16  # exact arithmetic guard rail
 
@@ -150,8 +149,7 @@ class StructureTable:
                 coords = _combine(_int_multiply(tensor, rows[i], rows[j]), adj)
                 for k, ((a, b), s_k) in enumerate(zip(coords, scales)):
                     if a or b:
-                        c = GaussianRational(Fraction(s_k * (a * da + b * db), norm),
-                                             Fraction(s_k * (b * da - a * db), norm))
+                        c = gaussian(s_k * (a * da + b * db), s_k * (b * da - a * db), norm)
                         entries[(i, j, k)] = c
                         if commutative:
                             entries[(j, i, k)] = c
@@ -243,7 +241,7 @@ def _int_multiply(tensor, x, y):
 
 
 def _denominator_lcm(values):
-    return lcm(*(x.denominator for c in values for x in (c.re, c.im)))
+    return lcm(*(c.d for c in values))
 
 
 def _scaled_ints(values):
@@ -251,8 +249,7 @@ def _scaled_ints(values):
     the products as Gaussian-integer (re, im) pairs."""
     values = list(values)
     scale = _denominator_lcm(values)
-    return scale, [(c.re.numerator * (scale // c.re.denominator),
-                    c.im.numerator * (scale // c.im.denominator)) for c in values]
+    return scale, [(c.a * (scale // c.d), c.b * (scale // c.d)) for c in values]
 
 
 def _rationals(int_rows):

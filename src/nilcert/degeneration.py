@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import catalog
 from .algebra import StructureTable
@@ -107,15 +107,11 @@ def _rational_roots(p: Poly):
     coefficients or a residual factor of positive degree remain, or when the
     constant or leading coefficient exceeds ROOT_SEARCH_BITS bits.
     """
-    if any(c.im for c in p.coeffs):
+    if any(c.b for c in p.coeffs):
         return [], False
-    coeffs = list(p.coeffs)
-    order = p.order
-    coeffs = coeffs[order:]
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.re.denominator // gcd(scale, c.re.denominator)
-    ints = [int(c.re * scale) for c in coeffs]
+    coeffs = p.coeffs[p.order:]
+    scale = lcm(*(c.d for c in coeffs))
+    ints = [c.a * (scale // c.d) for c in coeffs]
     if len(ints) == 1:
         return [], True
     roots = []

@@ -35,8 +35,9 @@ the result's degree in t stays within MAX_T_DEGREE and its size, monomials x
 (1 + largest monomial degree) predicted from the operands, within MAX_SIZE,
 which bounds both the atoms it holds and the work of forming it.  The work
 of one expression, the sizes of its operations summed (a sum, formed in
-place, counts the size of the terms it adds), stays within MAX_WORK.  A '^'
-also has |k| <= MAX_EXPONENT and coefficients within MAX_COEFF_BITS, and a
+place, counts the size of the terms it adds), stays within MAX_WORK.  A
+product, quotient or '^' keeps its coefficients, as predicted from its
+operands, within MAX_COEFF_BITS; a '^' also has |k| <= MAX_EXPONENT, and a
 power of a non-scalar is formed as |k| checked products.  A '(' or unary '-'
 nests at most MAX_NESTING deep.  The grammar has no roots: any other letter,
 'sqrt' included, is an error.
@@ -116,7 +117,7 @@ MAX_EXPONENT = 64
 MAX_T_DEGREE = 24         # in t, of each numerator and denominator
 MAX_SIZE = 10_000         # monomials x (1 + largest monomial degree)
 MAX_WORK = 40_000         # summed over the operations of one expression
-MAX_COEFF_BITS = 1024     # of the coefficients of a power
+MAX_COEFF_BITS = 1024     # predicted, of a product, quotient or power
 MAX_NESTING = 32          # open '(' and unary '-' around a token
 
 
@@ -127,6 +128,16 @@ def _is_scalar(value):
 def _degree(value):
     """The largest total degree of a monomial in the value."""
     return max(map(len, value), default=0)
+
+
+def _weight(value):
+    """The largest bit length of an int a, b or d of the value's Gaussian
+    rationals (a + b i)/d, plus the bit length of their count: a product's
+    coefficients are sums of products of its operands' coefficients."""
+    parts = [z for c in value.values() for z in (
+        c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
+    bits = max((n.bit_length() for z in parts for n in (z.a, z.b, z.d)), default=0)
+    return bits + len(parts).bit_length()
 
 
 def _add_into(out, pairs):
@@ -197,18 +208,23 @@ class _Parser:
 
     # -- values: {monomial: nonzero coefficient} ------------------------------
 
-    def refuse(self, what, t_degree, size, pos, work=None):
-        """Raise unless a result of the given t-degree and size stays within
-        MAX_T_DEGREE and MAX_SIZE, and the work of the expression, the sum
-        of its operations' work (by default their size), within MAX_WORK.
-        A linear value holds at most dim + 1 monomials of degree at most 1,
-        so its size and work are passed as 0 uncomputed."""
+    def refuse(self, what, t_degree, size, pos, work=None, bits=0):
+        """Raise unless a result of the given t-degree, size and predicted
+        coefficient bits stays within MAX_T_DEGREE, MAX_SIZE and
+        MAX_COEFF_BITS, and the work of the expression, the sum of its
+        operations' work (by default their size), within MAX_WORK.  A linear
+        value holds at most dim + 1 monomials of degree at most 1, so its
+        size and work are passed as 0 uncomputed.  A sum's bits are not
+        predicted."""
         if t_degree > MAX_T_DEGREE:
             raise ExpressionSyntaxError(
                 f"{what} of degree {t_degree} exceeds {MAX_T_DEGREE}", pos)
         if size > MAX_SIZE:
             raise ExpressionSyntaxError(
                 f"{what} of size {size} exceeds {MAX_SIZE}", pos)
+        if bits > MAX_COEFF_BITS:
+            raise ExpressionSyntaxError(
+                f"{what} with coefficients over {MAX_COEFF_BITS} bits", pos)
         if size:
             self.work += size if work is None else work
             if self.work > MAX_WORK:
@@ -249,7 +265,8 @@ class _Parser:
                 f"product of two basis-vector expressions (position {pos})")
         self.refuse("product", self.t_degree(a) + self.t_degree(b),
                     0 if self.context.linear else
-                    len(a) * len(b) * (1 + _degree(a) + _degree(b)), pos)
+                    len(a) * len(b) * (1 + _degree(a) + _degree(b)), pos,
+                    bits=_weight(a) + _weight(b))
         return _add_into({}, ((tuple(sorted(ma + mb)), ca * cb)
                               for ma, ca in a.items() for mb, cb in b.items()))
 
@@ -259,8 +276,10 @@ class _Parser:
                 f"division by a non-scalar expression (position {pos})")
         if not b:
             raise ZeroDivisionError(f"division by zero at position {pos}")
+        # 1/((c + e i)/f) = f (c - e i)/(c^2 + e^2) has twice the bits
         self.refuse("quotient", self.t_degree(a) + self.t_degree(b),
-                    0 if self.context.linear else len(a) * (1 + _degree(a)), pos)
+                    0 if self.context.linear else len(a) * (1 + _degree(a)), pos,
+                    bits=_weight(a) + 2 * _weight(b))
         inv = b[()].inverse()
         return {monomial: coeff * inv for monomial, coeff in a.items()}
 
@@ -274,14 +293,8 @@ class _Parser:
         out = {(): self.context.one}
         if k < 0:
             base, k = self.over(out, base, pos), -k
-        self.refuse("power", k * self.t_degree(base), 1, pos)
-        parts = [z for c in base.values() for z in (
-            c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
-        bits = max((n.bit_length() for z in parts for q in (z.re, z.im)
-                    for n in (q.numerator, q.denominator)), default=0)
-        if k * (bits + len(parts).bit_length()) > MAX_COEFF_BITS:
-            raise ExpressionSyntaxError(
-                f"power with coefficients over {MAX_COEFF_BITS} bits", pos)
+        self.refuse("power", k * self.t_degree(base), 1, pos,
+                    bits=k * _weight(base))
         if not _is_scalar(base):
             for _ in range(k):
                 out = self.times(out, base, pos)

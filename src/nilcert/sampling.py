@@ -38,7 +38,7 @@ def random_invertible(rng: random.Random, dim: int):
     that is until its rows, all Gaussian integers, have rank dim."""
     while True:
         m = [random_vector(rng, dim) for _ in range(dim)]
-        if gaussian_int_rank([[(c.re.numerator, c.im.numerator) for c in row]
+        if gaussian_int_rank([[(c.a, c.b) for c in row]
                               for row in m]) == dim:
             return m
 

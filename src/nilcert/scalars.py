@@ -1,18 +1,21 @@
 """Exact scalar arithmetic in the tower Q < Q(i) < Q(i)(t).
 
-Every value is exact: Gaussian rationals are pairs of ``fractions.Fraction``,
-univariate polynomials in ``t`` are dense coefficient tuples over the Gaussian
-rationals, and rational functions are coprime numerator/denominator pairs with
-a monic denominator.  The gcd is taken only when both have positive degree: a
-nonzero constant is coprime to every polynomial.  A parametric witness has its
-entries in Q(i)(t); orders at ``t -> 0`` are integers and limits are exact.
+Every value is exact.  A Gaussian rational is three ints (a + b i)/d with
+d > 0 and gcd(a, b, d) = 1, so each value has one representation: a sum or
+product is a few integer products and one gcd, and ``re`` and ``im`` are
+read back as ``fractions.Fraction``.  Univariate polynomials in ``t`` are
+dense coefficient tuples over the Gaussian rationals, and rational functions
+are coprime numerator/denominator pairs with a monic denominator.  The gcd is
+taken only when both have positive degree: a nonzero constant is coprime to
+every polynomial.  A parametric witness has its entries in Q(i)(t); orders at
+``t -> 0`` are integers and limits are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import inf
+from math import inf, lcm
 
 
 class LimitDiverges(ArithmeticError):
@@ -23,13 +26,22 @@ ORDER_INF = inf  # order of the zero element
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i), with exact Fraction components."""
+    """An element (a + b*i)/d of Q(i), held as three ints with d > 0 and
+    gcd(a, b, d) = 1, so that each value has one representation."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
+        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        # the lcm of the two reduced denominators leaves gcd(a, b, d) = 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
     # -- construction helpers -------------------------------------------------
 
@@ -38,57 +50,72 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+            return _exact(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _sum(self, other.a, other.b, other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _sum(self, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _exact(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return gaussian(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if not n:
+        a, b, d = self.a, self.b, self.d
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return gaussian(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        if not c and not e:
+            raise ZeroDivisionError("inverse of zero in Q(i)")
+        return gaussian(f * (a * c + b * e), f * (b * c - a * e),
+                        self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        return GaussianRational.coerce(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -104,26 +131,63 @@ class GaussianRational:
     # -- structure ---------------------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is GaussianRational:
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and not self.im
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """A real value hashes as the equal int or Fraction."""
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def eval_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
-        if not self.im:
-            return f"{self.re}"
-        if not self.re:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else ''}{self.im}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return f"{re}"
+        if not re:
+            return f"{im}*i"
+        return f"({re}{'+' if im > 0 else ''}{im}*i)"
+
+
+def _exact(a, b, d):
+    """(a + b i)/d for ints already normalized: d > 0, gcd(a, b, d) = 1."""
+    out = object.__new__(GaussianRational)
+    out.a, out.b, out.d = a, b, d
+    return out
+
+
+def gaussian(a, b, d):
+    """(a + b i)/d for ints with d != 0, normalized by one gcd."""
+    g = _int_gcd(d, a, b)  # d first: often small, it makes the rest cheap
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _exact(a, b, d)
+
+
+def _sum(x, c, f, e):
+    """x + (c + f i)/e.  For x = (a + b i)/d and g = gcd(d, e), a prime that
+    divides the numerator of the sum and its denominator divides g, so the
+    one further gcd is taken with g (Knuth's rule for fractions), and none
+    when g = 1."""
+    a, b, d = x.a, x.b, x.d
+    if d == e:
+        return gaussian(a + c, b + f, d)
+    g = _int_gcd(d, e)
+    if g == 1:
+        return _exact(a * e + c * d, b * e + f * d, d * e)
+    d, e = d // g, e // g
+    a, b = a * e + c * d, b * e + f * d
+    h = _int_gcd(g, a, b)
+    return _exact(a // h, b // h, d * e * (g // h))
 
 
 GR_ZERO = GaussianRational(0)
@@ -264,16 +328,17 @@ class Poly:
         return self.scale(self.lead.inverse())
 
     def primitive_part(self) -> "Poly":
-        """Strip the rational content; keeps gcd chains from blowing up."""
+        """Strip the rational content; keeps gcd chains from blowing up.
+
+        With L the lcm of the denominators and G the gcd of the numerators
+        scaled by L, the coefficients times L/G are coprime Gaussian integers."""
         if self.is_zero:
             return self
-        num_gcd, den_lcm = 0, 1
-        for c in self.coeffs:
-            for part in (c.re, c.im):
-                if part:
-                    num_gcd = _int_gcd(num_gcd, part.numerator)
-                    den_lcm = den_lcm * part.denominator // _int_gcd(den_lcm, part.denominator)
-        return self.scale(Fraction(den_lcm, num_gcd))
+        cs = self.coeffs
+        den = lcm(*(c.d for c in cs))
+        g = _int_gcd(*(x * (den // c.d) for c in cs for x in (c.a, c.b)))
+        return Poly(tuple(_exact(c.a * (den // c.d) // g, c.b * (den // c.d) // g, 1)
+                          for c in cs))
 
     # -- evaluation -------------------------------------------------------------------
 
@@ -289,7 +354,8 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        """A constant hashes as its coefficient, which it equals."""
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.lead)
 
     def __repr__(self):
         if self.is_zero:
@@ -445,6 +511,10 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        """Over the denominator 1, the hash of the numerator: a constant
+        hashes as the int, Fraction or GaussianRational it equals."""
+        if self.den == POLY_ONE:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

@@ -117,6 +117,9 @@ RECIPROCAL_SUMS = {n: " + ".join(f"1/(t+{k}) e_1" for k in range(1, n + 1))
 # a power of one atom in many monomials of high degree
 ONE_ATOM_POLY = "(1 + {})".format(" + ".join(
     f"c(1,1,2)^{k}" for k in range(1, 60)))
+# juxtaposed 1000-digit literals: left unchecked, each product's coefficient
+# grows by some 3300 bits, so the line costs time quadratic in its length
+LONG_LITERALS = " ".join(["7" * 1000] * 400)
 # every juxtaposed factor of a large legal value costs its size: a 3000-term
 # sum of size 9000, and the square of a 50-term sum
 C_ATOMS = [f"c({i},{j},{k})" for i in range(1, 6) for j in range(1, 6)
@@ -173,6 +176,13 @@ PRODUCT_CHAINS = {
     *[pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
                    f"require poly {ONE_ATOM_POLY}^{k} = 0\n",
                    id=f"one-atom-poly-power-{k}") for k in (8, 16)],
+    # a product's coefficient bits are predicted, like a power's
+    pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
+                 f"require poly c(1,1,1) {LONG_LITERALS} = 0\n",
+                 id="poly-times-400-long-literals"),
+    pytest.param(files.load_algebra, "algebra X\ndim 5\n"
+                 f"e_1 * e_1 = ({LONG_LITERALS}) e_1\n",
+                 id="constants-of-400-long-literals"),
     # refused once the work of the line's operations exceeds its budget
     *[pytest.param(files.load_claims, "claim A_05 !-> A_15\n"
                    f"require poly {PRODUCT_CHAINS[key]} = 0\n", id=key)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nilcert.scalars import (GR_ZERO, POLY_ONE, RF_ONE, RF_ZERO,
                              GaussianRational, LimitDiverges, Poly,
-                             RationalFunction, poly_gcd)
+                             RationalFunction, gaussian, poly_gcd)
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -234,3 +234,98 @@ def test_thousand_random_rational_function_limits_match_floats():
         assert abs(value - want) <= 1e-4 * max(1.0, abs(want))
         checked += 1
     assert checked > 400  # the draw must actually exercise the limit path
+
+
+# -- representation: (a + b i)/d with d > 0 and gcd(a, b, d) = 1 ------------------------
+
+
+wide_fractions = st.fractions(min_value=-1000, max_value=1000,
+                              max_denominator=10 ** 6)
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+
+
+def is_normal(z):
+    return z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_gaussians, wide_gaussians, st.integers(-4, 4))
+def test_field_operations_keep_the_normal_form(x, y, k):
+    # each result is normal and equals the same operation on (re, im)
+    # Fraction pairs
+    want = {"+": (x.re + y.re, x.im + y.im), "-": (x.re - y.re, x.im - y.im),
+            "*": (x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re),
+            "neg": (-x.re, -x.im)}
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
+    if y:
+        n = y.re ** 2 + y.im ** 2
+        want["inverse"] = (y.re / n, -y.im / n)
+        got["inverse"] = y.inverse()
+        want["/"] = ((x.re * y.re + x.im * y.im) / n,
+                     (x.im * y.re - x.re * y.im) / n)
+        got["/"] = x / y
+        got["power"] = y ** k
+        assert got["power"] * y ** -k == 1
+    for op, z in got.items():
+        assert is_normal(z), op
+        if op in want:
+            assert (z.re, z.im) == want[op], op
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_fractions, wide_fractions)
+def test_components_read_back(re, im):
+    z = GaussianRational(re, im)
+    assert is_normal(z)
+    assert z.re == re and z.im == im
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_gaussians, wide_gaussians, wide_gaussians.filter(bool))
+def test_one_value_has_one_representation(x, y, z):
+    # the same value reached in two orders has the same fields and hash
+    for left, right in (((x + y) * z, x * z + y * z), ((x * z) / z, x),
+                        (x - y + y, x), ((x + y) - x, y), (x / z * z, x),
+                        (gaussian(z.a * 6, z.b * 6, z.d * -6), -z)):
+        assert (left.a, left.b, left.d) == (right.a, right.b, right.d)
+        assert hash(left) == hash(right)
+
+
+def test_real_gaussian_rationals_hash_as_the_equal_number():
+    for value in (3, -7, 0, Fraction(1, 3), Fraction(-22, 7)):
+        z = GaussianRational(value)
+        assert z == value and hash(z) == hash(value)
+        assert z in {value} and value in {z}
+    assert GaussianRational(Fraction(6, 4), 0) in {Fraction(3, 2)}
+    assert GaussianRational(1, 1) not in {1}
+
+
+def test_constant_rational_functions_hash_as_their_constant():
+    i = GaussianRational(0, 1)
+    for value in (3, 0, Fraction(-5, 2), i, GaussianRational(Fraction(1, 2), 4)):
+        f = RationalFunction.coerce(value)
+        assert f == value and hash(f) == hash(value)
+        assert f in {value}
+    assert (T + 1) / (T + 1) in {1}
+    assert RationalFunction.coerce(Poly((1, 2))) in {Poly((1, 2))}
+
+
+def test_gaussian_arithmetic_builds_no_fraction(monkeypatch):
+    x = GaussianRational(Fraction(3, 4), Fraction(-5, 6))
+    y = GaussianRational(Fraction(7, 2), 1)
+    f = rf((1, x, 2), (y, 0, 3))
+    g = rf((x, 1), (2, y))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for z in (x + y, x - y, x * y, x / y, y.inverse(), x ** 3, x ** -2, -x,
+              x + 1, 2 - x, x * 5, 1 / x, x / 3):
+        assert z.d > 0
+    assert x != y and x * y == y * x
+    for h in (f + g, f - g, f * g, f / g, f ** 2, f ** -1, f.inverse(),
+              poly_gcd(f.num * g.den, f.den * g.den)):
+        assert h
+    assert (f * g).limit_at_zero() == f.limit_at_zero() * g.limit_at_zero()
