@@ -25,7 +25,6 @@ from . import catalog, files
 from . import graph as graphmod
 from .degeneration import verify
 from .derivations import derivation_space
-from .parser import format_gaussian
 from .suite import _witness_section, run_all
 
 EXIT_OK = 0
@@ -125,7 +124,7 @@ def _cmd_derivations(args):
     for index, matrix in enumerate(space.basis):
         print(f"D_{index + 1}:")
         for row in matrix:
-            print("  [" + ", ".join(format_gaussian(c) for c in row) + "]")
+            print("  [" + ", ".join(repr(c) for c in row) + "]")
     return EXIT_OK
 
 

@@ -74,10 +74,11 @@ class ParametricMatrix:
         """Rational t values where the family breaks down (poles, det zeros).
 
         Roots are extracted by the rational root theorem when the relevant
-        polynomial has rational coefficients and its constant and leading
-        coefficients fit in ROOT_SEARCH_BITS bits; other factors are reported
-        as polynomial strings since exact root-finding over Q(i) is out of
-        scope.  The values are informational: no verdict depends on them.
+        polynomial, divided by its leading coefficient, has rational
+        coefficients and its constant and leading coefficients fit in
+        ROOT_SEARCH_BITS bits; other factors are reported as polynomial
+        strings since exact root-finding over Q(i) is out of scope.  The
+        values are informational: no verdict depends on them.
         """
         candidates = set()
         unresolved = []
@@ -103,13 +104,15 @@ ROOT_SEARCH_BITS = 24
 def _rational_roots(p: Poly):
     """Nonzero rational roots via the rational root theorem.
 
+    The search runs on p / (lead * t^order), which has the same nonzero
+    roots, so a monomial such as i*t^3 is fully solved with no root.
     Returns (roots, fully_solved); fully_solved is False when non-rational
     coefficients or a residual factor of positive degree remain, or when the
     constant or leading coefficient exceeds ROOT_SEARCH_BITS bits.
     """
-    if any(c.b for c in p.coeffs):
+    coeffs = p.monic().coeffs[p.order:]
+    if any(c.b for c in coeffs):
         return [], False
-    coeffs = p.coeffs[p.order:]
     scale = lcm(*(c.d for c in coeffs))
     ints = [c.a * (scale // c.d) for c in coeffs]
     if len(ints) == 1:

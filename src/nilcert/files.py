@@ -44,10 +44,8 @@ from __future__ import annotations
 
 from importlib import resources
 
+from . import certificates, degeneration
 from .algebra import MAX_DIM, StructureTable
-from .certificates import (AnnDimAtLeast, ClosedSetSpec, FlagContainment,
-                           NonDegenerationClaim, PolynomialEq, PowerVanish)
-from .degeneration import DegenerationWitness, ParametricMatrix
 from .parser import (MAX_EXPONENT, format_vector, parse_condition,
                      parse_constants, parse_expression)
 
@@ -151,7 +149,7 @@ def dump_algebra(name, table: StructureTable) -> str:
 # -- witness files ----------------------------------------------------------------------
 
 
-def load_witness(text) -> DegenerationWitness:
+def load_witness(text) -> degeneration.DegenerationWitness:
     source, target, dim = None, None, 5
     rows = {}
     for lineno, line in _meaningful_lines(text):
@@ -176,11 +174,11 @@ def load_witness(text) -> DegenerationWitness:
         raise FileFormatError("missing 'witness A -> B' header")
     if sorted(rows) != list(range(1, dim + 1)):
         raise FileFormatError(f"expected exactly E_1..E_{dim} lines")
-    matrix = ParametricMatrix([rows[i] for i in range(1, dim + 1)])
-    return DegenerationWitness(source, target, matrix)
+    matrix = degeneration.ParametricMatrix([rows[i] for i in range(1, dim + 1)])
+    return degeneration.DegenerationWitness(source, target, matrix)
 
 
-def dump_witness(witness: DegenerationWitness) -> str:
+def dump_witness(witness: degeneration.DegenerationWitness) -> str:
     lines = [f"witness {witness.source} -> {witness.target}"]
     for i, row in enumerate(witness.matrix.rows):
         lines.append(f"E_{i + 1} = {format_vector(row)}")
@@ -210,14 +208,15 @@ def _parse_condition(line, lineno, dim):
         rest = body.removeprefix("ann").strip()
         if not rest.startswith(">="):
             raise FileFormatError(f"line {lineno}: expected 'ann >= d'")
-        return AnnDimAtLeast(_parse_int(rest.removeprefix(">="), lineno, "ann bound",
-                                        0, dim))
+        return certificates.AnnDimAtLeast(
+            _parse_int(rest.removeprefix(">="), lineno, "ann bound", 0, dim))
     if body.startswith("poly "):
         expr = body.removeprefix("poly ").strip()
         if not expr.endswith("= 0"):
             raise FileFormatError(f"line {lineno}: polynomial condition must end '= 0'")
         text = expr[: -len("= 0")].strip()
-        return PolynomialEq(_parse_line(parse_condition, text, lineno, dim), text)
+        return certificates.PolynomialEq(
+            _parse_line(parse_condition, text, lineno, dim), text)
     # flag products and powers: 'A_p A_q <= A_r', 'A_p A_q = 0', 'A_p^k = 0'
     if "^" in body.split("=")[0] and "<=" not in body:
         lhs, _, rhs = body.partition("=")
@@ -225,17 +224,19 @@ def _parse_condition(line, lineno, dim):
             raise FileFormatError(f"line {lineno}: power condition must be '= 0'")
         base, k = lhs.split("^", 1)
         k = _parse_int(k, lineno, "power exponent", 1, MAX_EXPONENT)
-        return PowerVanish(_parse_flag_atom(base, lineno, dim), k)
+        return certificates.PowerVanish(_parse_flag_atom(base, lineno, dim), k)
     if "<=" in body:
         lhs, rhs = body.split("<=", 1)
         p, q = _parse_flag_pair(lhs, lineno, dim)
-        return FlagContainment(p, q, _parse_flag_atom(rhs, lineno, dim))
+        return certificates.FlagContainment(
+            p, q, _parse_flag_atom(rhs, lineno, dim))
     if "=" in body:
         lhs, rhs = body.split("=", 1)
         if rhs.strip() != "0":
             raise FileFormatError(f"line {lineno}: expected '= 0'")
         p, q = _parse_flag_pair(lhs, lineno, dim)
-        return FlagContainment(p, q, None)  # None encodes containment in 0
+        # None encodes containment in 0
+        return certificates.FlagContainment(p, q, None)
     raise FileFormatError(f"line {lineno}: unrecognized condition {body!r}")
 
 
@@ -247,10 +248,10 @@ def load_claims(text, dim=5):
     def flush():
         nonlocal current
         if current is not None:
-            claims.append(NonDegenerationClaim(
+            claims.append(certificates.NonDegenerationClaim(
                 sources=tuple(current["sources"]),
                 targets=tuple(current["targets"]),
-                spec=ClosedSetSpec(tuple(current["conditions"])),
+                spec=certificates.ClosedSetSpec(tuple(current["conditions"])),
                 witness_bases=dict(current["witnesses"]),
             ))
         current = None
@@ -285,11 +286,12 @@ def load_claims(text, dim=5):
 
 
 def _condition_line(conj) -> str:
-    if isinstance(conj, (FlagContainment, PowerVanish)):
+    if isinstance(conj, (certificates.FlagContainment,
+                         certificates.PowerVanish)):
         return conj.describe()
-    if isinstance(conj, AnnDimAtLeast):
+    if isinstance(conj, certificates.AnnDimAtLeast):
         return f"ann >= {conj.d}"
-    if isinstance(conj, PolynomialEq):
+    if isinstance(conj, certificates.PolynomialEq):
         return f"poly {conj.text} = 0"
     raise TypeError(f"unknown condition {conj!r}")
 
@@ -344,7 +346,7 @@ def witness_ids():
                   if p.name.endswith(".wit"))
 
 
-def load_shipped_witness(witness_id) -> DegenerationWitness:
+def load_shipped_witness(witness_id) -> degeneration.DegenerationWitness:
     return load_witness(data_text("witnesses", f"{witness_id}.wit"))
 
 

@@ -42,17 +42,17 @@ power of a non-scalar is formed as |k| checked products.  A '(' or unary '-'
 nests at most MAX_NESTING deep.  The grammar has no roots: any other letter,
 'sqrt' included, is an error.
 
-The printer emits a canonical fully-parenthesized form with explicit '*', so
-parse -> print -> parse is a fixed point.
+The scalars print themselves in this grammar (their repr), and format_vector
+prints a vector by the reprs of its coefficients, so parse -> print -> parse
+is a fixed point.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .scalars import (GR_I, GR_ONE, GR_ZERO, POLY_ONE, RF_ONE, RF_T, RF_ZERO,
-                      GaussianRational, Poly, RationalFunction)
+from .scalars import (GR_I, GR_ONE, GR_ZERO, RF_ONE, RF_T, RF_ZERO,
+                      GaussianRational, RationalFunction)
 
 
 class ExpressionSyntaxError(ValueError):
@@ -434,58 +434,9 @@ def parse_condition(text, dim=5):
     return tuple(sorted(_Parser(text, dim, _CONDITION).parse().items()))
 
 
-# -- canonical printer ---------------------------------------------------------
-#
-# The printer emits expressions the grammar above re-parses to the same value,
-# with explicit '*' between factors.  A trailing pass rewrites ' + -' into
-# ' - ', which is semantically identical under the grammar.
-
-
-def format_fraction(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def format_gaussian(z: GaussianRational) -> str:
-    """A Gaussian rational as a single multiplicative factor."""
-    if not z.im:
-        return format_fraction(z.re)
-    if z.im == 1:
-        im = "i"
-    elif z.im == -1:
-        im = "-i"
-    else:
-        im = f"{format_fraction(z.im)}*i"
-    if not z.re:
-        return im
-    return f"({format_fraction(z.re)} + {im})"
-
-
-def format_poly(p: Poly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if c.is_zero:
-            continue
-        power = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-        if not power:
-            parts.append(format_gaussian(c))
-        elif c == GaussianRational(1):
-            parts.append(power)
-        else:
-            parts.append(f"{format_gaussian(c)}*{power}")
-    return " + ".join(parts)
-
-
-def format_rational_function(f: RationalFunction) -> str:
-    """A rational function as one parenthesizable expression."""
-    if f.den == POLY_ONE:
-        return format_poly(f.num)
-    return f"({format_poly(f.num)})/({format_poly(f.den)})"
-
-
 def format_vector(coeffs) -> str:
-    """Canonical printed form of a coefficient vector; '0' for the zero vector."""
+    """Canonical printed form of a coefficient vector, its terms ``(c!r) * e_k``
+    joined by ' + ' (' + -' printed as ' - '); '0' for the zero vector."""
     terms = []
     for k, c in enumerate(coeffs):
         c = RationalFunction.coerce(c)
@@ -494,6 +445,6 @@ def format_vector(coeffs) -> str:
         if c == RF_ONE:
             terms.append(f"e_{k + 1}")
         else:
-            terms.append(f"({format_rational_function(c)}) * e_{k + 1}")
+            terms.append(f"({c!r}) * e_{k + 1}")
     text = " + ".join(terms) if terms else "0"
     return text.replace(" + -", " - ")

@@ -9,6 +9,9 @@ are coprime numerator/denominator pairs with a monic denominator.  The gcd is
 taken only when both have positive degree: a nonzero constant is coprime to
 every polynomial.  A parametric witness has its entries in Q(i)(t); orders at
 ``t -> 0`` are integers and limits are exact.
+
+A value's repr, the one printer of exact values for files and reports, is
+its form in the grammar of ``parser``: ``(1/2 + -3*i)``, ``t + -i*t^2``.
 """
 
 from __future__ import annotations
@@ -148,12 +151,18 @@ class GaussianRational:
         return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
-        re, im = self.re, self.im
-        if not im:
-            return f"{re}"
-        if not re:
-            return f"{im}*i"
-        return f"({re}{'+' if im > 0 else ''}{im}*i)"
+        """One factor of the grammar: ``2/3``, ``i``, ``-1/2*i``, ``(1 + -i)``."""
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio(a, d)
+        im = "i" if b == d else "-i" if b == -d else f"{_ratio(b, d)}*i"
+        return f"({_ratio(a, d)} + {im})" if a else im
+
+
+def _ratio(n, d):
+    """n/d for d > 0 in lowest terms, as str(Fraction(n, d)) prints it."""
+    g = _int_gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _exact(a, b, d):
@@ -358,19 +367,17 @@ class Poly:
         return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.lead)
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
+        """A sum of terms ``c*t^k``, lowest power first: ``1 + t + -i*t^2``."""
         parts = []
         for k, c in enumerate(self.coeffs):
-            if c.is_zero:
+            if not c:
                 continue
             if k == 0:
-                parts.append(f"{c!r}")
-            elif k == 1:
-                parts.append(f"{c!r}*t")
-            else:
-                parts.append(f"{c!r}*t^{k}")
-        return " + ".join(parts)
+                parts.append(repr(c))
+                continue
+            power = "t" if k == 1 else f"t^{k}"
+            parts.append(power if c == GR_ONE else f"{c!r}*{power}")
+        return " + ".join(parts) or "0"
 
 
 POLY_ZERO = Poly()

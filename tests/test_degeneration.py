@@ -171,7 +171,29 @@ def test_root_search_is_bounded_in_the_witness_constants(constant, solved):
         assert "unresolved_factors" not in verdict.details
     else:
         assert verdict.details["exceptional_t"] == []
-        assert verdict.details["unresolved_factors"] == [f"{constant} + 1*t"]
+        assert verdict.details["unresolved_factors"] == [f"{constant} + t"]
+
+
+@pytest.mark.parametrize("wid", ["a01_to_a02", "a02_to_a04", "a02_to_a07"])
+def test_gaussian_monomial_determinant_is_fully_solved(wid):
+    # det = c t^k with a non-real c: it has no nonzero root to search for
+    witness = files.load_shipped_witness(wid)
+    det = witness.matrix.det().num
+    assert det.degree == det.order > 0 and det.lead.b
+    verdict = verify(witness)
+    assert verdict.verified
+    assert verdict.details["exceptional_t"] == []
+    assert "unresolved_factors" not in verdict.details
+
+
+def test_gaussian_determinant_roots_are_searched_after_scaling():
+    # det = i t (t - 2) = i (t^2 - 2t), whose nonzero root is rational
+    m = matrix_of(["e_1", "e_2", "i t (t - 2) e_3", "e_4", "e_5"])
+    assert repr(m.det()) == "-2*i*t + i*t^2"
+    verdict = verify(DegenerationWitness("A_24", "A_24", m))
+    assert verdict.verified
+    assert verdict.details["exceptional_t"] == ["2"]
+    assert "unresolved_factors" not in verdict.details
 
 
 def test_family_determinant_is_computed_once_per_verify(monkeypatch):

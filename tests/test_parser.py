@@ -173,3 +173,34 @@ rationals = st.builds(lambda n, d: RationalFunction(n, d),
 def test_print_parse_is_identity_on_random_vectors(coeffs):
     printed = format_vector(coeffs)
     assert parse_expression(printed) == coeffs
+
+
+def test_scalars_print_in_the_grammar():
+    i, half = GaussianRational(0, 1), GaussianRational(Fraction(1, 2))
+    for value, text in ((T, "t"), (i, "i"), (-i, "-i"), (half, "1/2"),
+                        (half + 3 * i, "(1/2 + 3*i)"),
+                        (half - 3 * i, "(1/2 + -3*i)"),
+                        (Poly((0, 1, -i)), "t + -i*t^2"),
+                        (Poly((2, -1, 0, half * i)), "2 + -1*t + 1/2*i*t^3"),
+                        (RF_ONE / (T + 1), "(1)/(1 + t)"),
+                        (Poly(()), "0")):
+        assert repr(value) == text
+
+
+units = st.sampled_from([GaussianRational(re, im) for re, im in
+                         ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1))])
+coefficients = st.one_of(units, gaussians)
+printed_polys = st.lists(coefficients, max_size=4).map(Poly)
+printed_scalars = st.one_of(
+    coefficients, printed_polys,
+    st.builds(RationalFunction, printed_polys,
+              printed_polys.filter(lambda p: not p.is_zero)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(printed_scalars)
+def test_repr_parses_back_to_the_same_value(x):
+    text = repr(x)
+    back = parse_scalar(text)
+    assert back == x
+    assert repr(back) == text
