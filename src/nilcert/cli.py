@@ -10,15 +10,14 @@ Subcommands:
     graph --emit dot|json      emit the verified degeneration graph
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 input error.
-Structured error records go to stderr as JSON.  The seed defaults to the
-NILCERT_SEED environment variable, then 0.
+Structured error records go to stderr as JSON.  The seed of verify-all is
+--seed, 0 by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog, files
@@ -59,20 +58,9 @@ def _load_algebra_file(path):
         raise SystemExit(_fail_input(f"{path}: {exc}"))
 
 
-def _default_seed():
-    env = os.environ.get("NILCERT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(_fail_input(f"NILCERT_SEED={env!r} is not an integer"))
-
-
 def _cmd_verify_all(args):
     report = run_all(seed=args.seed, samples=args.samples,
-                     borel_samples=args.borel_samples,
-                     t_samples=args.t_samples, jobs=args.jobs,
+                     borel_samples=args.borel_samples, jobs=args.jobs,
                      log=lambda line: print(line))
     print(f"catalog:   {'ok' if report['catalog']['ok'] else 'FAILED'}")
     print(f"witnesses: {sum(r['status'] == 'VERIFIED' for r in report['witnesses'])}"
@@ -140,7 +128,7 @@ def _cmd_identify(args):
 
 
 def _cmd_graph(args):
-    _, verdicts, _ = _witness_section((), 1, None)
+    _, verdicts, _ = _witness_section(1, None)
     for verdict in verdicts:
         if not verdict.verified:
             return _fail_verification(
@@ -154,13 +142,6 @@ def _cmd_graph(args):
     return EXIT_OK
 
 
-def _parse_t_samples(text):
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t-sample list {text!r}")
-
-
 def build_arg_parser():
     parser = argparse.ArgumentParser(
         prog="nilcert",
@@ -169,12 +150,10 @@ def build_arg_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify_all = sub.add_parser("verify-all", help="run the full battery")
-    verify_all.add_argument("--seed", type=int, default=None)
+    verify_all.add_argument("--seed", type=int, default=0)
     verify_all.add_argument("--samples", type=int, default=1000,
                             help="random bases per escape search")
     verify_all.add_argument("--borel-samples", type=int, default=200)
-    verify_all.add_argument("--t-samples", type=_parse_t_samples,
-                            default=(1e-4,), help="comma separated, e.g. 1e-3,1e-4")
     verify_all.add_argument("--report", help="write the JSON report here")
     verify_all.add_argument("--jobs", type=int, default=1)
     verify_all.set_defaults(func=_cmd_verify_all)
@@ -210,8 +189,6 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and args.command == "verify-all":
-            args.seed = _default_seed()
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

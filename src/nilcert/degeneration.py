@@ -4,7 +4,8 @@ A witness for "source degenerates to target" is a t-parametrized basis
 E_i(t) = sum_j a_ij(t) e_j of the source algebra.  Verification is exact:
 
 1. the family must be generically invertible (det as a field element != 0;
-   the finitely many exceptional t values are reported, never silently used),
+   the polynomials whose nonzero roots are the finitely many t where E(t)
+   has a pole or is singular are reported, never silently used),
 2. the structure constants of the source in the E-basis are computed
    exactly in Q(i)(t), the rational functions in t: the products of the rows
    on the source's Q(i) constants, times the inverse of E(t) over Q(i)(t),
@@ -15,15 +16,14 @@ The Q(i)(t) constants exist only here, as a {(i, j, k): RationalFunction}
 dict of the nonzero ones; every StructureTable holds Q(i) constants.  A
 successful verdict additionally cross-checks the strict increase of the
 derivation dimension for proper claims.  A floating-point evaluation of the
-exact constants at small t is an advisory sanity check: its deviation from
-the target is that of the exact constants, whatever the conditioning of E(t).
+exact constants at t = NUMERIC_T is an advisory sanity check: its deviation
+from the target is that of the exact constants, whatever the conditioning of
+E(t).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from math import gcd, isqrt, lcm
 
 from . import catalog
 from .algebra import StructureTable
@@ -71,109 +71,18 @@ class ParametricMatrix:
         return self._det
 
     def exceptional_values(self):
-        """Rational t values where the family breaks down (poles, det zeros).
+        """The polynomials whose nonzero roots are the t where the family
+        breaks down: a pole of an entry or a zero of the determinant.
 
-        Roots are extracted by the rational root theorem when the relevant
-        polynomial, divided by its leading coefficient, has rational
-        coefficients and its constant and leading coefficients fit in
-        ROOT_SEARCH_BITS bits; other factors are reported as polynomial
-        strings since exact root-finding over Q(i) is out of scope.  The
-        values are informational: no verdict depends on them.
+        Each entry's denominator and the determinant's numerator, with its
+        power of t divided out and made monic, is listed by its repr when
+        it has positive degree.  The list is exact and complete and costs no
+        root search; no verdict reads it.
         """
-        candidates = set()
-        unresolved = []
         polys = [c.den for row in self.rows for c in row]
         polys.append(self.det().num)
-        for p in polys:
-            if p.degree <= 0:
-                continue
-            roots, fully_solved = _rational_roots(p)
-            candidates.update(r for r in roots if r != 0)
-            if not fully_solved:
-                unresolved.append(repr(p))
-        return sorted(candidates), sorted(set(unresolved))
-
-
-# Candidate roots num/den come from the divisors of the constant and leading
-# coefficients.  Below 2^24 an integer has at most 448 divisors, which bounds
-# the search at about 2 * 448^2 candidates per polynomial; larger
-# coefficients would let a witness file make verification arbitrarily slow.
-ROOT_SEARCH_BITS = 24
-
-
-def _rational_roots(p: Poly):
-    """Nonzero rational roots via the rational root theorem.
-
-    The search runs on p / (lead * t^order), which has the same nonzero
-    roots, so a monomial such as i*t^3 is fully solved with no root.
-    Returns (roots, fully_solved); fully_solved is False when non-rational
-    coefficients or a residual factor of positive degree remain, or when the
-    constant or leading coefficient exceeds ROOT_SEARCH_BITS bits.
-    """
-    coeffs = p.monic().coeffs[p.order:]
-    if any(c.b for c in coeffs):
-        return [], False
-    scale = lcm(*(c.d for c in coeffs))
-    ints = [c.a * (scale // c.d) for c in coeffs]
-    if len(ints) == 1:
-        return [], True
-    roots = []
-    residual_degree = len(ints) - 1
-    lead, const = ints[-1], ints[0]
-    if max(abs(lead), abs(const)).bit_length() > ROOT_SEARCH_BITS:
-        return [], False
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            if gcd(num, den) != 1:
-                continue  # the reduced fraction is tried on its own
-            for sign in (1, -1):
-                if _scaled_value(ints, sign * num, den) == 0:
-                    roots.append(Fraction(sign * num, den))
-    # a root of multiplicity > 1 or an irrational factor may remain; report
-    # fully_solved only when the found roots account for the whole degree
-    total = 0
-    for r in roots:
-        m = 0
-        work = ints
-        while True:
-            quo, rem = _poly_int_divmod(work, r)
-            if rem != 0:
-                break
-            work = quo
-            m += 1
-        total += m
-    return roots, total == residual_degree
-
-
-def _divisors(n):
-    """Positive divisors of n in increasing order, by trial up to sqrt|n|."""
-    n = abs(n)
-    if n == 0:
-        return [1]
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
-
-
-def _scaled_value(ints, num, den):
-    """den^deg * p(num / den) for integer coefficients ints, in integers."""
-    value, den_power = 0, 1
-    for c in reversed(ints):
-        value = value * num + c * den_power
-        den_power *= den
-    return value
-
-
-def _poly_int_divmod(ints, root):
-    """Synthetic division of an integer-coefficient poly by (x - root)."""
-    quo = [Fraction(0)] * (len(ints) - 1)
-    carry = Fraction(0)
-    for k in range(len(ints) - 1, 0, -1):
-        carry = Fraction(ints[k]) + carry
-        quo[k - 1] = carry
-        carry = carry * root
-    rem = Fraction(ints[0]) + carry
-    return quo, rem
+        return sorted({repr(Poly(p.coeffs[p.order:]).monic())
+                       for p in polys if p.degree > p.order})
 
 
 @dataclass(frozen=True)
@@ -247,21 +156,16 @@ def limit_table(constants, dim) -> StructureTable:
     return StructureTable(dim, entries)
 
 
-def verify(witness: DegenerationWitness, t_samples=()) -> Verdict:
+def verify(witness: DegenerationWitness) -> Verdict:
     """Full exact verification of one parametric-basis witness.
 
-    When the witness verifies and t_samples is nonempty, the advisory
-    numeric cross-check runs on the transformed constants already computed
-    here and its samples go to details["numeric"] as plain dicts.
+    When the witness verifies, the advisory numeric cross-check runs at
+    NUMERIC_T on the transformed constants already computed here and its
+    samples go to details["numeric"] as plain dicts.
     """
     source = catalog.get(witness.source)
     target = catalog.get(witness.target)
-    details = {}
-
-    exceptional, unresolved = witness.matrix.exceptional_values()
-    details["exceptional_t"] = [str(x) for x in exceptional]
-    if unresolved:
-        details["unresolved_factors"] = unresolved
+    details = {"exceptional_t_polys": witness.matrix.exceptional_values()}
 
     if not generic_invertibility(witness.matrix):
         return Verdict(SINGULAR_FAMILY, witness.source, witness.target, details)
@@ -285,9 +189,8 @@ def verify(witness: DegenerationWitness, t_samples=()) -> Verdict:
     proper = witness.source != witness.target
     details["der_check"] = "ok" if (der_source < der_target if proper
                                     else der_source == der_target) else "violated"
-    if t_samples:
-        details["numeric"] = [asdict(sample) for sample in
-                              numeric_crosscheck(witness, t_samples, constants)]
+    details["numeric"] = [asdict(sample) for sample in
+                          numeric_crosscheck(witness, NUMERIC_T, constants)]
     return Verdict(VERIFIED, witness.source, witness.target, details)
 
 
@@ -305,6 +208,9 @@ def _table_diff(got: StructureTable, want: StructureTable):
 
 # -- advisory numeric cross-check -------------------------------------------------
 
+
+# the t at which verify evaluates the exact constants
+NUMERIC_T = (1e-4,)
 
 @dataclass
 class NumericSample:

@@ -35,9 +35,9 @@ the result's degree in t stays within MAX_T_DEGREE and its size, monomials x
 (1 + largest monomial degree) predicted from the operands, within MAX_SIZE,
 which bounds both the atoms it holds and the work of forming it.  The work
 of one expression, the sizes of its operations summed (a sum, formed in
-place, counts the size of the terms it adds), stays within MAX_WORK.  A
-product, quotient or '^' keeps its coefficients, as predicted from its
-operands, within MAX_COEFF_BITS; a '^' also has |k| <= MAX_EXPONENT, and a
+place, counts the size of the terms it adds), stays within MAX_WORK.  Every
+one of them keeps its coefficients, as predicted from its operands, within
+MAX_COEFF_BITS; a '^' also has |k| <= MAX_EXPONENT, and a
 power of a non-scalar is formed as |k| checked products.  A '(' or unary '-'
 nests at most MAX_NESTING deep.  The grammar has no roots: any other letter,
 'sqrt' included, is an error.
@@ -117,7 +117,7 @@ MAX_EXPONENT = 64
 MAX_T_DEGREE = 24         # in t, of each numerator and denominator
 MAX_SIZE = 10_000         # monomials x (1 + largest monomial degree)
 MAX_WORK = 40_000         # summed over the operations of one expression
-MAX_COEFF_BITS = 1024     # predicted, of a product, quotient or power
+MAX_COEFF_BITS = 1024     # predicted, of every operation
 MAX_NESTING = 32          # open '(' and unary '-' around a token
 
 
@@ -214,8 +214,7 @@ class _Parser:
         MAX_COEFF_BITS, and the work of the expression, the sum of its
         operations' work (by default their size), within MAX_WORK.  A linear
         value holds at most dim + 1 monomials of degree at most 1, so its
-        size and work are passed as 0 uncomputed.  A sum's bits are not
-        predicted."""
+        size and work are passed as 0 uncomputed."""
         if t_degree > MAX_T_DEGREE:
             raise ExpressionSyntaxError(
                 f"{what} of degree {t_degree} exceeds {MAX_T_DEGREE}", pos)
@@ -241,20 +240,24 @@ class _Parser:
     def plus(self, a, b, degree, pos):
         """a + b, formed in place in a, which no other value holds, and a
         bound on its largest monomial degree, given that bound for a."""
-        # x + y = (nx dy + ny dx) / (dx dy), or (nx + ny) / d if dx = dy = d
+        # x + y = (nx dy + ny dx) / (dx dy), or (nx + ny) / d if dx = dy = d,
+        # whose coefficients have at most the bits of a product x y
+        shared = [(a[m], b[m]) for m in a.keys() & b.keys()]
         t_degree = 0 if self.context.scalar is GaussianRational else max(
             self.t_degree(a), self.t_degree(b), *(
                 0 if x.den == y.den else
                 max(x.num.degree + y.den.degree, y.num.degree + x.den.degree,
                     x.den.degree + y.den.degree)
-                for x, y in ((a[m], b[m]) for m in a.keys() & b.keys())))
+                for x, y in shared))
+        bits = max((_weight({(): x}) + _weight({(): y}) for x, y in shared),
+                   default=0)
         if self.context.linear:
-            self.refuse("sum", t_degree, 0, pos)
+            self.refuse("sum", t_degree, 0, pos, bits=bits)
         else:  # formed in place, so its work is the terms it adds
             db = _degree(b)
             degree = max(degree, db)
             self.refuse("sum", t_degree, (len(a) + len(b)) * (1 + degree), pos,
-                        len(b) * (1 + db))
+                        len(b) * (1 + db), bits)
         return _add_into(a, b.items()), degree
 
     def times(self, a, b, pos):

@@ -21,10 +21,10 @@ from .degeneration import verify
 from .sampling import derive_rng
 
 
-def _verify_by_id(witness_id, t_samples=()):
+def _verify_by_id(witness_id):
     """Worker entry: the verdict carries JSON-ready details only, the numeric
     cross-check included, so no exact tower values cross the process pool."""
-    verdict = verify(files.load_shipped_witness(witness_id), t_samples)
+    verdict = verify(files.load_shipped_witness(witness_id))
     verdict.details["witness_id"] = witness_id
     return witness_id, verdict
 
@@ -58,14 +58,13 @@ def _catalog_section():
     }, ok
 
 
-def _witness_section(t_samples, jobs, log):
+def _witness_section(jobs, log):
     ids = files.witness_ids()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_verify_by_id, ids,
-                                    [t_samples] * len(ids)))
+            results = dict(pool.map(_verify_by_id, ids))
     else:
-        results = dict(_verify_by_id(wid, t_samples) for wid in ids)
+        results = dict(map(_verify_by_id, ids))
     verdicts = [results[wid] for wid in ids]
     records = []
     ok = True
@@ -168,8 +167,7 @@ def _screening_section(g, claims_records):
     }, ok
 
 
-def run_all(seed=0, samples=1000, borel_samples=200, t_samples=(1e-4,),
-            jobs=1, log=None):
+def run_all(seed=0, samples=1000, borel_samples=200, jobs=1, log=None):
     """Run every check; returns the full report dict with report["ok"]."""
     started = time.perf_counter()
     timings = {}
@@ -179,8 +177,7 @@ def run_all(seed=0, samples=1000, borel_samples=200, t_samples=(1e-4,),
     timings["catalog"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    witness_records, verdicts, witnesses_ok = _witness_section(
-        t_samples, jobs, log)
+    witness_records, verdicts, witnesses_ok = _witness_section(jobs, log)
     timings["witnesses"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -203,7 +200,6 @@ def run_all(seed=0, samples=1000, borel_samples=200, t_samples=(1e-4,),
             "seed": seed,
             "samples": samples,
             "borel_samples": borel_samples,
-            "t_samples": list(t_samples),
             "jobs": jobs,
             "package_version": __version__,
             "python": sys.version.split()[0],

@@ -3,13 +3,14 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from nilcert import degeneration, files, suite
-from nilcert.cli import main
+from nilcert.cli import build_arg_parser, main
 from nilcert.suite import run_all, strip_nondeterministic
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -33,6 +34,14 @@ def test_verify_single_witness_ok(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "VERIFIED"
     assert record["source"] == "A_23" and record["target"] == "A_24"
+
+
+def test_verify_prints_the_numeric_crosscheck(tmp_path, capsys):
+    path = write_witness(tmp_path, "a01_to_a02")
+    assert main(["verify", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert [s["t"] for s in record["details"]["numeric"]] == [1e-4]
+    assert record["details"]["numeric"][0]["max_deviation"] < 1e-2
 
 
 def test_verify_failing_witness_exits_1(tmp_path, capsys):
@@ -90,6 +99,23 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys):
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "input", (command, label)
             assert f"line {lineno}: nesting exceeds" in err["detail"]
+
+
+def test_sum_over_many_denominators_exits_2(tmp_path, capsys):
+    # each term of 1/2 e_2 + 1/3 e_2 + ... over the first 16 000 primes
+    # grows the common denominator; the sum is refused past 1024 bits
+    primes, composite = [], set()
+    for n in range(2, 180_000):
+        if n not in composite:
+            primes.append(n)
+            composite.update(range(n * n, 180_000, n))
+    rhs = " + ".join(f"1/{p} e_2" for p in primes[:16_000])
+    path = tmp_path / "primes.alg"
+    path.write_text(f"algebra X\ndim 5\ne_1 * e_1 = {rhs}\n", encoding="ascii")
+    assert main(["identify", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert "line 3: sum with coefficients over 1024 bits" in err["detail"]
 
 
 def test_missing_file_exits_2(capsys):
@@ -162,16 +188,16 @@ def test_verify_all_small_run_and_report(tmp_path, capsys):
 
 
 def test_verify_all_is_deterministic_under_a_seed():
-    first = run_all(seed=11, samples=10, borel_samples=4, t_samples=(1e-4,))
-    second = run_all(seed=11, samples=10, borel_samples=4, t_samples=(1e-4,))
+    first = run_all(seed=11, samples=10, borel_samples=4)
+    second = run_all(seed=11, samples=10, borel_samples=4)
     assert strip_nondeterministic(first) == strip_nondeterministic(second)
 
 
 def test_worker_pool_gives_identical_witness_results():
     sequential = strip_nondeterministic(
-        run_all(seed=3, samples=2, borel_samples=1, t_samples=(1e-4,), jobs=1))
+        run_all(seed=3, samples=2, borel_samples=1, jobs=1))
     parallel = strip_nondeterministic(
-        run_all(seed=3, samples=2, borel_samples=1, t_samples=(1e-4,), jobs=2))
+        run_all(seed=3, samples=2, borel_samples=1, jobs=2))
     sequential["meta"].pop("jobs")
     parallel["meta"].pop("jobs")
     assert all(len(r["numeric"]) == 1 for r in sequential["witnesses"])
@@ -187,7 +213,7 @@ def test_witness_section_transforms_each_witness_once(monkeypatch):
 
     transform = degeneration.transformed_constants
     monkeypatch.setattr(degeneration, "transformed_constants", counted)
-    records, _, ok = suite._witness_section((1e-4,), 1, None)
+    records, _, ok = suite._witness_section(1, None)
     assert ok and all("numeric" in r for r in records)
     assert len(calls) == len(files.witness_ids())
 
@@ -198,7 +224,7 @@ def test_unexplained_screening_pair_fails_verify_all(tmp_path, monkeypatch):
                                                 "unexplained": [("A_24", "A_23")]})
     report_path = tmp_path / "report.json"
     code = main(["verify-all", "--samples", "1", "--borel-samples", "1",
-                 "--t-samples", "", "--report", str(report_path)])
+                 "--report", str(report_path)])
     assert code == 1
     report = json.loads(report_path.read_text(encoding="ascii"))
     assert report["ok"] is False
@@ -212,8 +238,8 @@ def test_failed_witness_fails_verify_all_without_a_traceback(tmp_path,
                                                               monkeypatch):
     real_verify = suite.verify
 
-    def mismatching(witness, t_samples=()):
-        verdict = real_verify(witness, t_samples)
+    def mismatching(witness):
+        verdict = real_verify(witness)
         if (witness.source, witness.target) == ("A_23", "A_24"):
             return degeneration.Verdict(degeneration.LIMIT_MISMATCH,
                                         witness.source, witness.target,
@@ -238,8 +264,8 @@ def test_failed_witness_fails_verify_all_without_a_traceback(tmp_path,
 def test_graph_command_reports_a_failed_witness(monkeypatch, capsys):
     real_verify = suite.verify
 
-    def mismatching(witness, t_samples=()):
-        verdict = real_verify(witness, t_samples)
+    def mismatching(witness):
+        verdict = real_verify(witness)
         if (witness.source, witness.target) == ("A_23", "A_24"):
             verdict.status = degeneration.LIMIT_MISMATCH
         return verdict
@@ -252,25 +278,25 @@ def test_graph_command_reports_a_failed_witness(monkeypatch, capsys):
         "witness a23_to_a24 is LIMIT_MISMATCH"
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NILCERT_SEED", "not-an-int")
-    assert main(["verify-all", "--samples", "1", "--borel-samples", "1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("NILCERT_SEED", "5")
+def test_seed_flag_reaches_the_report(tmp_path):
+    assert build_arg_parser().parse_args(["verify-all"]).seed == 0
     report_path = tmp_path / "seeded.json"
-    assert main(["verify-all", "--samples", "1", "--borel-samples", "1",
-                 "--t-samples", "", "--report", str(report_path)]) == 0
+    assert main(["verify-all", "--seed", "5", "--samples", "1",
+                 "--borel-samples", "1", "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text(encoding="ascii"))
     assert report["meta"]["seed"] == 5
-    assert report["meta"]["t_samples"] == []
+    assert "t_samples" not in report["meta"]
 
 
-def test_t_samples_flag_parsing():
-    from nilcert.cli import _parse_t_samples
-    assert _parse_t_samples("1e-3,1e-4") == (1e-3, 1e-4)
-    assert _parse_t_samples("") == ()
-    with pytest.raises(Exception):
-        _parse_t_samples("abc")
+def test_readme_synopsis_names_the_verify_all_options(capsys):
+    readme = (pathlib.Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    synopsis = re.search(r"^    nilcert verify-all .*?(?=^    nilcert verify )",
+                         readme, re.MULTILINE | re.DOTALL).group(0)
+    with pytest.raises(SystemExit):
+        build_arg_parser().parse_args(["verify-all", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    defined = set(re.findall(r"--[a-z-]+", usage)) - {"--help"}
+    assert set(re.findall(r"--[a-z-]+", synopsis)) == defined
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -86,7 +86,7 @@ def test_rational_a02_family_has_no_exceptional_values():
     # the rows permute e_2, e_3, e_4 cyclically and scale two of them
     m = matrix_of(A02_TO_A06)
     assert m.det() == RationalFunction.t() ** -3
-    assert m.exceptional_values() == ([], [])
+    assert m.exceptional_values() == []
 
 
 # -- limit tables ----------------------------------------------------------------------
@@ -153,47 +153,40 @@ def test_diverging_family_reported():
 def test_exceptional_values_recorded():
     verdict = verify(files.load_shipped_witness("a01_to_a03"))
     assert verdict.verified
-    assert "2/3" in verdict.details["exceptional_t"]
+    # the powers (t - 2/3)^k of the entries' denominators, made monic
+    assert verdict.details["exceptional_t_polys"] == [
+        "-2/3 + t", "-8/27 + 4/3*t + -2*t^2 + t^3", "4/9 + -4/3*t + t^2"]
 
 
-@pytest.mark.parametrize("constant, solved", [
-    ("10000019", True),
-    ("123456789012345678901234567891", False),
-])
-def test_root_search_is_bounded_in_the_witness_constants(constant, solved):
+@pytest.mark.parametrize("constant", [
+    "10000019", "123456789012345678901234567891"])
+def test_exceptional_polys_need_no_root_search(constant):
     rows = A23_TO_A24[:4] + [f"(1/(t + {constant})) e_5"]
     started = time.perf_counter()
     verdict = verify(DegenerationWitness("A_23", "A_24", matrix_of(rows)))
     assert time.perf_counter() - started < 10
     assert verdict.verified
-    if solved:
-        assert verdict.details["exceptional_t"] == [f"-{constant}"]
-        assert "unresolved_factors" not in verdict.details
-    else:
-        assert verdict.details["exceptional_t"] == []
-        assert verdict.details["unresolved_factors"] == [f"{constant} + t"]
+    assert verdict.details["exceptional_t_polys"] == [f"{constant} + t"]
 
 
 @pytest.mark.parametrize("wid", ["a01_to_a02", "a02_to_a04", "a02_to_a07"])
-def test_gaussian_monomial_determinant_is_fully_solved(wid):
-    # det = c t^k with a non-real c: it has no nonzero root to search for
+def test_gaussian_monomial_determinant_lists_nothing(wid):
+    # det = c t^k with a non-real c: it has no nonzero root
     witness = files.load_shipped_witness(wid)
     det = witness.matrix.det().num
     assert det.degree == det.order > 0 and det.lead.b
     verdict = verify(witness)
     assert verdict.verified
-    assert verdict.details["exceptional_t"] == []
-    assert "unresolved_factors" not in verdict.details
+    assert verdict.details["exceptional_t_polys"] == []
 
 
-def test_gaussian_determinant_roots_are_searched_after_scaling():
-    # det = i t (t - 2) = i (t^2 - 2t), whose nonzero root is rational
+def test_gaussian_determinant_is_listed_monic_without_its_power_of_t():
+    # det = i t (t - 2) = i (t^2 - 2t), listed as t - 2
     m = matrix_of(["e_1", "e_2", "i t (t - 2) e_3", "e_4", "e_5"])
     assert repr(m.det()) == "-2*i*t + i*t^2"
     verdict = verify(DegenerationWitness("A_24", "A_24", m))
     assert verdict.verified
-    assert verdict.details["exceptional_t"] == ["2"]
-    assert "unresolved_factors" not in verdict.details
+    assert verdict.details["exceptional_t_polys"] == ["-2 + t"]
 
 
 def test_family_determinant_is_computed_once_per_verify(monkeypatch):
@@ -205,7 +198,7 @@ def test_family_determinant_is_computed_once_per_verify(monkeypatch):
 
     det = degeneration.det
     monkeypatch.setattr(degeneration, "det", counted)
-    verdict = verify(files.load_shipped_witness("a01_to_a03"), (1e-4,))
+    verdict = verify(files.load_shipped_witness("a01_to_a03"))
     assert verdict.verified
     assert len(calls) == 1
 
@@ -278,7 +271,5 @@ def test_numeric_identity_self_witness_is_exact():
 def test_verify_runs_the_crosscheck_on_its_own_constants():
     for wid in ("a01_to_a02", "a23_to_a24"):
         witness = files.load_shipped_witness(wid)
-        verdict = verify(witness, (1e-3, 1e-4))
-        assert verdict.details["numeric"] == [
-            asdict(s) for s in crosscheck(witness, (1e-3, 1e-4))]
-        assert "numeric" not in verify(witness).details
+        assert verify(witness).details["numeric"] == [
+            asdict(s) for s in crosscheck(witness, degeneration.NUMERIC_T)]
