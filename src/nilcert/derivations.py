@@ -8,8 +8,9 @@ system
 
 over the dim^2 unknowns D[p][q].  The system is linear in the constants, so
 the scaled table of StructureTable.integer_tensor has the same derivations:
-the rows are built in Gaussian integers, the dimension comes from integer
-Bareiss and the basis from a rational echelon form.
+the rows are built in Gaussian integers, the dimension comes from their
+certified rank (pivots modulo a prime, a kernel checked exactly) and the
+basis from a rational echelon form.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _leibniz_rows(alg: StructureTable):
 
 
 def derivation_dimension(alg: StructureTable) -> int:
-    """dim Der = dim^2 - rank of the Leibniz system, by integer Bareiss."""
+    """dim Der = dim^2 - rank of the Leibniz system, by the certified
+    Gaussian-integer rank."""
     return alg.dim * alg.dim - gaussian_int_rank(_leibniz_rows(alg))
 
 

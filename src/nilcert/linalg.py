@@ -4,16 +4,21 @@ All routines are deterministic: pivots are chosen as the first nonzero entry
 scanning columns left to right and rows top to bottom, so echelon forms are
 reproducible for golden tests.  One fraction-free Bareiss update over
 Gaussian integers, with its exact division by the previous pivot, serves two
-routines: the elimination gaussian_int_echelon gives the ranks and spans of
-the identify path (powers, annihilator, dim Der) and the invertibility test
-of random bases; its Gauss-Jordan form gaussian_int_adjugate gives det and
-adjugate for the change of basis of a Q(i) table.  rref, invert_matrix and
+routines: the elimination gaussian_int_echelon gives the spans of the
+identify path (powers, annihilator); its Gauss-Jordan form
+gaussian_int_adjugate gives det and adjugate for the change of basis of a
+Q(i) table.  gaussian_int_rank (dim Der, the invertibility test of random
+bases) proves a rank from both sides: pivots found modulo a prime bound it
+below, and a kernel found by Bareiss on those pivot rows alone and checked
+exactly against every row bounds it above.  rref, invert_matrix and
 det take the field's zero and one and work over any exact field: Q(i) for
 subspaces and kernels, and the rational functions Q(i)(t) for the inverse and
 determinant of a parametric witness basis.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 class SingularMatrixError(ValueError):
@@ -218,6 +223,143 @@ def _bareiss_tails(rows, prow, col, prev):
     return tails
 
 
+# -- certified rank: pivots mod a prime, kernel checked in Gaussian integers ------
+
+# A prime p = 1 mod 4 and a square root of -1 mod p: a + b i -> a + b s mod p
+# is a ring map Z[i] -> Z/p, so a minor that is nonzero mod p is nonzero.
+RANK_PRIME = 2 ** 61 - 31
+RANK_SQRT_M1 = 583529827753931384
+
+
 def gaussian_int_rank(rows) -> int:
-    """Rank of a matrix of Gaussian integers given as (re, im) int pairs."""
+    """Rank of a matrix of Gaussian integers given as (re, im) int pairs,
+    proved from both sides.
+
+    Lower bound: elimination mod RANK_PRIME finds r pivot rows whose r x r
+    minor on the pivot columns is nonzero mod p, hence nonzero, so rank >= r.
+    Upper bound: unless r is the number of rows or columns, the pivot rows
+    alone, eliminated exactly, give one Gaussian-integer kernel vector per
+    free column (``_kernel_vectors``), nonzero there and zero at the other
+    free columns; these are independent, and when every input row has dot
+    product 0 with each, rank <= r.  A failed check (p divides
+    a minor that decides the rank) falls back to ``gaussian_int_echelon``.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivot_rows = _modular_pivot_rows(rows, ncols)
+    r = len(pivot_rows)
+    if r in (ncols, len(rows)):
+        return r
+    vectors = _kernel_vectors([rows[k] for k in pivot_rows], ncols)
+    if _annihilates(vectors, rows, ncols):
+        return r
     return len(gaussian_int_echelon(rows))
+
+
+def _modular_pivot_rows(rows, ncols):
+    """Indices of the pivot rows of the rows reduced mod RANK_PRIME, by
+    elimination with the first nonzero entry of each column as pivot.
+
+    Each row is one int holding an entry per slot of ``width`` bits, so a row
+    update is one multiply-add.  Updates add the normalized pivot row (entries
+    below p) times p - f and are never reduced: a slot receives at most one
+    update per pivot, so it stays below p + ncols p^2 and never carries.
+    """
+    p = RANK_PRIME
+    width = 2 * p.bit_length() + ncols.bit_length() + 1
+    mask = (1 << width) - 1
+    packed = []
+    for k, row in enumerate(rows):
+        x = 0
+        for a, b in reversed(row):
+            x = (x << width) | (a + b * RANK_SQRT_M1) % p
+        if x:
+            packed.append((k, x))
+    pivot_rows = []
+    for col in range(ncols):
+        shift = col * width
+        heads = [((x >> shift) & mask) % p for _, x in packed]
+        pr = next((i for i, f in enumerate(heads) if f), None)
+        if pr is None:
+            continue
+        k, x = packed.pop(pr)
+        pivot = heads.pop(pr)
+        pivot_rows.append(k)
+        if not any(heads):
+            continue
+        inv = pow(pivot, -1, p)
+        # the pivot row scaled to pivot 1, right of the pivot only
+        unit = 0
+        for c in range(ncols - 1, col, -1):
+            unit = (unit << width) | ((x >> (c * width)) & mask) * inv % p
+        unit <<= shift + width
+        packed = [(k, x + (p - f) * unit) if f else (k, x)
+                  for (k, x), f in zip(packed, heads)]
+    return pivot_rows
+
+
+def _kernel_vectors(pivot_rows, ncols):
+    """One kernel vector of the given rows per free column, as lists of
+    (re, im) pairs, for rows of full row rank.
+
+    The Bareiss echelon form U of the rows A has pivot columns C and last
+    pivot d = +-det A_C.  The vector of free column f holds d at f, 0 at the
+    other free columns and at C the solution of U_C x = -d U_f, which is that
+    of A_C x = -d A_f and so integral by Cramer's rule; back-substitution
+    finds it with exact Gaussian divisions.  Should a division not be exact,
+    the vector is wrong and the caller's check fails.
+    """
+    echelon = gaussian_int_echelon(pivot_rows)
+    pivots = [next(c for c, e in enumerate(row) if e != (0, 0)) for row in echelon]
+    da, db = echelon[-1][pivots[-1]] if echelon else (1, 0)
+    vectors = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [(0, 0)] * ncols
+        v[f] = (da, db)
+        for row, c in zip(reversed(echelon), reversed(pivots)):
+            na = nb = 0
+            for j in range(c + 1, ncols):
+                ya, yb = v[j]
+                if ya or yb:
+                    ua, ub = row[j]
+                    if ua or ub:
+                        na -= ua * ya - ub * yb
+                        nb -= ua * yb + ub * ya
+            pa, pb = row[c]
+            norm = pa * pa + pb * pb
+            v[c] = ((na * pa + nb * pb) // norm, (nb * pa - na * pb) // norm)
+        vectors.append(v)
+    return vectors
+
+
+def _annihilates(vectors, rows, ncols) -> bool:
+    """Whether every row has dot product 0 with every vector, exactly.
+
+    Column c of all the vectors is packed into one int per part, vector f at
+    bit f K (K = ``shift``), so a row's products sum to sum_f D_f 2^(f K),
+    with D_f its dot product with vector f.  Each |D_f| is below 2^(K - 1),
+    so the sum is 0 only when every D_f is.
+    """
+    shift = _max_bits(vectors) + _max_bits(rows) + ncols.bit_length() + 2
+    re, im = [0] * ncols, [0] * ncols
+    for v in reversed(vectors):
+        for c, (a, b) in enumerate(v):
+            re[c] = (re[c] << shift) + a
+            im[c] = (im[c] << shift) + b
+    for row in rows:
+        sa = sb = 0
+        for (a, b), va, vb in zip(row, re, im):
+            if a:
+                sa += a * va
+                sb += a * vb
+            if b:
+                sa -= b * vb
+                sb += b * va
+        if sa or sb:
+            return False
+    return True
+
+
+def _max_bits(matrix) -> int:
+    """Bit length of the largest real or imaginary part in the matrix."""
+    parts = chain.from_iterable(chain.from_iterable(matrix))
+    return max(map(abs, parts), default=0).bit_length()

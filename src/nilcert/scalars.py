@@ -210,7 +210,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [GaussianRational.coerce(c) for c in coeffs]
+        cs = [c if type(c) is GaussianRational else GaussianRational.coerce(c)
+              for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)

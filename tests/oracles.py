@@ -1,12 +1,13 @@
 """Test oracles, independent of the code they check: the certificate
 conditions from the defining c(i,j,k) equations, every parenthesization of
 tail products and exhaustive minors; the Leibniz rule on basis pairs;
-subspace membership by reduction against echelon rows; and random sparse
-tables."""
+subspace membership by reduction against echelon rows; random sparse
+tables; and a counter on the exact fallback of the certified rank."""
 
 import random
 from itertools import combinations
 
+from nilcert import linalg
 from nilcert.algebra import StructureTable, Subspace
 from nilcert.certificates import (AnnDimAtLeast, FlagContainment,
                                   PolynomialEq, PowerVanish)
@@ -148,3 +149,19 @@ def laplace_det(matrix):
         term = head * laplace_det(sub)
         total = total + term if col % 2 == 0 else total - term
     return total
+
+
+def count_rank_fallbacks(monkeypatch):
+    """A list that grows by one each time ``linalg.gaussian_int_rank`` falls
+    back to full Bareiss, which it does exactly when its kernel check fails."""
+    fallbacks = []
+    check = linalg._annihilates
+
+    def counted(*args):
+        ok = check(*args)
+        if not ok:
+            fallbacks.append(args)
+        return ok
+
+    monkeypatch.setattr(linalg, "_annihilates", counted)
+    return fallbacks

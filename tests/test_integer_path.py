@@ -18,12 +18,14 @@ from nilcert import catalog
 from nilcert.algebra import (StructureTable, Subspace, annihilator,
                              flag_subspace, power_chain, subspace_product)
 from nilcert.derivations import derivation_dimension, derivation_space
-from nilcert.linalg import (SingularMatrixError, det, gaussian_int_echelon,
-                            invert_matrix, kernel_basis, rank, vec_matmul)
+from nilcert.linalg import (RANK_PRIME, SingularMatrixError, det,
+                            gaussian_int_echelon, invert_matrix, kernel_basis,
+                            rank, vec_matmul)
 from nilcert.sampling import (derive_rng, random_borel_matrix,
                               random_invertible, random_vector)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
-from oracles import basis_vector, is_derivation, random_sparse_table
+from oracles import (basis_vector, count_rank_fallbacks, is_derivation,
+                     random_sparse_table)
 
 
 def fraction_associative(table):
@@ -140,6 +142,35 @@ def test_annihilator_and_dim_der_match_the_fraction_oracles():
         space = derivation_space(table)
         assert space.dimension == derivation_dimension(table)
         assert all(is_derivation(table, d) for d in space.basis)
+
+
+def test_dim_der_of_tables_scaled_by_the_rank_prime_takes_the_fallback(monkeypatch):
+    # every Leibniz row is 0 mod RANK_PRIME, so only the exact fallback
+    # can find the rank; scaling keeps dim Der
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    rng = derive_rng(20, "integer-path-rank-prime")
+    for name in ("A_01", "A_05", "A_12", "A_24"):
+        table = catalog.get(name).table
+        for moved in (table, table.change_basis(random_invertible(rng, 5))):
+            scaled = StructureTable(5, {key: c * RANK_PRIME
+                                        for key, c in moved.entries.items()})
+            before = len(fallbacks)
+            assert derivation_dimension(scaled) == \
+                25 - fraction_leibniz_rank(scaled) == catalog.DER_DIMS[name]
+            assert len(fallbacks) == before + 1
+
+
+def test_rank_fallback_never_runs_on_the_catalog_and_its_conjugates(monkeypatch):
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    for name in catalog.names():
+        assert derivation_dimension(catalog.get(name).table) == catalog.DER_DIMS[name]
+    rng = derive_rng(21, "integer-path-conjugates")
+    names = [name for name in catalog.names() if name != "C5"]
+    for index in range(50):
+        name = names[index % len(names)]
+        moved = catalog.get(name).table.change_basis(random_invertible(rng, 5))
+        assert derivation_dimension(moved) == catalog.DER_DIMS[name]
+    assert fallbacks == []
 
 
 def test_scaling_by_a_gaussian_rational_keeps_identities_and_fingerprint():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from nilcert.linalg import (SingularMatrixError, det, gaussian_int_adjugate,
+from nilcert.linalg import (RANK_PRIME, RANK_SQRT_M1, SingularMatrixError,
+                            det, gaussian_int_adjugate, gaussian_int_echelon,
                             gaussian_int_rank, invert_matrix, kernel_basis,
                             rank, rref)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
+from oracles import count_rank_fallbacks
 
 
 def g(re, im=0):
@@ -73,6 +75,97 @@ def test_gaussian_int_rank_agrees_with_rational_rank():
 def test_gaussian_int_rank_handles_rank_deficiency():
     rows = [[(1, 0), (2, 0)], [(2, 0), (4, 0)], [(0, 1), (0, 2)]]
     assert gaussian_int_rank(rows) == 1
+
+
+def is_prime(n):
+    """Miller-Rabin on the first twelve primes, deterministic below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_oracle():
+    by_trial_division = [n for n in range(2, 200) if all(n % q for q in range(2, n))]
+    assert [n for n in range(200) if is_prime(n)] == by_trial_division
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(3215031751)
+
+
+def test_rank_prime_and_its_root_of_minus_one():
+    # a wrong constant would only send every rank to the slow fallback
+    assert is_prime(RANK_PRIME)
+    assert RANK_PRIME % 4 == 1
+    assert pow(RANK_SQRT_M1, 2, RANK_PRIME) == RANK_PRIME - 1
+
+
+def test_gaussian_int_rank_falls_back_when_the_prime_divides_the_minor(monkeypatch):
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    # the 2 x 2 minor is RANK_PRIME, so the rank mod p is 1
+    rows = [[(1, 0), (1, 0)], [(1, 0), (1 + RANK_PRIME, 0)]]
+    assert gaussian_int_rank(rows) == 2
+    assert len(fallbacks) == 1
+    # Gaussian entries: the minor i (1 - p i) - i is again RANK_PRIME
+    rows = [[(0, 1), (1, 0)], [(0, 1), (1, -RANK_PRIME)]]
+    assert gaussian_int_rank(rows) == 2
+    assert len(fallbacks) == 2
+
+
+def test_gaussian_int_rank_of_zero_and_empty_matrices(monkeypatch):
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    assert gaussian_int_rank([]) == 0
+    assert gaussian_int_rank([[(0, 0)] * 3] * 2) == 0
+    assert gaussian_int_rank([[(0, 0), (RANK_PRIME, 0)], [(0, 0), (0, 0)]]) == 1
+    assert len(fallbacks) == 1
+
+
+def low_rank_product(rng, m, k, n, bound):
+    """(m x k)(k x n) with Gaussian entries below ``bound`` in each part."""
+    def draw(rows, cols):
+        return [[(rng.randrange(-bound, bound + 1), rng.randrange(-bound, bound + 1))
+                 for _ in range(cols)] for _ in range(rows)]
+    left, right = draw(m, k), draw(k, n)
+    return [[(sum(a * c - b * d for (a, b), (c, d) in zip(row, col)),
+              sum(a * d + b * c for (a, b), (c, d) in zip(row, col)))
+             for col in zip(*right)] for row in left]
+
+
+def test_gaussian_int_rank_matches_exact_ranks_on_low_rank_products(monkeypatch):
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    rng = random.Random(29)
+    scaled = 0
+    for trial in range(240):
+        m, n = rng.randrange(2, 8), rng.randrange(2, 8)
+        k = rng.randrange(1, min(m, n))
+        rows = low_rank_product(rng, m, k, n, 2 ** 40 if trial % 2 else 3)
+        if trial % 3 == 0:
+            rows = [[(a * RANK_PRIME, b * RANK_PRIME) for a, b in row] for row in rows]
+        elif trial % 3 == 1:
+            s = rng.randrange(m)
+            rows[s] = [(a * RANK_PRIME, b * RANK_PRIME) for a, b in rows[s]]
+        want = len(gaussian_int_echelon(rows))
+        assert want <= k
+        grows = [[GaussianRational(a, b) for a, b in row] for row in rows]
+        assert want == rank(grows, GR_ZERO, GR_ONE)
+        assert gaussian_int_rank(rows) == want, rows
+        if trial % 3 == 0 and want:
+            scaled += 1
+    # every nonzero matrix scaled by RANK_PRIME is zero mod p and falls back
+    assert len(fallbacks) >= scaled > 0
 
 
 def test_gaussian_int_adjugate_is_det_times_inverse():
