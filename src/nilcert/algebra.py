@@ -89,13 +89,21 @@ class StructureTable:
         return True
 
     def check_identities(self) -> IdentityReport:
-        """(e_i e_j) e_k = e_i (e_j e_k), read from the integer tensor P as
-        sum_m P_ij^m P_mk = sum_m P_jk^m P_im on every triple."""
+        """(e_i e_j) e_k = e_i (e_j e_k) on every triple, read from the
+        integer tensor P.  The left side is T(i,j,k) = sum_m P_ij^m P_mk.
+        On a commutative table the right side is (e_j e_k) e_i = T(j,k,i);
+        otherwise it is sum_m P_jk^m P_im."""
         p, n = self.integer_tensor(), self.dim
-        associative = all(
-            _combine(p[i][j], [p[m][k] for m in range(n)]) == _combine(p[j][k], p[i])
-            for i in range(n) for j in range(n) for k in range(n))
-        return IdentityReport(self.is_commutative(), associative)
+        commutative = self.is_commutative()
+        columns = [[p[m][k] for m in range(n)] for k in range(n)]
+        left = {(i, j, k): _combine(p[i][j], columns[k])
+                for i in range(n) for j in range(n) for k in range(n)}
+        if commutative:
+            associative = all(v == left[j, k, i] for (i, j, k), v in left.items())
+        else:
+            associative = all(v == _combine(p[j][k], p[i])
+                              for (i, j, k), v in left.items())
+        return IdentityReport(commutative, associative)
 
     def integer_tensor(self):
         """Dense products of the scaled table lambda mu, lambda the lcm of

@@ -128,7 +128,7 @@ def _cmd_identify(args):
 
 
 def _cmd_graph(args):
-    _, verdicts, _ = _witness_section(1, None)
+    _, verdicts, _ = _witness_section(map, None)
     for verdict in verdicts:
         if not verdict.verified:
             return _fail_verification(

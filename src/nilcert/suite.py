@@ -2,9 +2,12 @@
 reconstruction, non-degeneration claims, screening completeness, and the
 advisory numeric cross-check, assembled into one machine-readable report.
 
-The run is deterministic for a fixed seed: every randomized probe draws from
-a generator derived from (seed, task label) via sha256, so results do not
-depend on execution order or the worker pool size.
+With jobs > 1 the witness and claim checks run on one pool of jobs forked
+workers, one task per witness and per claim; the sections still run one
+after another.  The run is deterministic for a fixed seed: every randomized
+probe draws from a generator derived from (seed, task label) via sha256 in
+the process that runs the task, so the report does not depend on execution
+order or the pool size.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from . import __version__, catalog, files
 from . import graph as graphmod
@@ -27,6 +31,25 @@ def _verify_by_id(witness_id):
     verdict = verify(files.load_shipped_witness(witness_id))
     verdict.details["witness_id"] = witness_id
     return witness_id, verdict
+
+
+def _check_claim_task(task):
+    """Worker entry: one claim on its own random stream."""
+    index, claim, seed, samples, borel_samples = task
+    rng = derive_rng(seed, f"claim:{index}:{claim.describe()}")
+    return check_claim(claim, samples, borel_samples, rng)
+
+
+@contextmanager
+def _task_map(jobs):
+    """The builtin map for one job, else the map of a pool of jobs forked
+    workers.  The workers fork at the first task, so they inherit the caches
+    filled before it; leaving the block joins them, also on an error."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def _catalog_section():
@@ -58,13 +81,9 @@ def _catalog_section():
     }, ok
 
 
-def _witness_section(jobs, log):
+def _witness_section(pmap, log):
     ids = files.witness_ids()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_verify_by_id, ids))
-    else:
-        results = dict(map(_verify_by_id, ids))
+    results = dict(pmap(_verify_by_id, ids))
     verdicts = [results[wid] for wid in ids]
     records = []
     ok = True
@@ -115,13 +134,13 @@ def _mark_transitivity(witness_records, g):
         record["implied_by_transitivity"] = edge not in hasse and edge in closure
 
 
-def _claims_section(seed, samples, borel_samples, log):
+def _claims_section(pmap, seed, samples, borel_samples, log):
     claims = files.load_shipped_claims()
+    tasks = [(index, claim, seed, samples, borel_samples)
+             for index, claim in enumerate(claims)]
     records = []
     ok = True
-    for index, claim in enumerate(claims):
-        rng = derive_rng(seed, f"claim:{index}:{claim.describe()}")
-        outcome = check_claim(claim, samples, borel_samples, rng)
+    for claim, outcome in zip(claims, pmap(_check_claim_task, tasks)):
         ok = ok and outcome.valid
         records.append({
             "claim": claim.describe(),
@@ -176,17 +195,20 @@ def run_all(seed=0, samples=1000, borel_samples=200, jobs=1, log=None):
     catalog_section, catalog_ok = _catalog_section()
     timings["catalog"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    witness_records, verdicts, witnesses_ok = _witness_section(jobs, log)
-    timings["witnesses"] = time.perf_counter() - t0
+    with _task_map(jobs) as pmap:
+        t0 = time.perf_counter()
+        witness_records, verdicts, witnesses_ok = _witness_section(pmap, log)
+        timings["witnesses"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    graph_section, g, graph_ok = _graph_section(verdicts)
-    _mark_transitivity(witness_records, g)
-    timings["graph"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        graph_section, g, graph_ok = _graph_section(verdicts)
+        _mark_transitivity(witness_records, g)
+        timings["graph"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    claims_records, claims_ok = _claims_section(seed, samples, borel_samples, log)
+        t0 = time.perf_counter()
+        claims_records, claims_ok = _claims_section(
+            pmap, seed, samples, borel_samples, log)
+    # the claims section is the pool's last user: it pays for the shutdown
     timings["claims"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

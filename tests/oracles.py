@@ -1,11 +1,12 @@
 """Test oracles, independent of the code they check: the certificate
 conditions from the defining c(i,j,k) equations, every parenthesization of
-tail products and exhaustive minors; the Leibniz rule on basis pairs;
-subspace membership by reduction against echelon rows; random sparse
-tables; and a counter on the exact fallback of the certified rank."""
+tail products and exhaustive minors; associativity on basis triples and the
+Leibniz rule on basis pairs; subspace membership by reduction against
+echelon rows; random sparse tables; and a counter on the exact fallback of
+the certified rank."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from nilcert import linalg
 from nilcert.algebra import StructureTable, Subspace
@@ -35,6 +36,17 @@ def contains(space, vector) -> bool:
 
 def contains_subspace(space, other) -> bool:
     return all(contains(space, r) for r in other.rows)
+
+
+def associative_bruteforce(table) -> bool:
+    """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, both sides
+    multiplied out over Q(i)."""
+    for i, j, k in product(range(table.dim), repeat=3):
+        left = table.multiply(table.product_vec(i, j), basis_vector(table, k))
+        right = table.multiply(basis_vector(table, i), table.product_vec(j, k))
+        if left != right:
+            return False
+    return True
 
 
 def is_derivation(alg: StructureTable, matrix) -> bool:

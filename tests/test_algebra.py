@@ -4,13 +4,14 @@ and basis changes, with brute-force oracles for the derived values."""
 import pytest
 
 from nilcert import catalog
-from nilcert.algebra import (StructureTable, Subspace, annihilator,
-                             flag_subspace, power_chain, subspace_product)
+from nilcert.algebra import (IdentityReport, StructureTable, Subspace,
+                             annihilator, flag_subspace, power_chain,
+                             subspace_product)
 from nilcert.linalg import SingularMatrixError
 from nilcert.sampling import derive_rng, random_invertible, random_vector
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
-from oracles import (contains, contains_subspace, random_sparse_table,
-                     zero_subspace)
+from oracles import (associative_bruteforce, contains, contains_subspace,
+                     random_sparse_table, zero_subspace)
 
 
 def g(re, im=0):
@@ -93,6 +94,35 @@ def test_nonassociative_table_detected():
     # (e1 e1) e1 = e2 e1 = e1, e1 (e1 e1) = e1 e2 = 0: not associative
     table = StructureTable(5, {(0, 0, 1): GR_ONE, (1, 0, 0): GR_ONE})
     assert not table.check_identities().associative
+
+
+def test_identities_match_the_oracle_with_one_planted_failure():
+    """Each catalog algebra in a random basis with one symmetric pair of
+    constants moved: still commutative, associative or not."""
+    rng = derive_rng(31, "planted-associativity")
+    verdicts = set()
+    for name in catalog.names():
+        table = catalog.get(name).table.change_basis(random_invertible(rng, 5))
+        i, j, k = (rng.randrange(5) for _ in range(3))
+        entries = dict(table.entries)
+        entries[(i, j, k)] = entries[(j, i, k)] = \
+            table.entry(i, j, k) + g(1 + rng.randrange(3), rng.randrange(-1, 2))
+        planted = StructureTable(5, entries)
+        report = planted.check_identities()
+        assert report.commutative
+        assert report.associative == associative_bruteforce(planted), (name, i, j, k)
+        verdicts.add(report.associative)
+    assert verdicts == {True, False}
+
+
+def test_noncommutative_table_is_checked_on_both_sides():
+    # E_11, E_12 of the 2 x 2 matrices: associative, yet (e_1 e_1) e_2 = e_2
+    # and (e_1 e_2) e_1 = 0, so (e_j e_k) e_i cannot stand for e_i (e_j e_k)
+    units = StructureTable(2, {(0, 0, 0): GR_ONE, (0, 1, 1): GR_ONE})
+    rng = derive_rng(32, "noncommutative-identities")
+    for table in (units, units.change_basis(random_invertible(rng, 2))):
+        assert associative_bruteforce(table)
+        assert table.check_identities() == IdentityReport(False, True)
 
 
 # -- subspace products and powers ---------------------------------------------------------

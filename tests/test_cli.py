@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, determinism, file handling."""
 
 import json
+import multiprocessing
 import os
 import pathlib
 import re
@@ -193,15 +194,39 @@ def test_verify_all_is_deterministic_under_a_seed():
     assert strip_nondeterministic(first) == strip_nondeterministic(second)
 
 
-def test_worker_pool_gives_identical_witness_results():
+def test_worker_pool_gives_identical_witness_and_claim_results(monkeypatch):
+    # A^6 = 0 holds for A_24 in every basis: the random search hits on its
+    # first sample, so hit_example is a matrix drawn from the claim's stream
+    claims = files.load_shipped_claims() + files.load_claims(
+        "claim A_01 !-> A_24\nrequire A_1^6 = 0\n")
+    monkeypatch.setattr(files, "load_shipped_claims", lambda: claims)
     sequential = strip_nondeterministic(
         run_all(seed=3, samples=2, borel_samples=1, jobs=1))
     parallel = strip_nondeterministic(
         run_all(seed=3, samples=2, borel_samples=1, jobs=2))
+    assert multiprocessing.active_children() == []
     sequential["meta"].pop("jobs")
     parallel["meta"].pop("jobs")
     assert all(len(r["numeric"]) == 1 for r in sequential["witnesses"])
+    assert [r["claim"] for r in parallel["claims"]] == \
+        [claim.describe() for claim in claims]
+    escape = parallel["claims"][-1]["escapes"]["A_24"]
+    assert escape["status"] == "REFUTED" and escape["random_hits"] == 2
+    assert escape["hit_example"] is not None
     assert sequential == parallel
+
+
+def test_failing_claim_task_shuts_the_worker_pool_down(monkeypatch):
+    def failing(claim, samples, borel_samples, rng):
+        if claim.targets == ("A_15",):
+            raise RuntimeError("planted claim failure")
+        return check_claim(claim, samples, borel_samples, rng)
+
+    check_claim = suite.check_claim
+    monkeypatch.setattr(suite, "check_claim", failing)
+    with pytest.raises(RuntimeError, match="planted claim failure"):
+        run_all(seed=3, samples=2, borel_samples=1, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_witness_section_transforms_each_witness_once(monkeypatch):
@@ -213,7 +238,7 @@ def test_witness_section_transforms_each_witness_once(monkeypatch):
 
     transform = degeneration.transformed_constants
     monkeypatch.setattr(degeneration, "transformed_constants", counted)
-    records, _, ok = suite._witness_section(1, None)
+    records, _, ok = suite._witness_section(map, None)
     assert ok and all("numeric" in r for r in records)
     assert len(calls) == len(files.witness_ids())
 
