@@ -2,7 +2,7 @@
 
 A StructureTable stores the nonzero constants c[i][j][k] of a bilinear
 multiplication mu(e_i, e_j) = sum_k c[i][j][k] e_k with 0-based indices, all
-of them Gaussian rationals (Q(i)).  Constants over Q(i)(t) arise only while a
+of them Gaussian rationals (Q(i)).  Constants in t arise only while a
 parametric witness basis is checked, and live in the degeneration module.
 
 The identities, powers and annihilator of a table are computed in Gaussian
@@ -184,7 +184,7 @@ class Subspace:
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
-        reduced, pivots = rref(rows, GR_ZERO, GR_ONE)
+        reduced, pivots = rref(rows)
         self.rows = tuple(tuple(r) for r in reduced[:len(pivots)])
 
     @classmethod
@@ -318,6 +318,5 @@ def annihilator(alg: StructureTable) -> Subspace:
     n, p = alg.dim, alg.integer_tensor()
     rows = [[p[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
     rows += [[p[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
-    basis = kernel_basis(_rationals(gaussian_int_echelon(rows)), n,
-                         GR_ZERO, GR_ONE)
+    basis = kernel_basis(_rationals(gaussian_int_echelon(rows)), n)
     return Subspace.spanned_by(basis, n)

@@ -22,7 +22,7 @@ import sys
 
 from . import catalog, files
 from . import graph as graphmod
-from .degeneration import verify
+from .degeneration import DimensionMismatchError, verify
 from .derivations import derivation_space
 from .suite import _witness_section, run_all
 
@@ -90,6 +90,8 @@ def _cmd_verify(args):
         verdict = verify(witness)
     except catalog.UnknownAlgebraError as exc:
         return _fail_input(f"unknown algebra name {exc}")
+    except DimensionMismatchError as exc:
+        return _fail_input(f"{args.witness_file}: {exc}")
     record = {"source": verdict.source, "target": verdict.target,
               "status": verdict.status, "details": verdict.details}
     print(json.dumps(record, indent=2, sort_keys=True))

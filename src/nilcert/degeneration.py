@@ -6,29 +6,31 @@ E_i(t) = sum_j a_ij(t) e_j of the source algebra.  Verification is exact:
 1. the family must be generically invertible (det as a field element != 0;
    the polynomials whose nonzero roots are the finitely many t where E(t)
    has a pole or is singular are reported, never silently used),
-2. the structure constants of the source in the E-basis are computed
-   exactly in Q(i)(t), the rational functions in t: the products of the rows
-   on the source's Q(i) constants, times the inverse of E(t) over Q(i)(t),
-3. every constant must have a finite limit at t -> 0, and the limit table
-   must equal the target's table entry for entry, with no tolerance.
+2. the structure constants of the source in the E-basis are computed by the
+   rule of ``StructureTable.change_basis`` over Q(i)[t]: row i of E(t) is
+   G_i / D_i, D_i the product of its distinct denominators, and with N_ijk
+   coordinate k of G_i G_j (on the source's constants) times adj G,
+   c'(i, j, k) = N_ijk D_k / (D_i D_j det G), held as that unreduced pair,
+3. every constant must have a finite limit at t -> 0, read from the t-orders
+   and lowest coefficients of its pair, and the limit table must equal the
+   target's table entry for entry, with no tolerance.
 
-The Q(i)(t) constants exist only here, as a {(i, j, k): RationalFunction}
-dict of the nonzero ones; every StructureTable holds Q(i) constants.  A
-successful verdict additionally cross-checks the strict increase of the
-derivation dimension for proper claims.  A floating-point evaluation of the
-exact constants at t = NUMERIC_T is an advisory sanity check: its deviation
-from the target is that of the exact constants, whatever the conditioning of
-E(t).
+The only gcd reduces det E = det G / prod D_i for the report.  A successful
+verdict additionally cross-checks the strict increase of the derivation
+dimension for proper claims.  A floating-point evaluation of the exact
+constants at t = NUMERIC_T is an advisory sanity check: its deviation from
+the target is that of the exact constants, whatever the conditioning of E(t).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import prod
 
 from . import catalog
 from .algebra import StructureTable
-from .linalg import det, invert_matrix, vec_matmul
-from .scalars import RF_ONE, RF_ZERO, LimitDiverges, Poly, RationalFunction
+from .linalg import laplace_adjugate
+from .scalars import POLY_ONE, POLY_ZERO, Poly, RationalFunction, limit_at_zero
 
 VERIFIED = "VERIFIED"
 SINGULAR_FAMILY = "SINGULAR_FAMILY"
@@ -38,6 +40,10 @@ LIMIT_MISMATCH = "LIMIT_MISMATCH"
 
 class SingularFamilyError(ValueError):
     """The parametric basis is singular as a family (det = 0 identically)."""
+
+
+class DimensionMismatchError(ValueError):
+    """The witness basis and its source or target differ in dimension."""
 
 
 class LimitFailure(Exception):
@@ -53,22 +59,33 @@ class LimitFailure(Exception):
 class ParametricMatrix:
     """Rows are the parametric basis vectors, entries rational functions in t."""
 
-    __slots__ = ("rows", "_det")
+    __slots__ = ("rows", "_form")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(RationalFunction.coerce(c) for c in row)
                           for row in rows)
-        self._det = None
+        self._form = None
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def polynomial_form(self):
+        """(D, G, det G, adj G), computed on first use, the rows are
+        immutable: D_i is the product of the distinct (monic) denominators of
+        row i, and G_i = D_i E_i is a row of polynomials.  No gcd is taken."""
+        if self._form is None:
+            scales = [prod({c.den for c in row}, start=POLY_ONE)
+                      for row in self.rows]
+            rows = [[c.num if c.den == scale else c.num * (scale // c.den)
+                     for c in row] for scale, row in zip(scales, self.rows)]
+            self._form = (scales, rows, *laplace_adjugate(rows))
+        return self._form
+
     def det(self) -> RationalFunction:
-        """Determinant of the family; computed on first use, the rows are immutable."""
-        if self._det is None:
-            self._det = det([list(r) for r in self.rows], RF_ZERO, RF_ONE)
-        return self._det
+        """Determinant of the family, det G / prod D_i in lowest terms."""
+        scales, _, det_g, _ = self.polynomial_form()
+        return RationalFunction(det_g, prod(scales, start=POLY_ONE))
 
     def exceptional_values(self):
         """The polynomials whose nonzero roots are the t where the family
@@ -90,7 +107,6 @@ class DegenerationWitness:
     source: str
     target: str
     matrix: ParametricMatrix
-    witness_id: str = ""
 
 
 @dataclass
@@ -106,52 +122,49 @@ class Verdict:
 
 
 def generic_invertibility(matrix: ParametricMatrix) -> bool:
-    """det != 0 as a field element: a basis for all but finitely many t."""
-    return not matrix.det().is_zero
+    """det G != 0: a basis for all but finitely many t."""
+    return bool(matrix.polynomial_form()[2])
 
 
 def transformed_constants(source: StructureTable, matrix: ParametricMatrix):
     """Structure constants of the source in the parametric basis, as a
-    {(i, j, k): RationalFunction} dict of the nonzero ones.
-
-    c'(i, j, k) is coordinate k of E_i E_j, the product of the rows on the
-    source's constants, times the inverse of E(t) over Q(i)(t).  When the
-    source is commutative only the products with j >= i are formed and each
-    is mirrored.  Raises SingularFamilyError when the family is identically
-    singular.
-    """
-    if not generic_invertibility(matrix):
+    {(i, j, k): (N_ijk D_k, D_i D_j det G)} dict of the nonzero ones; for a
+    commutative source only the products with j >= i are formed and mirrored.
+    Raises SingularFamilyError when the family is identically singular."""
+    scales, rows, det_g, adj = matrix.polynomial_form()
+    if not det_g:
         raise SingularFamilyError("parametric basis has identically zero determinant")
-    rows = matrix.rows
-    inv = invert_matrix(rows, RF_ZERO, RF_ONE)
     commutative = source.is_commutative()
     constants = {}
     for i, x in enumerate(rows):
         for j in range(i if commutative else 0, len(rows)):
             y = rows[j]
-            prod = [RF_ZERO] * len(rows)
+            product = [POLY_ZERO] * len(rows)
             for (a, b, k), c in source.entries.items():
                 if x[a] and y[b]:
-                    prod[k] = prod[k] + x[a] * y[b] * c
-            for k, c in enumerate(vec_matmul(prod, inv, RF_ZERO)):
-                if c:
-                    constants[(i, j, k)] = c
+                    product[k] = product[k] + (x[a] * y[b]).scale(c)
+            den = scales[i] * scales[j] * det_g
+            for k, s_k in enumerate(scales):
+                num = sum((p * adj_row[k] for p, adj_row in zip(product, adj)
+                           if p and adj_row[k]), POLY_ZERO)
+                if num:
+                    pair = (num * s_k, den)
+                    constants[(i, j, k)] = pair
                     if commutative:
-                        constants[(j, i, k)] = c
+                        constants[(j, i, k)] = pair
     return constants
 
 
 def limit_table(constants, dim) -> StructureTable:
-    """Entrywise limit at t -> 0 of {(i, j, k): RationalFunction} constants
-    as a table of dimension dim; raises LimitFailure with the offending
-    index."""
+    """Entrywise limit at t -> 0 of {(i, j, k): (num, den)} constants as a
+    table of dimension dim; raises LimitFailure with the offending index."""
     entries = {}
-    for (i, j, k), c in sorted(constants.items()):
-        try:
-            value = c.limit_at_zero()
-        except LimitDiverges as exc:
-            raise LimitFailure((i + 1, j + 1, k + 1), LIMIT_DIVERGES, str(exc)) from exc
-        if not value.is_zero:
+    for (i, j, k), (num, den) in sorted(constants.items()):
+        value = limit_at_zero(num, den)
+        if value is None:
+            raise LimitFailure((i + 1, j + 1, k + 1), LIMIT_DIVERGES,
+                               f"order {num.order - den.order} at t=0")
+        if value:
             entries[(i, j, k)] = value
     return StructureTable(dim, entries)
 
@@ -161,10 +174,15 @@ def verify(witness: DegenerationWitness) -> Verdict:
 
     When the witness verifies, the advisory numeric cross-check runs at
     NUMERIC_T on the transformed constants already computed here and its
-    samples go to details["numeric"] as plain dicts.
+    samples go to details["numeric"] as plain dicts.  A basis of another
+    dimension than the algebras' raises DimensionMismatchError first.
     """
     source = catalog.get(witness.source)
     target = catalog.get(witness.target)
+    if {source.table.dim, target.table.dim} != {witness.matrix.dim}:
+        raise DimensionMismatchError(
+            f"a basis of {witness.matrix.dim} vectors for algebras of "
+            f"dimension {source.table.dim} and {target.table.dim}")
     details = {"exceptional_t_polys": witness.matrix.exceptional_values()}
 
     if not generic_invertibility(witness.matrix):
@@ -219,7 +237,8 @@ class NumericSample:
 
 
 def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
-    """Evaluate the witness's exact transformed constants at small complex t.
+    """Evaluate the witness's exact transformed constants, {(i, j, k): (num,
+    den)} pairs of polynomials, at small complex t.
 
     Reports the max absolute deviation from the target constants per sample.
     """
@@ -229,7 +248,8 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
         t = complex(t)
         deviation = 0.0
         for key in constants.keys() | target.keys():
-            value = constants[key].eval_complex(t) if key in constants else 0j
+            num, den = constants.get(key, (POLY_ZERO, POLY_ONE))
+            value = num.eval_complex(t) / den.eval_complex(t)
             wanted = target[key].eval_complex() if key in target else 0j
             deviation = max(deviation, abs(value - wanted))
         samples.append(NumericSample(abs(t), deviation))

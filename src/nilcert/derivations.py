@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import StructureTable
 from .linalg import gaussian_int_rank, kernel_basis
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def derivation_space(alg: StructureTable) -> DerivationSpace:
     """Kernel basis of the Leibniz system as dim x dim matrices."""
     n = alg.dim
     rows = [[GaussianRational(a, b) for a, b in row] for row in _leibniz_rows(alg)]
-    flat = kernel_basis(rows, n * n, GR_ZERO, GR_ONE)
+    flat = kernel_basis(rows, n * n)
     basis = tuple(tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
                   for v in flat)
     return DerivationSpace(len(basis), basis)

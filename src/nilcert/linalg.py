@@ -10,27 +10,26 @@ gaussian_int_adjugate gives det and adjugate for the change of basis of a
 Q(i) table.  gaussian_int_rank (dim Der, the invertibility test of random
 bases) proves a rank from both sides: pivots found modulo a prime bound it
 below, and a kernel found by Bareiss on those pivot rows alone and checked
-exactly against every row bounds it above.  rref, invert_matrix and
-det take the field's zero and one and work over any exact field: Q(i) for
-subspaces and kernels, and the rational functions Q(i)(t) for the inverse and
-determinant of a parametric witness basis.
+exactly against every row bounds it above.  rref, kernel_basis and
+invert_matrix work over Q(i).  laplace_adjugate, with no division, gives det
+and adjugate over Q(i)[t] for the change of basis of a parametric witness.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
+from .scalars import GR_ONE, GR_ZERO
+
 
 class SingularMatrixError(ValueError):
     """Matrix inversion or basis change attempted with a singular matrix."""
 
 
-def rref(rows, zero, one):
-    """Reduced row echelon form with unit pivots.
+def rref(rows):
+    """Reduced row echelon form with unit pivots, over Q(i).
 
-    Returns (rows, pivot_columns); zero rows are kept at the bottom.  Scalars
-    are tested against zero through their truth value, which every exact
-    scalar type here implements cheaply.
+    Returns (rows, pivot_columns); zero rows are kept at the bottom.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -50,7 +49,7 @@ def rref(rows, zero, one):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][col]
-        if pv != one:
+        if pv != GR_ONE:
             rows[r] = [x / pv for x in rows[r]]
         for k in range(nrows):
             if k != r and rows[k][col]:
@@ -62,77 +61,74 @@ def rref(rows, zero, one):
     return rows, pivots
 
 
-def rank(rows, zero, one) -> int:
-    return len(rref(rows, zero, one)[1])
-
-
-def kernel_basis(rows, ncols, zero, one):
+def kernel_basis(rows, ncols):
     """Basis of {x : A x = 0} for the matrix with the given rows.
 
     The basis is the standard free-column parametrization of the RREF, taken
     in ascending free-column order, so the output is deterministic.
     """
-    reduced, pivots = rref(rows, zero, one)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for free_col in range(ncols):
         if free_col in pivot_set:
             continue
-        v = [zero] * ncols
-        v[free_col] = one
+        v = [GR_ZERO] * ncols
+        v[free_col] = GR_ONE
         for ri, pc in enumerate(pivots):
-            v[pc] = zero - reduced[ri][free_col]
+            v[pc] = -reduced[ri][free_col]
         basis.append(v)
     return basis
 
 
-def invert_matrix(matrix, zero, one):
+def invert_matrix(matrix):
     """Inverse via Gauss-Jordan on an identity augment."""
     n = len(matrix)
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
+    aug = [list(row) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
            for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug, zero, one)
+    reduced, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in reduced]
 
 
-def det(matrix, zero, one):
-    """Determinant by forward elimination with exact division."""
+def det(matrix):
+    """Determinant of a square matrix, by ``laplace_adjugate``."""
+    return laplace_adjugate(matrix)[0]
+
+
+def laplace_adjugate(matrix):
+    """(det M, adj M), with M adj M = det M I, for a square matrix M over a
+    commutative ring, with no division: each minor is expanded along its first
+    row and memoized by its row and column sets (bit masks), so the cofactors
+    share their smaller minors, at most C(2n, n) = 252 of them for n = 5.  The
+    ring's one is an entry to the power 0."""
     n = len(matrix)
-    rows = [list(r) for r in matrix]
-    out = one
-    for col in range(n):
-        pr = None
-        for k in range(col, n):
-            if rows[k][col]:
-                pr = k
-                break
-        if pr is None:
-            return zero
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            out = zero - out
-        pv = rows[col][col]
-        out = out * pv
-        for k in range(col + 1, n):
-            if rows[k][col]:
-                f = rows[k][col] / pv
-                rows[k] = [a - f * b if b else a
-                           for a, b in zip(rows[k], rows[col])]
-    return out
+    one = matrix[0][0] ** 0
+    zero = one - one
+    memo = {(0, 0): one}
 
+    def minor(rows, cols):
+        value = memo.get((rows, cols))
+        if value is None:
+            row = matrix[(rows & -rows).bit_length() - 1]
+            value = zero
+            columns = [c for c in range(n) if cols >> c & 1]
+            for position, c in enumerate(columns):
+                sub = minor(rows & (rows - 1), cols ^ (1 << c)) if row[c] else None
+                if sub:
+                    term = row[c] if sub is one else row[c] * sub
+                    value = value - term if position % 2 else value + term
+            memo[(rows, cols)] = value
+        return value
 
-def vec_matmul(vector, matrix, zero):
-    """Row vector times matrix."""
-    ncols = len(matrix[0])
-    out = [zero] * ncols
-    for k, vk in enumerate(vector):
-        if not vk:
-            continue
-        row = matrix[k]
-        out = [acc + vk * m if m else acc for acc, m in zip(out, row)]
-    return out
+    full = (1 << n) - 1
+    adjugate = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m = minor(full ^ (1 << j), full ^ (1 << i))
+            adjugate[i][j] = -m if (i + j) % 2 else m
+    return minor(full, full), adjugate
 
 
 # -- fraction-free fast path over Gaussian integers ------------------------------

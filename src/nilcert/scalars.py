@@ -7,8 +7,8 @@ read back as ``fractions.Fraction``.  Univariate polynomials in ``t`` are
 dense coefficient tuples over the Gaussian rationals, and rational functions
 are coprime numerator/denominator pairs with a monic denominator.  The gcd is
 taken only when both have positive degree: a nonzero constant is coprime to
-every polynomial.  A parametric witness has its entries in Q(i)(t); orders at
-``t -> 0`` are integers and limits are exact.
+every polynomial.  A parametric witness has its entries in Q(i)(t); the
+limit at ``t -> 0`` of a quotient of polynomials takes no gcd.
 
 A value's repr, the one printer of exact values for files and reports, is
 its form in the grammar of ``parser``: ``(1/2 + -3*i)``, ``t + -i*t^2``.
@@ -19,13 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import inf, lcm
-
-
-class LimitDiverges(ArithmeticError):
-    """The value has strictly negative order at t = 0: no finite limit."""
-
-
-ORDER_INF = inf  # order of the zero element
 
 
 class GaussianRational:
@@ -240,7 +233,7 @@ class Poly:
         for k, c in enumerate(self.coeffs):
             if not c.is_zero:
                 return k
-        return ORDER_INF
+        return inf
 
     @property
     def lead(self) -> GaussianRational:
@@ -269,7 +262,10 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        out = list(self.coeffs) + [GR_ZERO] * (len(other.coeffs) - len(self.coeffs))
+        for k, c in enumerate(other.coeffs):
+            out[k] = out[k] - c
+        return Poly(out)
 
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
@@ -394,6 +390,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+def limit_at_zero(num: Poly, den: Poly):
+    """Exact limit of num/den at t -> 0 for den != 0, or None at a pole: 0
+    when num has the higher t-order, else the ratio of the lowest
+    coefficients.  num and den need not be coprime."""
+    order = num.order - den.order
+    if order > 0:
+        return GR_ZERO
+    if order < 0:
+        return None
+    return num.coeff(num.order) / den.coeff(den.order)
+
+
 class RationalFunction:
     """A quotient of polynomials in t, kept coprime with a monic denominator."""
 
@@ -429,10 +437,6 @@ class RationalFunction:
         if isinstance(value, (int, Fraction, GaussianRational)):
             return RationalFunction(Poly.const(value))
         raise TypeError(f"cannot interpret {value!r} as a rational function")
-
-    @staticmethod
-    def t() -> "RationalFunction":
-        return RationalFunction(POLY_T)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -488,28 +492,6 @@ class RationalFunction:
         out = RationalFunction.__new__(RationalFunction)
         out.num, out.den = self.num ** k, self.den ** k
         return out
-
-    # -- order and limits ---------------------------------------------------------------
-
-    @property
-    def order(self):
-        """t-adic order at 0; sums of orders cancel common powers exactly."""
-        if self.is_zero:
-            return ORDER_INF
-        return self.num.order - self.den.order
-
-    def limit_at_zero(self) -> GaussianRational:
-        """Exact limit for t -> 0; raises LimitDiverges when the order is negative."""
-        o = self.order
-        if o is ORDER_INF or o > 0:
-            return GR_ZERO
-        if o < 0:
-            raise LimitDiverges(f"order {o} at t=0: {self!r}")
-        v = self.num.order
-        return self.num.coeff(v) / self.den.coeff(self.den.order)
-
-    def eval_complex(self, at: complex) -> complex:
-        return self.num.eval_complex(at) / self.den.eval_complex(at)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Poly)):

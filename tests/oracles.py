@@ -2,8 +2,8 @@
 conditions from the defining c(i,j,k) equations, every parenthesization of
 tail products and exhaustive minors; associativity on basis triples and the
 Leibniz rule on basis pairs; subspace membership by reduction against
-echelon rows; random sparse tables; and a counter on the exact fallback of
-the certified rank."""
+echelon rows; random sparse tables; the rank over Q(i) by ``rref``; and a
+counter on the exact fallback of the certified rank."""
 
 import random
 from itertools import combinations, product
@@ -148,6 +148,11 @@ def annihilator_rank_by_minors(alg):
         else:
             break
     return rank
+
+
+def rank(rows) -> int:
+    """Rank over Q(i), by the pivots of ``linalg.rref``."""
+    return len(linalg.rref(rows)[1])
 
 
 def laplace_det(matrix):

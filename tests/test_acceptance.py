@@ -17,7 +17,7 @@ from nilcert.degeneration import (limit_table, numeric_crosscheck,
                                   transformed_constants, verify)
 from nilcert.derivations import derivation_dimension
 from nilcert.sampling import derive_rng, random_invertible
-from nilcert.scalars import RF_ZERO
+from nilcert.scalars import POLY_ONE, POLY_ZERO
 from oracles import conjunct_holds_bruteforce, random_sparse_table
 
 EXPECTED_DER_COLUMN = (5, 6, 6, 7, 7, 7, 7, 8, 8, 9, 9, 11,
@@ -162,14 +162,15 @@ def test_criterion_5_property_suites(all_verdicts):
 
 def predicted_deviation(constants, target, t):
     """max_e |lc_e| t^m_e, with m_e and lc_e the order and leading coefficient
-    at t = 0 of c'_e(t) - c_e(0): the leading term of each entry's error."""
+    at t = 0 of c'_e(t) - c_e(0): the leading term of each entry's error.
+    With c'_e = num / den, the error is (num - c_e(0) den) / den."""
     out = 0.0
     for key in constants.keys() | target.entries.keys():
-        error = constants.get(key, RF_ZERO) - target.entries.get(key, RF_ZERO)
+        num, den = constants.get(key, (POLY_ZERO, POLY_ONE))
+        error = num - den.scale(target.entry(*key))
         if error:
-            lead = error.num.coeff(error.num.order) / \
-                error.den.coeff(error.den.order)
-            out = max(out, abs(lead.eval_complex()) * t ** error.order)
+            lead = error.coeff(error.order) / den.coeff(den.order)
+            out = max(out, abs(lead.eval_complex()) * t ** (error.order - den.order))
     return out
 
 

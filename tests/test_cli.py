@@ -64,6 +64,23 @@ def test_unparsable_witness_exits_2(tmp_path, capsys):
         assert "line 2: " in err["detail"], rhs
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+def test_witness_of_another_dimension_than_its_algebras_exits_2(tmp_path, capsys,
+                                                                  dim):
+    # a 4-row basis used to end in an IndexError traceback, a 6-row one in a
+    # LIMIT_MISMATCH; both are refused before any arithmetic
+    path = tmp_path / f"dim{dim}.wit"
+    rows = "".join(f"E_{i} = e_{i}\n" for i in range(1, dim + 1))
+    path.write_text(f"witness A_01 -> A_02\ndim {dim}\n{rows}", encoding="ascii")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "input"
+    assert f"a basis of {dim} vectors for algebras of dimension 5 and 5" \
+        in err["detail"]
+
+
 @pytest.mark.parametrize("name", ["../witnesses/a01_to_a02", "A_25"])
 def test_witness_naming_an_unknown_algebra_exits_2(tmp_path, capsys, name):
     path = tmp_path / "unknown.wit"

@@ -3,8 +3,8 @@
 Identities, powers, annihilators, dim Der and the change of basis are
 computed on the scaled integer tensor of a table.  The oracles here are the
 direct Q(i) computations: the per-triple associativity check, powers as sums
-of subspace products, the rank of the Leibniz system by ``linalg.rank``, and
-the change of basis by ``linalg.invert_matrix``.
+of subspace products, the rank of the Leibniz system by the ``rref`` oracle,
+and the change of basis by ``linalg.invert_matrix``.
 """
 
 import random
@@ -19,13 +19,12 @@ from nilcert.algebra import (StructureTable, Subspace, annihilator,
                              flag_subspace, power_chain, subspace_product)
 from nilcert.derivations import derivation_dimension, derivation_space
 from nilcert.linalg import (RANK_PRIME, SingularMatrixError, det,
-                            gaussian_int_echelon, invert_matrix, kernel_basis,
-                            rank, vec_matmul)
+                            gaussian_int_echelon, invert_matrix, kernel_basis)
 from nilcert.sampling import (derive_rng, random_borel_matrix,
                               random_invertible, random_vector)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
 from oracles import (associative_bruteforce, count_rank_fallbacks,
-                     is_derivation, random_sparse_table)
+                     is_derivation, random_sparse_table, rank)
 
 
 def subspace_powers(table, up_to, base):
@@ -39,7 +38,7 @@ def subspace_powers(table, up_to, base):
 
 
 def fraction_leibniz_rank(table):
-    """Oracle: rank of the Leibniz system over Q(i), by ``linalg.rank``."""
+    """Oracle: rank of the Leibniz system over Q(i), by ``oracles.rank``."""
     n = table.dim
     rows = []
     for i, j, m in product(range(n), repeat=3):
@@ -50,14 +49,14 @@ def fraction_leibniz_rank(table):
             row[i * n + p] = row[i * n + p] - table.entry(p, j, m)
             row[j * n + p] = row[j * n + p] - table.entry(i, p, m)
         rows.append(row)
-    return rank(rows, GR_ZERO, GR_ONE)
+    return rank(rows)
 
 
 def fraction_annihilator(table):
     n = table.dim
     rows = [[table.entry(i, j, k) for i in range(n)] for j in range(n) for k in range(n)]
     rows += [[table.entry(j, i, k) for i in range(n)] for j in range(n) for k in range(n)]
-    return Subspace.spanned_by(kernel_basis(rows, n, GR_ZERO, GR_ONE), n)
+    return Subspace.spanned_by(kernel_basis(rows, n), n)
 
 
 def with_fractions(table, rng):
@@ -185,7 +184,7 @@ def test_echelon_spans_the_row_space():
         echelon = [[GaussianRational(a, b) for a, b in row]
                    for row in gaussian_int_echelon(rows)]
         assert Subspace.spanned_by(echelon, n) == Subspace.spanned_by(as_q, n)
-        assert len(echelon) == rank(as_q, GR_ZERO, GR_ONE)
+        assert len(echelon) == rank(as_q)
 
 
 def test_power_chain_keeps_no_padding_past_a_zero_power():
@@ -208,12 +207,14 @@ def fraction_change_basis(table, matrix):
     """Oracle: the products of the new basis vectors times the inverse of the
     matrix, by Fraction Gauss-Jordan, in the insertion order of
     ``change_basis``."""
-    inv = invert_matrix(matrix, GR_ZERO, GR_ONE)
+    inv = invert_matrix(matrix)
     commutative = table.is_commutative()
     entries = {}
     for i in range(table.dim):
         for j in range(i if commutative else 0, table.dim):
-            coords = vec_matmul(table.multiply(matrix[i], matrix[j]), inv, GR_ZERO)
+            product = table.multiply(matrix[i], matrix[j])
+            coords = [sum((p * row[k] for p, row in zip(product, inv)), GR_ZERO)
+                      for k in range(table.dim)]
             for k, c in enumerate(coords):
                 if c:
                     entries[(i, j, k)] = c
@@ -276,7 +277,7 @@ def test_random_invertible_draws_what_the_det_oracle_draws():
         for dim in (1, 2, 3, 5, 5, 5):
             while True:
                 want = [random_vector(oracle_rng, dim) for _ in range(dim)]
-                if det(want, GR_ZERO, GR_ONE) != GR_ZERO:
+                if det(want) != GR_ZERO:
                     break
             assert random_invertible(rng, dim) == want
         assert rng.getstate() == oracle_rng.getstate()

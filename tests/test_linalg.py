@@ -8,9 +8,9 @@ import pytest
 from nilcert.linalg import (RANK_PRIME, RANK_SQRT_M1, SingularMatrixError,
                             det, gaussian_int_adjugate, gaussian_int_echelon,
                             gaussian_int_rank, invert_matrix, kernel_basis,
-                            rank, rref)
-from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
-from oracles import count_rank_fallbacks
+                            laplace_adjugate, rref)
+from nilcert.scalars import GR_ONE, GR_ZERO, POLY_ONE, GaussianRational, Poly
+from oracles import count_rank_fallbacks, laplace_det, rank
 
 
 def g(re, im=0):
@@ -23,7 +23,7 @@ def gm(rows):
 
 
 def test_rref_known_form():
-    rows, pivots = rref(gm([[0, 2, 4], [1, 1, 1]]), GR_ZERO, GR_ONE)
+    rows, pivots = rref(gm([[0, 2, 4], [1, 1, 1]]))
     assert pivots == [0, 1]
     assert rows[0] == [g(1), g(0), g(-1)]
     assert rows[1] == [g(0), g(1), g(2)]
@@ -31,34 +31,75 @@ def test_rref_known_form():
 
 def test_rref_pivot_choice_is_first_nonzero():
     # both orderings give the same reduced form, but pivot order is row-stable
-    rows, pivots = rref(gm([[0, 0, 1], [0, 1, 0]]), GR_ZERO, GR_ONE)
+    rows, pivots = rref(gm([[0, 0, 1], [0, 1, 0]]))
     assert pivots == [1, 2]
     assert rows[0][1] == g(1)
 
 
 def test_kernel_basis_matches_hand_computation():
     # x + y + z = 0 has kernel spanned by (-1, 1, 0), (-1, 0, 1)
-    basis = kernel_basis(gm([[1, 1, 1]]), 3, GR_ZERO, GR_ONE)
+    basis = kernel_basis(gm([[1, 1, 1]]), 3)
     assert basis == [[g(-1), g(1), g(0)], [g(-1), g(0), g(1)]]
 
 
 def test_kernel_of_empty_system_is_everything():
-    basis = kernel_basis([], 2, GR_ZERO, GR_ONE)
+    basis = kernel_basis([], 2)
     assert len(basis) == 2
 
 
 def test_invert_round_trip():
     m = gm([[1, 2], [3, 5]])
-    inv = invert_matrix(m, GR_ZERO, GR_ONE)
+    inv = invert_matrix(m)
     assert inv == gm([[-5, 2], [3, -1]])
     with pytest.raises(SingularMatrixError):
-        invert_matrix(gm([[1, 2], [2, 4]]), GR_ZERO, GR_ONE)
+        invert_matrix(gm([[1, 2], [2, 4]]))
 
 
 def test_det_values():
-    assert det(gm([[1, 2], [3, 4]]), GR_ZERO, GR_ONE) == g(-2)
-    assert det(gm([[1, 2], [2, 4]]), GR_ZERO, GR_ONE) == GR_ZERO
-    assert det([[g(0, 1)]], GR_ZERO, GR_ONE) == g(0, 1)
+    assert det(gm([[1, 2], [3, 4]])) == g(-2)
+    assert det(gm([[1, 2], [2, 4]])) == GR_ZERO
+    assert det([[g(0, 1)]]) == g(0, 1)
+
+
+def value_at(poly, x):
+    """The polynomial's exact value at the Gaussian rational x, by Horner."""
+    out = GR_ZERO
+    for c in reversed(poly.coeffs):
+        out = out * x + c
+    return out
+
+
+def test_laplace_adjugate_over_polynomials():
+    # M adj M = adj M M = det M I over Q(i)[t], and det M at t = x is the
+    # determinant of M(x) by plain cofactor expansion
+    rng = random.Random(17)
+    for trial in range(60):
+        n = 1 + trial % 5
+        matrix = [[Poly([g(rng.randint(-3, 3), rng.randint(-1, 1))
+                         for _ in range(rng.randint(0, 3))])
+                   for _ in range(n)] for _ in range(n)]
+        d, adj = laplace_adjugate(matrix)
+        for left, right in ((matrix, adj), (adj, matrix)):
+            for i in range(n):
+                for j in range(n):
+                    entry = Poly()
+                    for k in range(n):
+                        entry = entry + left[i][k] * right[k][j]
+                    assert entry == (d if i == j else Poly()), (matrix, i, j)
+        for x in (g(0), g(2, -1), g(Fraction(1, 3))):
+            assert value_at(d, x) == laplace_det(
+                [[value_at(p, x) for p in row] for row in matrix])
+    assert laplace_adjugate([[Poly((0, 1))]]) == (Poly((0, 1)), [[POLY_ONE]])
+
+
+def test_det_agrees_with_the_cofactor_oracle():
+    rng = random.Random(19)
+    for trial in range(100):
+        n = 1 + trial % 6
+        matrix = [[g(rng.randint(-4, 4), rng.randint(-2, 2)) if rng.random() < 0.7
+                   else GR_ZERO for _ in range(n)] for _ in range(n)]
+        assert det(matrix) == laplace_det(matrix)
+    assert det([[GR_ZERO]]) == GR_ZERO and det([[GR_ONE]]) == GR_ONE
 
 
 def test_gaussian_int_rank_agrees_with_rational_rank():
@@ -69,7 +110,7 @@ def test_gaussian_int_rank_agrees_with_rational_rank():
         ints = [[(rng.randrange(-9, 10), rng.randrange(-4, 5))
                  for _ in range(n)] for _ in range(m)]
         grows = [[GaussianRational(a, b) for (a, b) in row] for row in ints]
-        assert gaussian_int_rank(ints) == rank(grows, GR_ZERO, GR_ONE)
+        assert gaussian_int_rank(ints) == rank(grows)
 
 
 def test_gaussian_int_rank_handles_rank_deficiency():
@@ -160,7 +201,7 @@ def test_gaussian_int_rank_matches_exact_ranks_on_low_rank_products(monkeypatch)
         want = len(gaussian_int_echelon(rows))
         assert want <= k
         grows = [[GaussianRational(a, b) for a, b in row] for row in rows]
-        assert want == rank(grows, GR_ZERO, GR_ONE)
+        assert want == rank(grows)
         assert gaussian_int_rank(rows) == want, rows
         if trial % 3 == 0 and want:
             scaled += 1
@@ -176,7 +217,7 @@ def test_gaussian_int_adjugate_is_det_times_inverse():
         ints = [[(rng.randrange(-5, 6), rng.randrange(-3, 4)) for _ in range(n)]
                 for _ in range(n)]
         grows = [[g(a, b) for a, b in row] for row in ints]
-        want_det = det(grows, GR_ZERO, GR_ONE)
+        want_det = det(grows)
         if not want_det:
             with pytest.raises(SingularMatrixError):
                 gaussian_int_adjugate(ints)
@@ -185,7 +226,7 @@ def test_gaussian_int_adjugate_is_det_times_inverse():
         (da, db), adj = gaussian_int_adjugate(ints)
         d = g(da, db)
         assert d in (want_det, -want_det)
-        inverse = invert_matrix(grows, GR_ZERO, GR_ONE)
+        inverse = invert_matrix(grows)
         assert [[g(a, b) for a, b in row] for row in adj] == \
             [[d * x for x in row] for row in inverse]
 
@@ -193,5 +234,5 @@ def test_gaussian_int_adjugate_is_det_times_inverse():
 def test_rational_entries_stay_exact():
     m = [[g(Fraction(1, 3)), g(Fraction(1, 6))],
          [g(Fraction(1, 7)), g(Fraction(1, 14))]]
-    assert det(m, GR_ZERO, GR_ONE) == GR_ZERO
-    assert rank(m, GR_ZERO, GR_ONE) == 1
+    assert det(m) == GR_ZERO
+    assert rank(m) == 1

@@ -11,9 +11,9 @@ from nilcert.parser import (MAX_NESTING, MAX_SIZE, MAX_T_DEGREE,
                             ExpressionSyntaxError, NonlinearExpressionError,
                             format_vector, parse_condition, parse_constants,
                             parse_expression, parse_scalar)
-from nilcert.scalars import RF_ONE, GaussianRational, Poly, RationalFunction
+from nilcert.scalars import RF_ONE, RF_T, GaussianRational, Poly, RationalFunction
 
-T = RationalFunction.t()
+T = RF_T
 
 
 def test_basic_linear_combination():
