@@ -20,12 +20,15 @@ verdict additionally cross-checks the strict increase of the derivation
 dimension for proper claims.  A floating-point evaluation of the exact
 constants at t = NUMERIC_T is an advisory sanity check: its deviation from
 the target is that of the exact constants, whatever the conditioning of E(t).
+Each pair is evaluated with its common power of t divided out and with
+the binary exponent carried apart from the float, so that no float
+overflows and none underflows but in a negligible term.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import prod
+from math import frexp, inf, ldexp, prod
 
 from . import catalog
 from .algebra import StructureTable
@@ -248,9 +251,45 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
         t = complex(t)
         deviation = 0.0
         for key in constants.keys() | target.keys():
-            num, den = constants.get(key, (POLY_ZERO, POLY_ONE))
-            value = num.eval_complex(t) / den.eval_complex(t)
+            value = _value_at(*constants.get(key, (POLY_ZERO, POLY_ONE)), t)
             wanted = target[key].eval_complex() if key in target else 0j
             deviation = max(deviation, abs(value - wanted))
         samples.append(NumericSample(abs(t), deviation))
     return samples
+
+
+def _value_at(num, den, t):
+    """num(t) / den(t) for an unreduced pair: its common power of t is
+    divided out and each side is evaluated by ``_scaled_at``; inf past the
+    float range or at a pole."""
+    shift = min(num.order, den.order)
+    (n, e), (d, f) = (_scaled_at(p.coeffs[shift:], t) for p in (num, den))
+    try:
+        return _ldexp(n / d, e - f)
+    except (OverflowError, ZeroDivisionError):
+        return complex(inf)
+
+
+def _scaled_at(coeffs, t):
+    """The polynomial with these coefficients at t as (m, e), the value
+    m 2^e with max(|Re m|, |Im m|) in [1/2, 1) or m = 0, by Horner's rule on
+    such pairs.  No float overflows, and one underflows only in a term
+    2^-1074 below the running sum; in the float range the value is that of
+    Horner's rule in floats, bit for bit."""
+    m, e = 0j, 0
+    for c in reversed(coeffs):
+        m *= t
+        if c:
+            # c = (a + b i)/d as k 2^f with |k| < 2, by exact shifts of ints
+            f = max(c.a.bit_length(), c.b.bit_length()) - c.d.bit_length()
+            a, b, d = (c.a, c.b, c.d << f) if f >= 0 else (c.a << -f, c.b << -f, c.d)
+            top = max(e, f) if m else f
+            m, e = _ldexp(m, e - top) + _ldexp(complex(a / d, b / d), f - top), top
+        if m:
+            shift = frexp(max(abs(m.real), abs(m.imag)))[1]
+            m, e = _ldexp(m, -shift), e + shift
+    return m, e
+
+
+def _ldexp(z, k):
+    return complex(ldexp(z.real, k), ldexp(z.imag, k))

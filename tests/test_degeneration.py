@@ -4,6 +4,7 @@ verdicts, semicontinuity along verified edges, and the numeric cross-check."""
 import random
 import time
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
@@ -329,3 +330,57 @@ def test_verify_runs_the_crosscheck_on_its_own_constants():
         witness = files.load_shipped_witness(wid)
         assert verify(witness).details["numeric"] == [
             asdict(s) for s in crosscheck(witness, degeneration.NUMERIC_T)]
+
+
+def scaled_a24_witness(first, rest):
+    """A_24 -> A_24 by E_1 = first e_1 and E_k = rest e_k for k > 1: with
+    rest = first^2 every constant is the target's, whatever the scale."""
+    lines = ["witness A_24 -> A_24", f"E_1 = {first} e_1"]
+    lines += [f"E_{k} = {rest} e_{k}" for k in range(2, 6)]
+    return files.load_witness("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("first, rest", [
+    ("t^12", "t^24"),  # det G = t^108 divides every unreduced pair
+    (str(10 ** 150), str(10 ** 300)),  # det G overflows a float
+    (f"1/{10 ** 75}", f"1/{10 ** 150}"),  # det G underflows to 0
+], ids=["t-power", "huge", "tiny"])
+def test_numeric_crosscheck_survives_extreme_unreduced_pairs(first, rest):
+    verdict = verify(scaled_a24_witness(first, rest))
+    assert verdict.verified
+    assert verdict.details["numeric"] == [{"t": 1e-4, "max_deviation": 0.0}]
+
+
+def test_numeric_crosscheck_reports_a_value_past_the_float_range_as_inf():
+    witness = DegenerationWitness("A_24", "A_24", identity_matrix())
+    huge = Poly.const(10 ** 400)
+    constants = {(0, 0, 1): (huge * POLY_T ** 90, POLY_T ** 90)}
+    assert crosscheck(witness, [1e-4])[0].max_deviation == 0.0
+    assert numeric_crosscheck(witness, [1e-4], constants)[0].max_deviation == float("inf")
+
+
+def test_numeric_crosscheck_matches_float_horner_in_the_float_range():
+    # carrying the binary exponent apart changes no bit while no float over-
+    # or underflows
+    rng = random.Random(7)
+    witness = DegenerationWitness("A_24", "A_24", identity_matrix())
+    for _ in range(300):
+        num, den = (Poly([scalars.gaussian(rng.randint(-9, 9), rng.randint(-9, 9),
+                                           rng.randint(1, 9))
+                          for _ in range(rng.randint(1, 6))]) for _ in range(2))
+        if not den or den.order:
+            continue
+        t = rng.uniform(-1, 1)
+        want = abs(num.eval_complex(t) / den.eval_complex(t) - 1)
+        sample = numeric_crosscheck(witness, [t], {(0, 0, 1): (num, den)})[0]
+        assert sample.max_deviation == want
+
+
+def test_numeric_crosscheck_keeps_a_large_term_after_a_run_of_zeros():
+    # 1 + 2^2000 t^100 at t = 1e-4: Horner's rule multiplies by t a hundred
+    # times between the two terms, past the float range without rescaling
+    witness = DegenerationWitness("A_24", "A_24", identity_matrix())
+    num = POLY_ONE + Poly.const(2 ** 2000) * POLY_T ** 100
+    sample = numeric_crosscheck(witness, [1e-4], {(0, 0, 1): (num, POLY_ONE)})[0]
+    want = float(2 ** 2000 * Fraction(1e-4) ** 100)
+    assert sample.max_deviation == pytest.approx(want, rel=1e-12)
