@@ -7,7 +7,7 @@ parametric witness basis is checked, and live in the degeneration module.
 
 The identities, powers and annihilator of a table are computed in Gaussian
 integers on its scaled table (``integer_tensor``, with the scaling lemma),
-and so is its change of basis, up to one exact division per constant.
+and so is a change of basis (``BasisChange``), read one product at a time.
 Subspaces are spanned over Q(i) and kept in reduced echelon form.
 """
 
@@ -125,43 +125,9 @@ class StructureTable:
     # -- transformations ---------------------------------------------------------------
 
     def change_basis(self, matrix) -> "StructureTable":
-        """Structure constants in the new basis f_i = sum_j matrix[i][j] e_j.
-
-        When the entries show a commutative table, f_j f_i = f_i f_j, so only
-        the products with j >= i are formed and each is mirrored.
-
-        The table is conjugated in Gaussian integers.  Row i of the Q(i)
-        matrix times s_i, the lcm of its denominators, is a Gaussian-integer
-        row G_i; with P = lambda mu the integer tensor and (d, d G^-1) from
-        ``gaussian_int_adjugate``,
-
-            c'(i, j, k) = s_k (P(G_i, G_j) d G^-1)_k / (lambda s_i s_j d),
-
-        one exact division per constant.
-        """
-        scales, rows = zip(*(_scaled_ints(row) for row in matrix))
-        try:
-            d, adj = gaussian_int_adjugate(rows)
-        except SingularMatrixError:
-            raise SingularMatrixError("basis-change matrix is singular") from None
-        lam = _denominator_lcm(self.entries.values())
-        tensor = self.integer_tensor()
-        commutative = self.is_commutative()
-        entries = {}
-        for i in range(self.dim):
-            for j in range(i if commutative else 0, self.dim):
-                # c' = s_k N_k / D with D = lambda s_i s_j d, as N_k conj(D) / |D|^2
-                f = lam * scales[i] * scales[j]
-                da, db = f * d[0], f * d[1]
-                norm = da * da + db * db
-                coords = _combine(_int_multiply(tensor, rows[i], rows[j]), adj)
-                for k, ((a, b), s_k) in enumerate(zip(coords, scales)):
-                    if a or b:
-                        c = gaussian(s_k * (a * da + b * db), s_k * (b * da - a * db), norm)
-                        entries[(i, j, k)] = c
-                        if commutative:
-                            entries[(j, i, k)] = c
-        return StructureTable(self.dim, entries)
+        """Structure constants in the new basis f_i = sum_j matrix[i][j] e_j:
+        every constant of ``BasisChange(self, matrix)``."""
+        return BasisChange(self, matrix).table()
 
     # -- equality ------------------------------------------------------------------------
 
@@ -175,6 +141,66 @@ class StructureTable:
                           for (i, j, k), c in sorted(self.entries.items(),
                                                      key=lambda kv: kv[0]))
         return f"StructureTable(dim={self.dim}, {items or 'zero'})"
+
+
+class BasisChange:
+    """A table in the new basis f_i = sum_j matrix[i][j] e_j, in Gaussian
+    integers.  Row i of the matrix times s_i, the lcm of its denominators,
+    is a Gaussian-integer row G_i; with P = lambda mu the integer tensor and
+    (d, d G^-1) from ``gaussian_int_adjugate``, c'(i, j, k) is
+
+        s_k N(i, j)_k / (lambda s_i s_j d),  N(i, j) = P(G_i, G_j) d G^-1,
+
+    zero exactly when N(i, j)_k is.  Each N(i, j) is formed when first read
+    and kept; on a commutative table (j, i) reads (i, j)."""
+
+    def __init__(self, table: StructureTable, matrix):
+        self.dim = table.dim
+        self._scales, self._rows = zip(*(_scaled_ints(row) for row in matrix))
+        try:
+            self._d, self._adj = gaussian_int_adjugate(self._rows)
+        except SingularMatrixError:
+            raise SingularMatrixError("basis-change matrix is singular") from None
+        self._lam = _denominator_lcm(table.entries.values())
+        self._tensor = table.integer_tensor()
+        self._commutative = table.is_commutative()
+        self._coords = {}
+
+    def coords(self, i, j):
+        """N(i, j) as Gaussian-integer (re, im) pairs."""
+        if self._commutative and j < i:
+            i, j = j, i
+        coords = self._coords.get((i, j))
+        if coords is None:
+            coords = self._coords[i, j] = _combine(
+                _int_multiply(self._tensor, self._rows[i], self._rows[j]),
+                self._adj)
+        return coords
+
+    def entry(self, i, j, k):
+        """The constant c'(i, j, k)."""
+        a, b = self.coords(i, j)[k]
+        if not (a or b):
+            return GR_ZERO
+        # c' = s_k N_k / D with D = lambda s_i s_j d, as N_k conj(D) / |D|^2
+        f = self._lam * self._scales[i] * self._scales[j]
+        da, db = f * self._d[0], f * self._d[1]
+        s_k = self._scales[k]
+        return gaussian(s_k * (a * da + b * db), s_k * (b * da - a * db),
+                        da * da + db * db)
+
+    def table(self) -> StructureTable:
+        """Every constant, as a StructureTable."""
+        n, commutative = self.dim, self._commutative
+        entries = {}
+        for i in range(n):
+            for j in range(i if commutative else 0, n):
+                for k in range(n):
+                    if c := self.entry(i, j, k):
+                        entries[(i, j, k)] = c
+                        if commutative:
+                            entries[(j, i, k)] = c
+        return StructureTable(n, entries)
 
 
 class Subspace:

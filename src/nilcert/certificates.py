@@ -5,7 +5,9 @@ current basis: flag-product containments A_p A_q <= A_r (the flag tails are
 A_p = <e_p, ..., e_n>), power vanishings A_p^k = 0, polynomial equations in
 the c(i,j,k), and annihilator-dimension lower bounds.  Powers are read from
 algebra.power_chain; polynomial conditions arrive in the monomial normal
-form of parser.parse_condition.
+form of parser.parse_condition.  A sampled basis is read as an
+algebra.BasisChange, without dim Ann >= d and A^k = 0: these hold in every
+basis or in none, and are checked once.
 
 The toolkit deliberately distinguishes two escape outcomes for a target:
 
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import catalog
-from .algebra import StructureTable, annihilator, flag_subspace, power_chain
+from .algebra import (BasisChange, StructureTable, annihilator, flag_subspace,
+                      power_chain)
 from .sampling import random_borel_matrix, random_invertible
 from .scalars import GR_ZERO, GaussianRational
 
@@ -71,7 +74,7 @@ class PolynomialEq:
     def describe(self):
         return f"{self.text} = 0"
 
-    def value(self, alg: StructureTable) -> GaussianRational:
+    def value(self, alg: StructureTable | BasisChange) -> GaussianRational:
         """The polynomial evaluated at the structure constants of ``alg``."""
         total = GR_ZERO
         for monomial, coeff in self.terms:
@@ -115,34 +118,55 @@ class NonDegenerationClaim:
 # -- conjunct evaluation ------------------------------------------------------------------
 
 
-def conjunct_holds(conj, alg: StructureTable) -> bool:
-    """Evaluate one condition on the table's nonzero entries, its powers or
-    its annihilator.
+def conjunct_holds(conj, alg: StructureTable | BasisChange) -> bool:
+    """Evaluate one condition on a table, or on a basis change of one.
 
     A_p A_q <= A_r fails iff some nonzero c(i,j,k) has i >= p, j >= q and
     k < r (1-based; every k when r is None): the flag tails are spanned by
     basis vectors, so their product is spanned by the e_i e_j it contains.
+    A_p^2 = 0 is A_p A_p = 0.  Only other powers and the annihilator read
+    the whole table of a BasisChange.
     """
     n = alg.dim
     if isinstance(conj, FlagContainment):
         p, q = conj.p - 1, conj.q - 1
         r = conj.r - 1 if conj.r is not None else n
-        return not any(i >= p and j >= q and k < r for i, j, k in alg.entries)
-    if isinstance(conj, PowerVanish):
-        base = flag_subspace(n, conj.p)
-        return power_chain(alg, conj.k, base)[conj.k].is_zero
+        return not any(alg.entry(i, j, k) for i in range(p, n)
+                       for j in range(q, n) for k in range(r))
     if isinstance(conj, PolynomialEq):
         return conj.value(alg).is_zero
+    if isinstance(conj, PowerVanish) and conj.k == 2:
+        return conjunct_holds(FlagContainment(conj.p, conj.p, None), alg)
+    table = alg.table() if isinstance(alg, BasisChange) else alg
+    if isinstance(conj, PowerVanish):
+        base = flag_subspace(n, conj.p)
+        return power_chain(table, conj.k, base)[conj.k].is_zero
     if isinstance(conj, AnnDimAtLeast):
-        return annihilator(alg).dim >= conj.d
+        return annihilator(table).dim >= conj.d
     raise TypeError(f"unknown conjunct {conj!r}")
 
 
 # -- membership, probes, escapes --------------------------------------------------------------
 
 
-def satisfies(spec: ClosedSetSpec, alg: StructureTable) -> bool:
+def satisfies(spec: ClosedSetSpec, alg: StructureTable | BasisChange) -> bool:
     return all(conjunct_holds(c, alg) for c in spec.conjuncts)
+
+
+def _whole_power(conj):
+    """k when the condition says A^k = 0, else None."""
+    if isinstance(conj, PowerVanish) and conj.p == 1:
+        return conj.k
+    if conj == FlagContainment(1, 1, None):
+        return 2
+    return None
+
+
+def _basis_dependent(spec: ClosedSetSpec) -> ClosedSetSpec:
+    """The spec less dim Ann >= d and A^k = 0, which no basis change alters."""
+    return ClosedSetSpec(tuple(
+        c for c in spec.conjuncts
+        if not isinstance(c, AnnDimAtLeast) and _whole_power(c) is None))
 
 
 def borel_stability_probe(spec: ClosedSetSpec, alg: StructureTable,
@@ -153,9 +177,10 @@ def borel_stability_probe(spec: ClosedSetSpec, alg: StructureTable,
     """
     if not satisfies(spec, alg):
         raise ValueError("algebra does not satisfy the spec in the given basis")
+    per_sample = _basis_dependent(spec)
     for _ in range(samples):
         g = random_borel_matrix(rng, alg.dim)
-        if not satisfies(spec, alg.change_basis(g)):
+        if per_sample.conjuncts and not satisfies(per_sample, BasisChange(alg, g)):
             return g
     return None
 
@@ -173,18 +198,6 @@ class EscapeReport:
         return self.status in (CERTIFIED, EVIDENTIAL) and self.random_hits == 0
 
 
-def _whole_power_conditions(spec: ClosedSetSpec):
-    """k values for which the spec forces A^k = 0 (basis independent)."""
-    ks = []
-    for conj in spec.conjuncts:
-        if isinstance(conj, PowerVanish) and conj.p == 1:
-            ks.append(conj.k)
-        if isinstance(conj, FlagContainment) and conj.p == conj.q == 1 \
-                and conj.r is None:
-            ks.append(2)
-    return ks
-
-
 def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
                     samples: int, rng) -> EscapeReport:
     """Certified escape from basis-independent invariants, else random search.
@@ -199,17 +212,18 @@ def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
                 return EscapeReport(
                     CERTIFIED,
                     f"dim Ann = {ann} < {conj.d} in every basis", 0, 0)
-    for k in _whole_power_conditions(spec):
+    for k in filter(None, map(_whole_power, spec.conjuncts)):
         power = power_chain(target, k)[k]
         if not power.is_zero:
             return EscapeReport(
                 CERTIFIED,
                 f"A^{k} has dimension {power.dim} != 0 in every basis", 0, 0)
+    per_sample = _basis_dependent(spec)
     hits = 0
     example = None
     for _ in range(samples):
         g = random_invertible(rng, target.dim)
-        if satisfies(spec, target.change_basis(g)):
+        if satisfies(per_sample, BasisChange(target, g)):
             hits += 1
             if example is None:
                 example = g

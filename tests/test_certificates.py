@@ -1,20 +1,22 @@
 """Closed-set certificates: membership, witnesses, probes, escapes, and the
 screening battery, with oracle equivalence against the raw defining equations."""
 
+import sys
 from itertools import permutations
 
 import pytest
 
-from nilcert import catalog, files
-from nilcert.algebra import StructureTable
+from nilcert import catalog, certificates, files
+from nilcert.algebra import BasisChange, StructureTable
 from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
                                   FlagContainment, PolynomialEq, PowerVanish,
                                   borel_stability_probe, check_claim,
                                   conjunct_holds, escape_evidence,
                                   necessary_conditions, satisfies,
                                   screening_completeness)
-from nilcert.parser import parse_condition
-from nilcert.sampling import derive_rng
+from nilcert.parser import parse_condition, parse_constants
+from nilcert.sampling import (derive_rng, random_borel_matrix,
+                              random_invertible)
 from nilcert.scalars import GaussianRational
 from oracles import conjunct_holds_bruteforce, random_sparse_table
 
@@ -131,6 +133,7 @@ def test_borel_probe_reports_a_violating_matrix_when_unstable():
     rng = derive_rng(31, "borel-unstable")
     g = borel_stability_probe(spec, table, 400, rng)
     assert g is not None
+    assert not satisfies(spec, table.change_basis(g))
 
 
 # -- escapes ----------------------------------------------------------------------
@@ -159,6 +162,32 @@ def test_refutation_path_on_the_zero_algebra():
     assert report.status == "REFUTED"
     assert report.random_hits == 5
     assert report.hit_example is not None
+
+
+def parsed_basis(rows):
+    """A printed basis matrix, each entry read back by the constant grammar."""
+    return [parse_constants(" + ".join(f"{c}*e_{j + 1}" for j, c in enumerate(row)))
+            for row in rows]
+
+
+def test_a_refutation_names_a_basis_that_satisfies_the_spec():
+    # every basis of the zero algebra lies in the first set; a basis of A_24
+    # (e_1 e_1 = e_2) lies in the second exactly when f_5 has no e_1 part
+    c112 = PolynomialEq(parse_condition("c(1,1,2)"), "c(1,1,2)")
+    c551 = PolynomialEq(parse_condition("c(5,5,1)"), "c(5,5,1)")
+    cases = (
+        (ClosedSetSpec((FlagContainment(1, 2, 4), c112, PowerVanish(3, 2))),
+         StructureTable.zero_algebra(5), 6, {6}),
+        (ClosedSetSpec((FlagContainment(5, 5, None), c551, PowerVanish(5, 2))),
+         catalog.get("A_24").table, 80, range(1, 80)),
+    )
+    for spec, target, samples, hits in cases:
+        report = escape_evidence(spec, target, samples,
+                                 derive_rng(0, "refute-real"))
+        assert report.status == "REFUTED"
+        assert report.random_hits in hits
+        example = parsed_basis(report.hit_example)
+        assert satisfies(spec, target.change_basis(example))
 
 
 def test_evidential_escape_counts_zero_hits():
@@ -206,6 +235,41 @@ def test_screening_reads_the_cached_catalog_fingerprints(monkeypatch):
 
 
 # -- claim checking -------------------------------------------------------------------
+
+
+def test_samples_build_no_table_and_no_power_chain(monkeypatch):
+    # a sample reads its conditions from the coordinates of one BasisChange;
+    # the only table built is the A_13 witness basis, and power_chain runs
+    # only for the whole-power certificates and the membership of a source
+    bases, chains = [], []
+    change_basis, power_chain = StructureTable.change_basis, certificates.power_chain
+
+    def counted_change_basis(self, matrix):
+        bases.append(matrix)
+        return change_basis(self, matrix)
+
+    def counted_power_chain(alg, up_to, base=None):
+        chains.append((sys._getframe(1).f_code.co_name, up_to, base is None))
+        return power_chain(alg, up_to, base)
+
+    monkeypatch.setattr(StructureTable, "change_basis", counted_change_basis)
+    monkeypatch.setattr(certificates, "power_chain", counted_power_chain)
+    claims = files.load_shipped_claims()
+
+    def calls(samples, borel_samples):
+        bases.clear()
+        chains.clear()
+        for index, claim in enumerate(claims):
+            check_claim(claim, samples, borel_samples,
+                        derive_rng(0, f"count:{index}"))
+        return list(bases), list(chains)
+
+    few, more = calls(16, 4), calls(32, 8)
+    assert few == more
+    witness = next(c for c in claims if c.sources == ("A_13",))
+    assert few[0] == [witness.witness_bases["A_13"]]
+    assert {(caller, whole) for caller, _, whole in few[1]} == {
+        ("escape_evidence", True), ("conjunct_holds", False)}
 
 
 def test_all_shipped_claims_valid_at_smoke_scale():
@@ -257,6 +321,53 @@ def test_conjunct_evaluators_agree_on_random_sparse_tables():
         for conj in conjuncts:
             assert conjunct_holds(conj, table) == \
                 conjunct_holds_bruteforce(conj, table), conj
+
+
+def sample_decision_cases():
+    """Every catalog table and 20 random sparse ones, half of them not
+    commutative, each with 20 random dense and 20 random Borel bases."""
+    rng = derive_rng(43, "sample-decision")
+    tables = [catalog.get(name).table for name in catalog.names()]
+    tables += [random_sparse_table(rng, 5, symmetric=index % 2 == 0)
+               for index in range(20)]
+    bases = [random_invertible(rng, 5) for _ in range(20)]
+    bases += [random_borel_matrix(rng, 5) for _ in range(20)]
+    return tables, bases
+
+
+def test_sample_decision_reads_coordinates_like_the_oracle():
+    # the conditions a sample reads from coordinates: flag containments,
+    # A_p^2 = 0 and the polynomial rows
+    conjuncts = [c for c in oracle_conjuncts()
+                 if isinstance(c, (FlagContainment, PolynomialEq))]
+    conjuncts += [PowerVanish(p, 2) for p in range(1, 6)]
+    assert any(isinstance(c, PolynomialEq) for c in conjuncts)
+    tables, bases = sample_decision_cases()
+    for table in tables:
+        for g in bases:
+            moved, lazy = table.change_basis(g), BasisChange(table, g)
+            for conj in conjuncts:
+                assert conjunct_holds(conj, lazy) == \
+                    conjunct_holds_bruteforce(conj, moved), (table, g, conj)
+
+
+def test_sample_decision_falls_back_to_the_whole_table():
+    # the other conditions read the whole table; dim Ann >= d and A^k = 0
+    # are compared with the oracle on the table in its own basis, as they
+    # do not depend on the basis.  The oracle takes seconds on A_2^4 and
+    # A_3^4 of a dense table, so those two are left out.
+    conjuncts = [PowerVanish(p, k) for p in range(1, 6) for k in (1, 3, 4)
+                 if k < 4 or p not in (2, 3)]
+    conjuncts += [AnnDimAtLeast(d) for d in range(1, 4)]
+    tables, bases = sample_decision_cases()
+    tables = tables[:25] + tables[-4:]
+    for table in tables:
+        for g in (bases[0], bases[-1]):
+            moved, lazy = table.change_basis(g), BasisChange(table, g)
+            for conj in conjuncts:
+                invariant = isinstance(conj, AnnDimAtLeast) or conj.p == 1
+                assert conjunct_holds(conj, lazy) == conjunct_holds_bruteforce(
+                    conj, table if invariant else moved), (table, g, conj)
 
 
 def test_polynomial_condition_evaluation():
