@@ -33,7 +33,7 @@ class IdentityReport:
 class StructureTable:
     """Multiplication table of an algebra on a fixed basis; immutable by contract."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_integer_form")
 
     def __init__(self, dim, entries):
         if not 1 <= dim <= MAX_DIM:
@@ -47,6 +47,7 @@ class StructureTable:
                 clean[(i, j, k)] = c
         self.dim = dim
         self.entries = clean
+        self._integer_form = None
 
     # -- construction ----------------------------------------------------------
 
@@ -93,8 +94,7 @@ class StructureTable:
         integer tensor P.  The left side is T(i,j,k) = sum_m P_ij^m P_mk.
         On a commutative table the right side is (e_j e_k) e_i = T(j,k,i);
         otherwise it is sum_m P_jk^m P_im."""
-        p, n = self.integer_tensor(), self.dim
-        commutative = self.is_commutative()
+        (_, p, commutative), n = self.integer_form(), self.dim
         columns = [[p[m][k] for m in range(n)] for k in range(n)]
         left = {(i, j, k): _combine(p[i][j], columns[k])
                 for i in range(n) for j in range(n) for k in range(n)}
@@ -121,6 +121,13 @@ class StructureTable:
                                    _scaled_ints(self.entries.values())[1]):
             tensor[i][j][k] = pair
         return tensor
+
+    def integer_form(self):
+        """(lambda, integer_tensor(), is_commutative()), kept on first use."""
+        if self._integer_form is None:
+            self._integer_form = (_denominator_lcm(self.entries.values()),
+                                  self.integer_tensor(), self.is_commutative())
+        return self._integer_form
 
     # -- transformations ---------------------------------------------------------------
 
@@ -161,9 +168,7 @@ class BasisChange:
             self._d, self._adj = gaussian_int_adjugate(self._rows)
         except SingularMatrixError:
             raise SingularMatrixError("basis-change matrix is singular") from None
-        self._lam = _denominator_lcm(table.entries.values())
-        self._tensor = table.integer_tensor()
-        self._commutative = table.is_commutative()
+        self._lam, self._tensor, self._commutative = table.integer_form()
         self._coords = {}
 
     def coords(self, i, j):

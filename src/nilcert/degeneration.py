@@ -7,33 +7,35 @@ E_i(t) = sum_j a_ij(t) e_j of the source algebra.  Verification is exact:
    the polynomials whose nonzero roots are the finitely many t where E(t)
    has a pole or is singular are reported, never silently used),
 2. the structure constants of the source in the E-basis are computed by the
-   rule of ``StructureTable.change_basis`` over Q(i)[t]: row i of E(t) is
-   G_i / D_i, D_i the product of its distinct denominators, and with N_ijk
-   coordinate k of G_i G_j (on the source's constants) times adj G,
-   c'(i, j, k) = N_ijk D_k / (D_i D_j det G), held as that unreduced pair,
+   rule of ``StructureTable.change_basis`` in Z[i][t]: row i of E(t) is
+   G_i / D_i, D_i an int times the product of its distinct denominators;
+   with N_ijk coordinate k of G_i G_j (on P = lambda mu) times adj G,
+   c'(i, j, k) = N_ijk D_k / (lambda D_i D_j det G), an unreduced pair,
 3. every constant must have a finite limit at t -> 0, read from the t-orders
    and lowest coefficients of its pair, and the limit table must equal the
    target's table entry for entry, with no tolerance.
 
-The only gcd reduces det E = det G / prod D_i for the report.  A successful
-verdict additionally cross-checks the strict increase of the derivation
-dimension for proper claims.  A floating-point evaluation of the exact
-constants at t = NUMERIC_T is an advisory sanity check: its deviation from
-the target is that of the exact constants, whatever the conditioning of E(t).
-Each pair is evaluated with its common power of t divided out and with
-the binary exponent carried apart from the float, so that no float
-overflows and none underflows but in a negligible term.
+No polynomial gcd is taken.  A successful verdict additionally cross-checks
+the strict increase of the derivation dimension for proper claims.  A
+floating-point evaluation of the exact constants at t = NUMERIC_T is an
+advisory sanity check: its deviation from the target is that of the exact
+constants, whatever the conditioning of E(t).  Each pair is evaluated with
+its common power of t divided out and with the binary exponent carried
+apart from the float, so that no float overflows and none underflows but
+in a negligible term.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import frexp, inf, ldexp, prod
+from itertools import zip_longest
+from math import frexp, inf, lcm, ldexp, prod
 
 from . import catalog
 from .algebra import StructureTable
 from .linalg import laplace_adjugate
-from .scalars import POLY_ONE, POLY_ZERO, Poly, RationalFunction, limit_at_zero
+from .scalars import (GR_ZERO, POLY_ONE, POLY_ZERO, Poly, RationalFunction,
+                      gaussian, limit_at_zero)
 
 VERIFIED = "VERIFIED"
 SINGULAR_FAMILY = "SINGULAR_FAMILY"
@@ -59,6 +61,58 @@ class LimitFailure(Exception):
         self.detail = detail
 
 
+class GaussianIntPoly:
+    """A polynomial in Z[i][t]: int coefficient lists of its real and imaginary
+    parts, lowest power first, no trailing zero.  No operation divides."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        while re and not re[-1]:
+            re.pop()
+        while im and not im[-1]:
+            im.pop()
+        self.re, self.im = re, im
+
+    def over(self, m: int) -> Poly:
+        """This over the int m > 0 in Q(i)[t], a 3-int gcd per coefficient."""
+        return Poly([gaussian(a, b, m) if a or b else GR_ZERO
+                     for a, b in zip_longest(self.re, self.im, fillvalue=0)])
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __pow__(self, k: int):
+        return prod([self] * k, start=GaussianIntPoly([1], []))
+
+    def __neg__(self):
+        return GaussianIntPoly([-a for a in self.re], [-b for b in self.im])
+
+    def __add__(self, other):
+        return GaussianIntPoly(*([x + y for x, y in zip_longest(p, q, fillvalue=0)]
+                                 for p, q in ((self.re, other.re), (self.im, other.im))))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not (b or d):
+            return GaussianIntPoly(_convolve(a, c), [])
+        return (GaussianIntPoly(_convolve(a, c), _convolve(a, d))
+                + GaussianIntPoly([-x for x in _convolve(b, d)], _convolve(b, c)))
+
+
+def _convolve(a, b):
+    """The product of two int coefficient lists, by the schoolbook rule."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for start, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, start):
+                out[k] += x * y
+    return out
+
+
 class ParametricMatrix:
     """Rows are the parametric basis vectors, entries rational functions in t."""
 
@@ -74,33 +128,44 @@ class ParametricMatrix:
         return len(self.rows)
 
     def polynomial_form(self):
-        """(D, G, det G, adj G), computed on first use, the rows are
-        immutable: D_i is the product of the distinct (monic) denominators of
-        row i, and G_i = D_i E_i is a row of polynomials.  No gcd is taken."""
+        """(D, G, det G, adj G) in Z[i][t], kept on first use: D_i is m_i,
+        its lead, times the product of the distinct (monic) denominators of
+        row i, and G_i = D_i E_i, m_i the least int making both integral."""
         if self._form is None:
-            scales = [prod({c.den for c in row}, start=POLY_ONE)
-                      for row in self.rows]
-            rows = [[c.num if c.den == scale else c.num * (scale // c.den)
-                     for c in row] for scale, row in zip(scales, self.rows)]
+            rows = []
+            for row in self.rows:
+                scale = prod(dict.fromkeys(c.den for c in row), start=POLY_ONE)
+                polys = [scale] + [c.num if c.den == scale else c.num * (scale // c.den)
+                                   for c in row]
+                m = lcm(*(c.d for p in polys for c in p.coeffs))
+                rows.append([GaussianIntPoly([c.a * (m // c.d) for c in p.coeffs],
+                                             [c.b * (m // c.d) for c in p.coeffs])
+                             for p in polys])
+            scales = [row.pop(0) for row in rows]
             self._form = (scales, rows, *laplace_adjugate(rows))
         return self._form
 
     def det(self) -> RationalFunction:
         """Determinant of the family, det G / prod D_i in lowest terms."""
         scales, _, det_g, _ = self.polynomial_form()
-        return RationalFunction(det_g, prod(scales, start=POLY_ONE))
+        return RationalFunction(det_g.over(1), prod(scales[1:], start=scales[0]).over(1))
 
     def exceptional_values(self):
         """The polynomials whose nonzero roots are the t where the family
         breaks down: a pole of an entry or a zero of the determinant.
 
-        Each entry's denominator and the determinant's numerator, with its
-        power of t divided out and made monic, is listed by its repr when
-        it has positive degree.  The list is exact and complete and costs no
-        root search; no verdict reads it.
-        """
-        polys = [c.den for row in self.rows for c in row]
-        polys.append(self.det().num)
+        Each entry's denominator, and det G divided by each distinct
+        denominator of each row where that is exact, with its power of t
+        divided out and made monic, is listed by its repr if of positive
+        degree.  A root of det G is a pole or a zero of det E, so the roots
+        are exact even where a division misses a partial common factor.
+        No gcd, no root search; no verdict reads it."""
+        quotient = self.polynomial_form()[2].over(1)
+        for row in self.rows:
+            for den in dict.fromkeys(c.den for c in row if c.den != POLY_ONE):
+                q, r = quotient.divmod(den)
+                quotient = quotient if r else q
+        polys = [c.den for row in self.rows for c in row] + [quotient]
         return sorted({repr(Poly(p.coeffs[p.order:]).monic())
                        for p in polys if p.degree > p.order})
 
@@ -131,27 +196,38 @@ def generic_invertibility(matrix: ParametricMatrix) -> bool:
 
 def transformed_constants(source: StructureTable, matrix: ParametricMatrix):
     """Structure constants of the source in the parametric basis, as a
-    {(i, j, k): (N_ijk D_k, D_i D_j det G)} dict of the nonzero ones; for a
-    commutative source only the products with j >= i are formed and mirrored.
-    Raises SingularFamilyError when the family is identically singular."""
+    {(i, j, k): (N_ijk D_k, lambda D_i D_j det G) / K} dict of the nonzero
+    ones over Q(i)[t], N_ijk and the pair formed in Z[i][t] on P = lambda mu
+    and K = lambda m_i m_j prod m divided out of each coefficient at the end.
+    For a commutative source only the products with j >= i are formed and
+    mirrored.  Raises SingularFamilyError when det G = 0."""
     scales, rows, det_g, adj = matrix.polynomial_form()
     if not det_g:
         raise SingularFamilyError("parametric basis has identically zero determinant")
-    commutative = source.is_commutative()
+    lam, tensor, commutative = source.integer_form()
+    ms = [s.re[-1] for s in scales]
+    terms = [(a, b, [(k, GaussianIntPoly([p], [q]))
+                     for k, (p, q) in enumerate(ps) if p or q])
+             for a, row in enumerate(tensor) for b, ps in enumerate(row)]
     constants = {}
     for i, x in enumerate(rows):
         for j in range(i if commutative else 0, len(rows)):
             y = rows[j]
-            product = [POLY_ZERO] * len(rows)
-            for (a, b, k), c in source.entries.items():
-                if x[a] and y[b]:
-                    product[k] = product[k] + (x[a] * y[b]).scale(c)
-            den = scales[i] * scales[j] * det_g
+            product = [GaussianIntPoly([], [])] * len(rows)
+            for a, b, ks in terms:
+                if ks and x[a] and y[b]:
+                    xy = x[a] * y[b]
+                    for k, c in ks:
+                        product[k] = product[k] + xy * c
+            if not any(product):
+                continue
+            scale = lam * ms[i] * ms[j] * prod(ms)
+            den = (scales[i] * scales[j] * det_g).over(scale // lam)
             for k, s_k in enumerate(scales):
                 num = sum((p * adj_row[k] for p, adj_row in zip(product, adj)
-                           if p and adj_row[k]), POLY_ZERO)
+                           if p and adj_row[k]), GaussianIntPoly([], []))
                 if num:
-                    pair = (num * s_k, den)
+                    pair = ((num * s_k).over(scale), den)
                     constants[(i, j, k)] = pair
                     if commutative:
                         constants[(j, i, k)] = pair
@@ -244,30 +320,29 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
     den)} pairs of polynomials, at small complex t.
 
     Reports the max absolute deviation from the target constants per sample.
+    ``_scaled_at`` evaluates each side of a pair, its common power of t
+    divided out, and a product's shared denominator once; inf past the float
+    range or at a pole.
     """
     target = catalog.get(witness.target).table.entries
     samples = []
     for t in t_samples:
         t = complex(t)
-        deviation = 0.0
+        deviation, dens = 0.0, {}
         for key in constants.keys() | target.keys():
-            value = _value_at(*constants.get(key, (POLY_ZERO, POLY_ONE)), t)
+            num, den = constants.get(key, (POLY_ZERO, POLY_ONE))
+            shift = min(num.order, den.order)
+            if (id(den), shift) not in dens:
+                dens[id(den), shift] = _scaled_at(den.coeffs[shift:], t)
+            (n, e), (d, f) = _scaled_at(num.coeffs[shift:], t), dens[id(den), shift]
+            try:
+                value = _ldexp(n / d, e - f)
+            except (OverflowError, ZeroDivisionError):
+                value = complex(inf)
             wanted = target[key].eval_complex() if key in target else 0j
             deviation = max(deviation, abs(value - wanted))
         samples.append(NumericSample(abs(t), deviation))
     return samples
-
-
-def _value_at(num, den, t):
-    """num(t) / den(t) for an unreduced pair: its common power of t is
-    divided out and each side is evaluated by ``_scaled_at``; inf past the
-    float range or at a pole."""
-    shift = min(num.order, den.order)
-    (n, e), (d, f) = (_scaled_at(p.coeffs[shift:], t) for p in (num, den))
-    try:
-        return _ldexp(n / d, e - f)
-    except (OverflowError, ZeroDivisionError):
-        return complex(inf)
 
 
 def _scaled_at(coeffs, t):

@@ -2,18 +2,20 @@
 conditions from the defining c(i,j,k) equations, every parenthesization of
 tail products and exhaustive minors; associativity on basis triples and the
 Leibniz rule on basis pairs; subspace membership by reduction against
-echelon rows; random sparse tables; the rank over Q(i) by ``rref``; and a
-counter on the exact fallback of the certified rank."""
+echelon rows; random sparse tables; the rank over Q(i) by ``rref``; a
+counter on the exact fallback of the certified rank; and the witness change
+of basis over Q(i)[t], each coefficient a normalized Gaussian rational."""
 
 import random
 from itertools import combinations, product
+from math import prod
 
 from nilcert import linalg
 from nilcert.algebra import StructureTable, Subspace
 from nilcert.certificates import (AnnDimAtLeast, FlagContainment,
                                   PolynomialEq, PowerVanish)
 from nilcert.sampling import random_gaussian
-from nilcert.scalars import GR_ONE, GR_ZERO
+from nilcert.scalars import GR_ONE, GR_ZERO, POLY_ONE, POLY_ZERO
 
 
 def basis_vector(alg, i):
@@ -182,3 +184,34 @@ def count_rank_fallbacks(monkeypatch):
 
     monkeypatch.setattr(linalg, "_annihilates", counted)
     return fallbacks
+
+
+def rational_transformed_constants(source, matrix):
+    """The {(i, j, k): (N_ijk D_k, D_i D_j det G)} pairs of
+    ``degeneration.transformed_constants``, computed over Q(i)[t]: D_i is
+    the product of the distinct denominators of row i of the
+    ParametricMatrix, G_i = D_i E_i, (det G, adj G) from
+    ``linalg.laplace_adjugate`` on those Q(i) polynomials, and N_ijk
+    coordinate k of G_i G_j (on the source's constants) times adj G."""
+    scales = [prod({c.den for c in row}, start=POLY_ONE) for row in matrix.rows]
+    rows = [[c.num if c.den == scale else c.num * (scale // c.den)
+             for c in row] for scale, row in zip(scales, matrix.rows)]
+    det_g, adj = linalg.laplace_adjugate(rows)
+    commutative = source.is_commutative()
+    constants = {}
+    for i, x in enumerate(rows):
+        for j in range(i if commutative else 0, len(rows)):
+            y = rows[j]
+            product_ = [POLY_ZERO] * len(rows)
+            for (a, b, k), c in source.entries.items():
+                if x[a] and y[b]:
+                    product_[k] = product_[k] + (x[a] * y[b]).scale(c)
+            den = scales[i] * scales[j] * det_g
+            for k, s_k in enumerate(scales):
+                num = sum((p * adj_row[k] for p, adj_row in zip(product_, adj)
+                           if p and adj_row[k]), POLY_ZERO)
+                if num:
+                    constants[(i, j, k)] = (num * s_k, den)
+                    if commutative:
+                        constants[(j, i, k)] = (num * s_k, den)
+    return constants

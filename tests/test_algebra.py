@@ -4,8 +4,8 @@ and basis changes, with brute-force oracles for the derived values."""
 import pytest
 
 from nilcert import catalog
-from nilcert.algebra import (IdentityReport, StructureTable, Subspace,
-                             annihilator, flag_subspace, power_chain,
+from nilcert.algebra import (BasisChange, IdentityReport, StructureTable,
+                             Subspace, annihilator, flag_subspace, power_chain,
                              subspace_product)
 from nilcert.linalg import SingularMatrixError
 from nilcert.sampling import derive_rng, random_invertible, random_vector
@@ -239,6 +239,15 @@ def test_singular_change_rejected():
     m = [unit(0)] * 5
     with pytest.raises(SingularMatrixError):
         table.change_basis(m)
+
+
+def test_basis_changes_of_one_table_share_its_integer_form():
+    # lambda, the integer tensor and commutativity are computed once per table
+    rng = derive_rng(24, "shared-integer-form")
+    table = catalog.get("A_07").table
+    first, second = (BasisChange(table, random_invertible(rng, 5)) for _ in range(2))
+    assert first._tensor is second._tensor is table.integer_form()[1]
+    assert table.integer_form() == (1, table.integer_tensor(), table.is_commutative())
 
 
 def test_identities_and_invariants_stable_under_basis_change():

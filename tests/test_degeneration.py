@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from nilcert import catalog, degeneration, files, scalars
 from nilcert.degeneration import (DegenerationWitness, ParametricMatrix,
                                   SingularFamilyError, generic_invertibility,
@@ -238,29 +239,35 @@ def test_gaussian_determinant_is_listed_monic_without_its_power_of_t():
     assert verdict.details["exceptional_t_polys"] == ["-2 + t"]
 
 
-def test_family_determinant_is_computed_once_per_verify(monkeypatch):
-    calls, gcds = [], []
+def count_calls(monkeypatch, module, name):
+    """A list that grows by the arguments of each call of module.name."""
+    calls, function = [], getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return adjugate(*args)
+        return function(*args)
 
-    def counted_gcd(*args):
-        gcds.append(args)
-        return gcd(*args)
-
-    adjugate, gcd = degeneration.laplace_adjugate, scalars.poly_gcd
-    witness = files.load_shipped_witness("a01_to_a03")
-    monkeypatch.setattr(degeneration, "laplace_adjugate", counted)
-    monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
-    verdict = verify(witness)
-    assert verdict.verified
-    assert len(calls) == 1
-    # the one gcd of verify reduces det E for exceptional_t_polys
-    assert len(gcds) == 1
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
-def test_witness_conjugated_on_the_source_side_still_verifies():
+def test_family_determinant_is_computed_once_per_verify(monkeypatch):
+    for wid, witness in files.load_all_witnesses():
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, degeneration, "laplace_adjugate")
+            gcds = count_calls(patch, scalars, "poly_gcd")
+            verdict = verify(witness)
+        assert verdict.verified, wid
+        assert len(calls) == 1, wid
+        # the breakdown list divides det G by the row denominators instead
+        # of reducing det E
+        assert not gcds, wid
+
+
+def conjugated_source_witnesses():
+    """(id, source table, matrix, target) for three shipped witnesses whose
+    source is conjugated by a seeded Gaussian basis and whose rows are moved
+    by its inverse over Q(i)(t), so that the limit is still the target."""
     rng = derive_rng(23, "witness-conjugation")
     for wid in ("a23_to_a24", "a09_to_a11", "a13_to_a21"):
         witness = files.load_shipped_witness(wid)
@@ -276,8 +283,71 @@ def test_witness_conjugated_on_the_source_side_still_verifies():
                 sum((row[j] * lifted_inverse[j][k] for j in range(5)),
                     RF_ZERO)
                 for k in range(5)])
-        moved = transformed_constants(moved_source, ParametricMatrix(new_rows))
-        assert limit_table(moved, 5) == catalog.get(witness.target).table, wid
+        yield wid, moved_source, ParametricMatrix(new_rows), witness.target
+
+
+def test_witness_conjugated_on_the_source_side_still_verifies():
+    for wid, source, matrix, target in conjugated_source_witnesses():
+        moved = transformed_constants(source, matrix)
+        assert limit_table(moved, 5) == catalog.get(target).table, wid
+
+
+GAUSSIAN_FAMILIES = [
+    ("A_24", ["e_1", "e_2", "i t (t - 2) e_3", "e_4", "e_5"]),
+    ("A_13", ["t e_1 + (1/(t + i)) e_2", "((2 + i) t/(3 - 2 i t + t^2)) e_1 + i e_2",
+              "(1 - i) e_3 + t^2 e_4", "e_4 + ((1 + 2 i)/(1 + i t)) e_5", "i t e_5"]),
+]
+
+
+def test_gaussian_integer_constants_equal_the_rational_oracle():
+    # the same unreduced pairs as the change of basis over Q(i)[t]
+    cases = [(wid, catalog.get(w.source).table, w.matrix)
+             for wid, w in files.load_all_witnesses()]
+    moebius = files.load_witness(dense_moebius_witness_text())
+    cases.append(("moebius", catalog.get("A_01").table, moebius.matrix))
+    cases += [(wid, source, matrix)
+              for wid, source, matrix, _ in conjugated_source_witnesses()]
+    cases += [(rows[2], catalog.get(name).table, matrix_of(rows))
+              for name, rows in GAUSSIAN_FAMILIES]
+    for name, source, matrix in cases:
+        assert transformed_constants(source, matrix) == \
+            oracles.rational_transformed_constants(source, matrix), name
+
+
+def hostile_witness_text():
+    """A_24 -> A_24 with E_i = e_i + sum over j != i of
+    t^10 (10^100 + t)/(c + 10^100 t^12) e_j, c = 1..20 in row order, the
+    powers of ten written out: every parser bound is met, and det G has
+    degree 240 with coefficients of thousands of bits."""
+    big, c = 10 ** 100, 0
+    lines = ["witness A_24 -> A_24"]
+    for i in range(5):
+        terms = []
+        for j in range(5):
+            c += i != j
+            terms.append(f"e_{j + 1}" if i == j else
+                         f"(({big} t^10 + t^11)/({c} + {big} t^12)) e_{j + 1}")
+        lines.append(f"E_{i + 1} = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def test_hostile_witness_verifies_without_a_polynomial_gcd(monkeypatch):
+    # the gcd that reduced det E did not finish in 15 minutes here
+    witness = files.load_witness(hostile_witness_text())
+    gcds = count_calls(monkeypatch, scalars, "poly_gcd")
+    limits, limit_table_of = [], degeneration.limit_table
+
+    def recorded(*args):
+        limits.append(limit_table_of(*args))
+        return limits[-1]
+
+    monkeypatch.setattr(degeneration, "limit_table", recorded)
+    started = time.perf_counter()
+    verdict = verify(witness)
+    assert time.perf_counter() - started < 60
+    assert verdict.verified
+    assert limits == [catalog.get("A_24").table]
+    assert not gcds
 
 
 def test_semicontinuity_along_every_shipped_witness():
