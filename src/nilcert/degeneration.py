@@ -7,10 +7,12 @@ E_i(t) = sum_j a_ij(t) e_j of the source algebra.  Verification is exact:
    the polynomials whose nonzero roots are the finitely many t where E(t)
    has a pole or is singular are reported, never silently used),
 2. the structure constants of the source in the E-basis are computed by the
-   rule of ``StructureTable.change_basis`` in Z[i][t]: row i of E(t) is
-   G_i / D_i, D_i an int times the product of its distinct denominators;
-   with N_ijk coordinate k of G_i G_j (on P = lambda mu) times adj G,
+   rule of ``StructureTable.change_basis`` in Z[i][t] (``scalars.Poly`` over
+   1): row i of E(t) is G_i / D_i, D_i the product of its distinct
+   denominators times m_i, the least int that makes the row integral; with
+   N_ijk coordinate k of G_i G_j (on P = lambda mu) times adj G,
    c'(i, j, k) = N_ijk D_k / (lambda D_i D_j det G), an unreduced pair,
+   each side put over K = lambda m_i m_j prod m by one content gcd,
 3. every constant must have a finite limit at t -> 0, read from the t-orders
    and lowest coefficients of its pair, and the limit table must equal the
    target's table entry for entry, with no tolerance.
@@ -34,8 +36,8 @@ from math import frexp, inf, lcm, ldexp, prod
 from . import catalog
 from .algebra import StructureTable
 from .linalg import laplace_adjugate
-from .scalars import (GR_ZERO, POLY_ONE, POLY_ZERO, Poly, RationalFunction,
-                      gaussian, limit_at_zero)
+from .scalars import (POLY_ONE, POLY_ZERO, GaussianRational, Poly,
+                      RationalFunction, limit_at_zero)
 
 VERIFIED = "VERIFIED"
 SINGULAR_FAMILY = "SINGULAR_FAMILY"
@@ -61,58 +63,6 @@ class LimitFailure(Exception):
         self.detail = detail
 
 
-class GaussianIntPoly:
-    """A polynomial in Z[i][t]: int coefficient lists of its real and imaginary
-    parts, lowest power first, no trailing zero.  No operation divides."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        while re and not re[-1]:
-            re.pop()
-        while im and not im[-1]:
-            im.pop()
-        self.re, self.im = re, im
-
-    def over(self, m: int) -> Poly:
-        """This over the int m > 0 in Q(i)[t], a 3-int gcd per coefficient."""
-        return Poly([gaussian(a, b, m) if a or b else GR_ZERO
-                     for a, b in zip_longest(self.re, self.im, fillvalue=0)])
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __pow__(self, k: int):
-        return prod([self] * k, start=GaussianIntPoly([1], []))
-
-    def __neg__(self):
-        return GaussianIntPoly([-a for a in self.re], [-b for b in self.im])
-
-    def __add__(self, other):
-        return GaussianIntPoly(*([x + y for x, y in zip_longest(p, q, fillvalue=0)]
-                                 for p, q in ((self.re, other.re), (self.im, other.im))))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not (b or d):
-            return GaussianIntPoly(_convolve(a, c), [])
-        return (GaussianIntPoly(_convolve(a, c), _convolve(a, d))
-                + GaussianIntPoly([-x for x in _convolve(b, d)], _convolve(b, c)))
-
-
-def _convolve(a, b):
-    """The product of two int coefficient lists, by the schoolbook rule."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for start, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, start):
-                out[k] += x * y
-    return out
-
-
 class ParametricMatrix:
     """Rows are the parametric basis vectors, entries rational functions in t."""
 
@@ -128,19 +78,20 @@ class ParametricMatrix:
         return len(self.rows)
 
     def polynomial_form(self):
-        """(D, G, det G, adj G) in Z[i][t], kept on first use: D_i is m_i,
-        its lead, times the product of the distinct (monic) denominators of
-        row i, and G_i = D_i E_i, m_i the least int making both integral."""
+        """(D, G, det G, adj G) in Z[i][t], each a Poly over 1, kept on
+        first use.  Row i is formed over Q(i) as the product of its distinct
+        (monic) denominators, followed by each entry's numerator times the
+        row's other denominators, and scaled by m_i, the lcm of the
+        denominators of those polynomials: D_i is the first, so m_i is its
+        lead, and G_i = D_i E_i the others.  No polynomial is divided."""
         if self._form is None:
             rows = []
             for row in self.rows:
-                scale = prod(dict.fromkeys(c.den for c in row), start=POLY_ONE)
-                polys = [scale] + [c.num if c.den == scale else c.num * (scale // c.den)
-                                   for c in row]
-                m = lcm(*(c.d for p in polys for c in p.coeffs))
-                rows.append([GaussianIntPoly([c.a * (m // c.d) for c in p.coeffs],
-                                             [c.b * (m // c.d) for c in p.coeffs])
-                             for p in polys])
+                dens = list(dict.fromkeys(c.den for c in row))
+                polys = [prod(dens[1:], start=dens[0])] + [
+                    prod([u for u in dens if u != c.den], start=c.num) for c in row]
+                m = lcm(*(p.d for p in polys))
+                rows.append([p * m for p in polys])
             scales = [row.pop(0) for row in rows]
             self._form = (scales, rows, *laplace_adjugate(rows))
         return self._form
@@ -148,7 +99,7 @@ class ParametricMatrix:
     def det(self) -> RationalFunction:
         """Determinant of the family, det G / prod D_i in lowest terms."""
         scales, _, det_g, _ = self.polynomial_form()
-        return RationalFunction(det_g.over(1), prod(scales[1:], start=scales[0]).over(1))
+        return RationalFunction(det_g, prod(scales[1:], start=scales[0]))
 
     def exceptional_values(self):
         """The polynomials whose nonzero roots are the t where the family
@@ -160,7 +111,7 @@ class ParametricMatrix:
         degree.  A root of det G is a pole or a zero of det E, so the roots
         are exact even where a division misses a partial common factor.
         No gcd, no root search; no verdict reads it."""
-        quotient = self.polynomial_form()[2].over(1)
+        quotient = self.polynomial_form()[2]
         for row in self.rows:
             for den in dict.fromkeys(c.den for c in row if c.den != POLY_ONE):
                 q, r = quotient.divmod(den)
@@ -196,9 +147,9 @@ def generic_invertibility(matrix: ParametricMatrix) -> bool:
 
 def transformed_constants(source: StructureTable, matrix: ParametricMatrix):
     """Structure constants of the source in the parametric basis, as a
-    {(i, j, k): (N_ijk D_k, lambda D_i D_j det G) / K} dict of the nonzero
+    {(i, j, k): (N_ijk D_k / K, lambda D_i D_j det G / K)} dict of the nonzero
     ones over Q(i)[t], N_ijk and the pair formed in Z[i][t] on P = lambda mu
-    and K = lambda m_i m_j prod m divided out of each coefficient at the end.
+    and each side put over K = lambda m_i m_j prod m with one content gcd.
     For a commutative source only the products with j >= i are formed and
     mirrored.  Raises SingularFamilyError when det G = 0."""
     scales, rows, det_g, adj = matrix.polynomial_form()
@@ -206,14 +157,14 @@ def transformed_constants(source: StructureTable, matrix: ParametricMatrix):
         raise SingularFamilyError("parametric basis has identically zero determinant")
     lam, tensor, commutative = source.integer_form()
     ms = [s.re[-1] for s in scales]
-    terms = [(a, b, [(k, GaussianIntPoly([p], [q]))
+    terms = [(a, b, [(k, Poly.const(GaussianRational(p, q)))
                      for k, (p, q) in enumerate(ps) if p or q])
              for a, row in enumerate(tensor) for b, ps in enumerate(row)]
     constants = {}
     for i, x in enumerate(rows):
         for j in range(i if commutative else 0, len(rows)):
             y = rows[j]
-            product = [GaussianIntPoly([], [])] * len(rows)
+            product = [POLY_ZERO] * len(rows)
             for a, b, ks in terms:
                 if ks and x[a] and y[b]:
                     xy = x[a] * y[b]
@@ -222,12 +173,12 @@ def transformed_constants(source: StructureTable, matrix: ParametricMatrix):
             if not any(product):
                 continue
             scale = lam * ms[i] * ms[j] * prod(ms)
-            den = (scales[i] * scales[j] * det_g).over(scale // lam)
+            den = scales[i] * scales[j] * det_g / (scale // lam)
             for k, s_k in enumerate(scales):
                 num = sum((p * adj_row[k] for p, adj_row in zip(product, adj)
-                           if p and adj_row[k]), GaussianIntPoly([], []))
+                           if p and adj_row[k]), POLY_ZERO)
                 if num:
-                    pair = ((num * s_k).over(scale), den)
+                    pair = (num * s_k / scale, den)
                     constants[(i, j, k)] = pair
                     if commutative:
                         constants[(j, i, k)] = pair
@@ -333,8 +284,8 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
             num, den = constants.get(key, (POLY_ZERO, POLY_ONE))
             shift = min(num.order, den.order)
             if (id(den), shift) not in dens:
-                dens[id(den), shift] = _scaled_at(den.coeffs[shift:], t)
-            (n, e), (d, f) = _scaled_at(num.coeffs[shift:], t), dens[id(den), shift]
+                dens[id(den), shift] = _scaled_at(den, shift, t)
+            (n, e), (d, f) = _scaled_at(num, shift, t), dens[id(den), shift]
             try:
                 value = _ldexp(n / d, e - f)
             except (OverflowError, ZeroDivisionError):
@@ -345,24 +296,27 @@ def numeric_crosscheck(witness: DegenerationWitness, t_samples, constants):
     return samples
 
 
-def _scaled_at(coeffs, t):
-    """The polynomial with these coefficients at t as (m, e), the value
-    m 2^e with max(|Re m|, |Im m|) in [1/2, 1) or m = 0, by Horner's rule on
-    such pairs.  No float overflows, and one underflows only in a term
-    2^-1074 below the running sum; in the float range the value is that of
-    Horner's rule in floats, bit for bit."""
-    m, e = 0j, 0
-    for c in reversed(coeffs):
+def _scaled_at(poly, shift, t):
+    """The polynomial divided by t^shift, a power of t that divides it, at t
+    as (m, e), the value m 2^e with max(|Re m|, |Im m|) in [1/2, 1) or
+    m = 0, by Horner's rule on such pairs.  No float overflows, and one
+    underflows only in a term 2^-1074 below the running sum; in the float
+    range the value is that of Horner's rule in floats, bit for bit, as an
+    int quotient is correctly rounded whatever the common factors of the
+    coefficient (a + b i)/d read off the polynomial's int lists."""
+    m, e, d = 0j, 0, poly.d
+    for a, b in reversed(list(zip_longest(poly.re[shift:], poly.im[shift:],
+                                          fillvalue=0))):
         m *= t
-        if c:
-            # c = (a + b i)/d as k 2^f with |k| < 2, by exact shifts of ints
-            f = max(c.a.bit_length(), c.b.bit_length()) - c.d.bit_length()
-            a, b, d = (c.a, c.b, c.d << f) if f >= 0 else (c.a << -f, c.b << -f, c.d)
+        if a or b:
+            # (a + b i)/d as k 2^f with |k| < 2, by exact shifts of ints
+            f = max(a.bit_length(), b.bit_length()) - d.bit_length()
+            a, b, c = (a, b, d << f) if f >= 0 else (a << -f, b << -f, d)
             top = max(e, f) if m else f
-            m, e = _ldexp(m, e - top) + _ldexp(complex(a / d, b / d), f - top), top
+            m, e = _ldexp(m, e - top) + _ldexp(complex(a / c, b / c), f - top), top
         if m:
-            shift = frexp(max(abs(m.real), abs(m.imag)))[1]
-            m, e = _ldexp(m, -shift), e + shift
+            k = frexp(max(abs(m.real), abs(m.imag)))[1]
+            m, e = _ldexp(m, -k), e + k
     return m, e
 
 

@@ -12,7 +12,8 @@ bases) proves a rank from both sides: pivots found modulo a prime bound it
 below, and a kernel found by Bareiss on those pivot rows alone and checked
 exactly against every row bounds it above.  rref, kernel_basis and
 invert_matrix work over Q(i).  laplace_adjugate, with no division, gives det
-and adjugate over Q(i)[t] for the change of basis of a parametric witness.
+and adjugate over any commutative ring; the change of basis of a parametric
+witness runs it on polynomials in Z[i][t] (``scalars.Poly`` over 1).
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ class _Parser:
         return _add_into({}, ((tuple(sorted(ma + mb)), ca * cb)
                               for ma, ca in a.items() for mb, cb in b.items()))
 
-    def over(self, a, b, pos):
+    def divide(self, a, b, pos):
         if not _is_scalar(b):
             raise NonlinearExpressionError(
                 f"division by a non-scalar expression (position {pos})")
@@ -295,7 +295,7 @@ class _Parser:
                 f"exponent {abs(k)} exceeds {MAX_EXPONENT}", pos)
         out = {(): self.context.one}
         if k < 0:
-            base, k = self.over(out, base, pos), -k
+            base, k = self.divide(out, base, pos), -k
         self.refuse("power", k * self.t_degree(base), 1, pos,
                     bits=k * _weight(base))
         if not _is_scalar(base):
@@ -335,7 +335,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 out = self.times(out, rhs, pos) if value == "*" \
-                    else self.over(out, rhs, pos)
+                    else self.divide(out, rhs, pos)
             elif kind in ("int", "t", "i", "c", "basis") or \
                     (kind == "op" and value == "("):
                 out = self.times(out, self.factor(), pos)

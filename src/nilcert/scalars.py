@@ -3,12 +3,15 @@
 Every value is exact.  A Gaussian rational is three ints (a + b i)/d with
 d > 0 and gcd(a, b, d) = 1, so each value has one representation: a sum or
 product is a few integer products and one gcd, and ``re`` and ``im`` are
-read back as ``fractions.Fraction``.  Univariate polynomials in ``t`` are
-dense coefficient tuples over the Gaussian rationals, and rational functions
-are coprime numerator/denominator pairs with a monic denominator.  The gcd is
-taken only when both have positive degree: a nonzero constant is coprime to
-every polynomial.  A parametric witness has its entries in Q(i)(t); the
-limit at ``t -> 0`` of a quotient of polynomials takes no gcd.
+read back as ``fractions.Fraction``.  A univariate polynomial in ``t`` is
+held the same way, as Gaussian-integer coefficient lists over one int
+denominator with no common factor: a sum or product is formed on the int
+lists and takes one content gcd, none over the denominator 1.  Rational
+functions are coprime numerator/denominator pairs with a monic denominator.
+The gcd of the two is taken only when both have positive degree: a nonzero
+constant is coprime to every polynomial.  A parametric witness has its
+entries in Q(i)(t); the limit at ``t -> 0`` of a quotient of polynomials
+takes no gcd.
 
 A value's repr, the one printer of exact values for files and reports, is
 its form in the grammar of ``parser``: ``(1/2 + -3*i)``, ``t + -i*t^2``.
@@ -17,6 +20,7 @@ its form in the grammar of ``parser``: ``(1/2 + -3*i)``, ``t + -i*t^2``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _int_gcd
 from math import inf, lcm
 
@@ -198,96 +202,101 @@ GR_I = GaussianRational(0, 1)
 
 
 class Poly:
-    """Dense univariate polynomial in t over the Gaussian rationals."""
+    """A polynomial in t over Q(i), held as (re + im i)/d: re and im are the
+    int coefficient lists of the real and imaginary parts of a Gaussian-integer
+    numerator, lowest power first, each without trailing zeros, and d > 0 is
+    an int with gcd(d, *re, *im) = 1, so that each value has one
+    representation.  The lists are never changed once built.  A sum or
+    product is formed on the int lists and divided by one content gcd, none
+    when the denominator is 1; ``coeffs`` reads the coefficients back as
+    reduced Gaussian rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("re", "im", "d")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         cs = [c if type(c) is GaussianRational else GaussianRational.coerce(c)
               for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        d = lcm(*(c.d for c in cs))
+        return _poly([c.a * (d // c.d) for c in cs], [c.b * (d // c.d) for c in cs], d)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((GaussianRational.coerce(c),))
+        c = GaussianRational.coerce(c)
+        return _poly([c.a], [c.b], c.d)
 
     # -- basic structure -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Gaussian rationals, lowest power first."""
+        d = self.d
+        return tuple(gaussian(a, b, d)
+                     for a, b in zip_longest(self.re, self.im, fillvalue=0))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self.re or self.im)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re or self.im)
 
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return len(self.coeffs) - 1
+        n, m = len(self.re), len(self.im)
+        return (n if n > m else m) - 1
 
     @property
     def order(self):
         """t-adic valuation: index of the lowest nonzero coefficient (inf for 0)."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
+        for k, (a, b) in enumerate(zip_longest(self.re, self.im, fillvalue=0)):
+            if a or b:
                 return k
         return inf
 
     @property
     def lead(self) -> GaussianRational:
-        if self.is_zero:
-            return GR_ZERO
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return GR_ZERO
+        re, im = self.re, self.im
+        return gaussian(re[k] if 0 <= k < len(re) else 0,
+                        im[k] if 0 <= k < len(im) else 0, self.d)
 
     @property
     def is_monic(self) -> bool:
-        return self.lead == GR_ONE
+        return len(self.re) > len(self.im) and self.re[-1] == self.d
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
+        d = lcm(self.d, other.d)
+        s, o = d // self.d, d // other.d
+        return _poly(_plus(self.re, other.re, s, o), _plus(self.im, other.im, s, o), d)
 
     def __sub__(self, other):
-        out = list(self.coeffs) + [GR_ZERO] * (len(other.coeffs) - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            out[k] = out[k] - c
-        return Poly(out)
+        return self + -other
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-x for x in self.re], [-x for x in self.im], self.d)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
+        if type(other) is int:
+            return _poly([other * x for x in self.re], [other * x for x in self.im], self.d)
+        if not isinstance(other, Poly):
             other = Poly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return POLY_ZERO
-        out = [GR_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(b):
-                if not cb.is_zero:
-                    out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+        a, b, c, e = self.re, self.im, other.re, other.im
+        re, im = _convolve(a, c), _convolve(a, e)
+        if b:
+            re, im = _plus(re, _convolve(b, e), 1, -1), _plus(im, _convolve(b, c))
+        return _poly(re, im, self.d * other.d)
+
+    def __truediv__(self, k: int):
+        """This over a nonzero int."""
+        return -self / -k if k < 0 else _poly(self.re, self.im, self.d * k)
 
     def scale(self, c) -> "Poly":
-        c = GaussianRational.coerce(c)
-        return Poly(tuple(x * c for x in self.coeffs))
+        return self * c
 
     def __pow__(self, k: int):
         if k < 0:
@@ -301,16 +310,16 @@ class Poly:
         return out
 
     def divmod(self, other):
-        """Exact long division by a nonzero polynomial (field coefficients)."""
+        """Exact long division by a nonzero polynomial, on the reduced
+        coefficients (field coefficients)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        rem, ob = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(ob)
         if dq < 0:
             return POLY_ZERO, self
         quo = [GR_ZERO] * (dq + 1)
-        lead_inv = other.lead.inverse()
-        ob = other.coeffs
+        lead_inv = ob[-1].inverse()
         for k in range(dq, -1, -1):
             c = rem[k + len(ob) - 1] * lead_inv
             if c.is_zero:
@@ -334,17 +343,12 @@ class Poly:
         return self.scale(self.lead.inverse())
 
     def primitive_part(self) -> "Poly":
-        """Strip the rational content; keeps gcd chains from blowing up.
-
-        With L the lcm of the denominators and G the gcd of the numerators
-        scaled by L, the coefficients times L/G are coprime Gaussian integers."""
+        """Strip the rational content; keeps gcd chains from blowing up: the
+        numerator divided by the gcd of its coefficients, over 1."""
         if self.is_zero:
             return self
-        cs = self.coeffs
-        den = lcm(*(c.d for c in cs))
-        g = _int_gcd(*(x * (den // c.d) for c in cs for x in (c.a, c.b)))
-        return Poly(tuple(_exact(c.a * (den // c.d) // g, c.b * (den // c.d) // g, 1)
-                          for c in cs))
+        g = _int_gcd(*self.re, *self.im)
+        return _poly([x // g for x in self.re], [x // g for x in self.im], 1)
 
     # -- evaluation -------------------------------------------------------------------
 
@@ -357,11 +361,14 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.d == other.d and self.re == other.re and self.im == other.im
 
     def __hash__(self):
         """A constant hashes as its coefficient, which it equals."""
-        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.lead)
+        re, im = self.re, self.im
+        if len(re) > 1 or len(im) > 1:
+            return hash((tuple(re), tuple(im), self.d))
+        return hash(_exact(re[0] if re else 0, im[0] if im else 0, self.d))
 
     def __repr__(self):
         """A sum of terms ``c*t^k``, lowest power first: ``1 + t + -i*t^2``."""
@@ -375,6 +382,40 @@ class Poly:
             power = "t" if k == 1 else f"t^{k}"
             parts.append(power if c == GR_ONE else f"{c!r}*{power}")
         return " + ".join(parts) or "0"
+
+
+def _poly(re, im, d):
+    """(re + im i)/d for int lists, which become the result's, and an int
+    d > 0: trailing zeros dropped and one content gcd divided out, none when
+    d = 1."""
+    while re and not re[-1]:
+        re.pop()
+    while im and not im[-1]:
+        im.pop()
+    if d != 1:
+        g = _int_gcd(d, *re, *im)  # d first: often small, it makes the rest cheap
+        if g != 1:
+            re, im, d = [x // g for x in re], [x // g for x in im], d // g
+    out = object.__new__(Poly)
+    out.re, out.im, out.d = re, im, d
+    return out
+
+
+def _plus(p, q, s=1, o=1):
+    """s p + o q for int lists, the shorter padded with zeros."""
+    if s == o == 1:
+        return [a + b for a, b in zip_longest(p, q, fillvalue=0)]
+    return [s * a + o * b for a, b in zip_longest(p, q, fillvalue=0)]
+
+
+def _convolve(a, b):
+    """The product of two int coefficient lists, by the schoolbook rule."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for start, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, start):
+                out[k] += x * y
+    return out
 
 
 POLY_ZERO = Poly()

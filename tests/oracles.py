@@ -3,19 +3,21 @@ conditions from the defining c(i,j,k) equations, every parenthesization of
 tail products and exhaustive minors; associativity on basis triples and the
 Leibniz rule on basis pairs; subspace membership by reduction against
 echelon rows; random sparse tables; the rank over Q(i) by ``rref``; a
-counter on the exact fallback of the certified rank; and the witness change
-of basis over Q(i)[t], each coefficient a normalized Gaussian rational."""
+counter on the exact fallback of the certified rank; and polynomials over
+Q(i) as tuples of normalized Gaussian rationals, with the witness change of
+basis on them."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, inf, lcm, prod
 
 from nilcert import linalg
 from nilcert.algebra import StructureTable, Subspace
 from nilcert.certificates import (AnnDimAtLeast, FlagContainment,
                                   PolynomialEq, PowerVanish)
 from nilcert.sampling import random_gaussian
-from nilcert.scalars import GR_ONE, GR_ZERO, POLY_ONE, POLY_ZERO
+from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
 def basis_vector(alg, i):
@@ -186,30 +188,146 @@ def count_rank_fallbacks(monkeypatch):
     return fallbacks
 
 
+class RationalPoly:
+    """A polynomial in t over Q(i) as a tuple of reduced Gaussian rationals,
+    lowest power first, no trailing zero: the reference for
+    ``scalars.Poly``, each coefficient operation normalized on its own.  It
+    equals any polynomial with the same ``coeffs``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [GaussianRational.coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def order(self):
+        return next((k for k, c in enumerate(self.coeffs) if c), inf)
+
+    @property
+    def lead(self):
+        return self.coeffs[-1] if self.coeffs else GR_ZERO
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] = out[k] + c
+        return RationalPoly(out)
+
+    def __neg__(self):
+        return RationalPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            other = RationalPoly((other,))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return RationalPoly()
+        out = [GR_ZERO] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+        return RationalPoly(out)
+
+    def __pow__(self, k):
+        out = RationalPoly((GR_ONE,))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def divmod(self, other):
+        rem, ob = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(ob)
+        if dq < 0:
+            return RationalPoly(), self
+        quo = [GR_ZERO] * (dq + 1)
+        for k in range(dq, -1, -1):
+            c = rem[k + len(ob) - 1] / ob[-1]
+            quo[k] = c
+            for j, oc in enumerate(ob):
+                rem[k + j] = rem[k + j] - c * oc
+        return RationalPoly(quo), RationalPoly(rem)
+
+    def monic(self):
+        return self * self.lead.inverse() if self else self
+
+    def primitive_part(self):
+        """The coefficients times L/G: L the lcm of their denominators, G
+        the gcd of the scaled numerators."""
+        if not self:
+            return self
+        den = lcm(*(c.d for c in self.coeffs))
+        g = gcd(*(x * (den // c.d) for c in self.coeffs for x in (c.a, c.b)))
+        return RationalPoly(c * GaussianRational(Fraction(den, g))
+                            for c in self.coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == getattr(other, "coeffs", None)
+
+    def __hash__(self):
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.lead)
+
+    def __repr__(self):
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c:
+                power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+                parts.append(repr(c) if not power else
+                             power if c == GR_ONE else f"{c!r}*{power}")
+        return " + ".join(parts) or "0"
+
+
+def rational_poly_gcd(a, b):
+    """The monic gcd by remainders with the content stripped at each step."""
+    a, b = a.primitive_part(), b.primitive_part()
+    while b:
+        a, b = b, a.divmod(b)[1].primitive_part()
+    return a.monic()
+
+
 def rational_transformed_constants(source, matrix):
     """The {(i, j, k): (N_ijk D_k, D_i D_j det G)} pairs of
-    ``degeneration.transformed_constants``, computed over Q(i)[t]: D_i is
-    the product of the distinct denominators of row i of the
-    ParametricMatrix, G_i = D_i E_i, (det G, adj G) from
-    ``linalg.laplace_adjugate`` on those Q(i) polynomials, and N_ijk
-    coordinate k of G_i G_j (on the source's constants) times adj G."""
-    scales = [prod({c.den for c in row}, start=POLY_ONE) for row in matrix.rows]
-    rows = [[c.num if c.den == scale else c.num * (scale // c.den)
-             for c in row] for scale, row in zip(scales, matrix.rows)]
+    ``degeneration.transformed_constants``, computed over Q(i)[t] on
+    ``RationalPoly``: D_i is the product of the distinct denominators of row
+    i of the ParametricMatrix, G_i = D_i E_i, (det G, adj G) from
+    ``linalg.laplace_adjugate`` on those polynomials, and N_ijk coordinate k
+    of G_i G_j (on the source's constants) times adj G."""
+    rows = [[(RationalPoly(c.num.coeffs), RationalPoly(c.den.coeffs)) for c in row]
+            for row in matrix.rows]
+    scales = [prod({den for _, den in row}, start=RationalPoly((GR_ONE,)))
+              for row in rows]
+    rows = [[num * scale.divmod(den)[0] for num, den in row]
+            for scale, row in zip(scales, rows)]
     det_g, adj = linalg.laplace_adjugate(rows)
     commutative = source.is_commutative()
+    zero = RationalPoly()
     constants = {}
     for i, x in enumerate(rows):
         for j in range(i if commutative else 0, len(rows)):
             y = rows[j]
-            product_ = [POLY_ZERO] * len(rows)
+            product_ = [zero] * len(rows)
             for (a, b, k), c in source.entries.items():
                 if x[a] and y[b]:
-                    product_[k] = product_[k] + (x[a] * y[b]).scale(c)
+                    product_[k] = product_[k] + x[a] * y[b] * c
             den = scales[i] * scales[j] * det_g
             for k, s_k in enumerate(scales):
                 num = sum((p * adj_row[k] for p, adj_row in zip(product_, adj)
-                           if p and adj_row[k]), POLY_ZERO)
+                           if p and adj_row[k]), zero)
                 if num:
                     constants[(i, j, k)] = (num * s_k, den)
                     if commutative:

@@ -1,10 +1,12 @@
 """Witness verification: invertibility, transformed constants, limits,
 verdicts, semicontinuity along verified edges, and the numeric cross-check."""
 
+import json
 import random
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +350,20 @@ def test_hostile_witness_verifies_without_a_polynomial_gcd(monkeypatch):
     assert verdict.verified
     assert limits == [catalog.get("A_24").table]
     assert not gcds
+
+
+def test_shipped_witnesses_print_and_check_as_recorded():
+    # golden_witnesses.json holds, per shipped witness, its dump, its
+    # breakdown list and the repr of each numeric deviation: a change of
+    # representation that moves a printed value or a float fails here
+    golden = json.loads((Path(__file__).parent / "golden_witnesses.json").read_text())
+    assert sorted(golden) == files.witness_ids()
+    for wid, witness in files.load_all_witnesses():
+        details = verify(witness).details
+        assert {"dump": files.dump_witness(witness),
+                "exceptional_t_polys": details["exceptional_t_polys"],
+                "numeric": [repr(s["max_deviation"]) for s in details["numeric"]],
+                } == golden[wid], wid
 
 
 def test_semicontinuity_along_every_shipped_witness():

@@ -1,5 +1,6 @@
 """Exact scalars in Q(i)(t): normalization, orders and limits of polynomial
-quotients, and field axioms."""
+quotients, field axioms, and polynomial arithmetic against the reference on
+tuples of Gaussian rationals."""
 
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nilcert.scalars import (GR_ZERO, POLY_ONE, RF_ONE, RF_T, RF_ZERO,
                              GaussianRational, Poly, RationalFunction,
                              gaussian, limit_at_zero, poly_gcd)
@@ -358,3 +360,71 @@ def test_gaussian_arithmetic_builds_no_fraction(monkeypatch):
               poly_gcd(f.num * g.den, f.den * g.den)):
         assert h
     assert limit(f * g) == limit(f) * limit(g)
+
+
+# -- Poly: Gaussian-integer lists over one denominator, against RationalPoly ----------
+
+
+huge_fractions = st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90),
+                           st.integers(2 ** 64 + 1, 2 ** 80))
+poly_coefficients = st.one_of(
+    gaussians, st.builds(GaussianRational, huge_fractions, huge_fractions),
+    st.builds(GaussianRational, huge_fractions, st.just(0)))
+reference_polys = st.lists(poly_coefficients, max_size=5)
+
+
+def is_normal_poly(p):
+    """d > 0, no common factor of d and the numerator, no trailing zero."""
+    return (p.d > 0 and math.gcd(p.d, *p.re, *p.im) == 1
+            and (not p.re or p.re[-1]) and (not p.im or p.im[-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_polys, reference_polys, poly_coefficients,
+       st.integers(0, 3), st.integers(-2 ** 70, 2 ** 70).filter(bool))
+def test_poly_operations_match_the_rational_reference(xs, ys, c, k, n):
+    # every operation equals its counterpart on tuples of reduced Gaussian
+    # rationals, and leaves the normal form
+    p, q = Poly(xs), Poly(ys)
+    rp, rq = oracles.RationalPoly(xs), oracles.RationalPoly(ys)
+    assert p.coeffs == rp.coeffs
+    got = {"+": p + q, "-": p - q, "*": p * q, "neg": -p, "**": p ** k,
+           "scale": p.scale(c), "/n": p / n, "monic": p.monic(),
+           "primitive": p.primitive_part()}
+    want = {"+": rp + rq, "-": rp - rq, "*": rp * rq, "neg": -rp, "**": rp ** k,
+            "scale": rp * c, "/n": rp * GaussianRational(Fraction(1, n)),
+            "monic": rp.monic(), "primitive": rp.primitive_part()}
+    if q:
+        got["//"], got["%"] = p.divmod(q)
+        want["//"], want["%"] = rp.divmod(rq)
+        got["gcd"] = poly_gcd(p, q)
+        want["gcd"] = oracles.rational_poly_gcd(rp, rq)
+    for op, z in got.items():
+        assert is_normal_poly(z), op
+        assert z.coeffs == want[op].coeffs, op
+        assert repr(z) == repr(want[op]), op
+        assert (z.order, z.lead, z.degree) == \
+            (want[op].order, want[op].lead, want[op].degree), op
+        assert z.is_monic == (want[op].lead == 1), op
+    assert [p.coeff(j) for j in range(-1, 7)] == \
+        [rp.coeffs[j] if 0 <= j < len(rp.coeffs) else GR_ZERO for j in range(-1, 7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_polys, reference_polys, reference_polys)
+def test_one_poly_value_has_one_representation(xs, ys, zs):
+    # a value reached by two routes has the same lists, denominator and hash,
+    # and a constant hashes as its coefficient
+    p, q, r = Poly(xs), Poly(ys), Poly(zs)
+    for left, right in (((p + q) * r, p * r + q * r), ((p + q) - q, p),
+                        (p * q, q * p), (Poly((p - p).coeffs), Poly())):
+        assert (left.re, left.im, left.d) == (right.re, right.im, right.d)
+        assert left == right and hash(left) == hash(right)
+    assert (p == q) == (oracles.RationalPoly(xs) == oracles.RationalPoly(ys))
+    if p.degree < 1:
+        assert hash(p) == hash(p.lead) == hash(oracles.RationalPoly(xs))
+
+
+def test_poly_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        POLY_ONE.divmod(Poly())
