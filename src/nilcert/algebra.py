@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (SingularMatrixError, gaussian_int_adjugate,
-                     gaussian_int_echelon, kernel_basis, rref)
+                     gaussian_int_echelon, gaussian_int_kernel, rref)
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gaussian
 
 MAX_DIM = 16  # exact arithmetic guard rail
@@ -344,10 +344,9 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
 
 
 def annihilator(alg: StructureTable) -> Subspace:
-    """{x : x * e_j = 0 = e_j * x for all j}: the kernel of the 2 dim^2 rows
-    of the integer tensor, read off their at most dim echelon rows."""
+    """{x : x * e_j = 0 = e_j * x for all j}: the certified kernel
+    (``gaussian_int_kernel``) of the 2 dim^2 rows of the integer tensor."""
     n, p = alg.dim, alg.integer_tensor()
     rows = [[p[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
     rows += [[p[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
-    basis = kernel_basis(_rationals(gaussian_int_echelon(rows)), n)
-    return Subspace.spanned_by(basis, n)
+    return Subspace(n, _rationals(gaussian_int_kernel(rows, n)))

@@ -8,9 +8,9 @@ system
 
 over the dim^2 unknowns D[p][q].  The system is linear in the constants, so
 the scaled table of StructureTable.integer_tensor has the same derivations:
-the rows are built in Gaussian integers, the dimension comes from their
-certified rank (pivots modulo a prime, a kernel checked exactly) and the
-basis from a rational echelon form.
+the rows are built in Gaussian integers, and the dimension and the basis
+come from their certified kernel (pivots modulo a prime, kernel vectors
+checked exactly).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import StructureTable
-from .linalg import gaussian_int_rank, kernel_basis
-from .scalars import GaussianRational
+from .linalg import gaussian_int_kernel, gaussian_int_rank
+from .scalars import gaussian
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,13 @@ def derivation_dimension(alg: StructureTable) -> int:
 
 
 def derivation_space(alg: StructureTable) -> DerivationSpace:
-    """Kernel basis of the Leibniz system as dim x dim matrices."""
-    n = alg.dim
-    rows = [[GaussianRational(a, b) for a, b in row] for row in _leibniz_rows(alg)]
-    flat = kernel_basis(rows, n * n)
-    basis = tuple(tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
-                  for v in flat)
-    return DerivationSpace(len(basis), basis)
-
+    """Kernel basis of the Leibniz system as dim x dim matrices: each
+    certified kernel vector divided by d, its last nonzero entry, which
+    gives the standard free-column basis of the reduced echelon form."""
+    n, basis = alg.dim, []
+    for v in gaussian_int_kernel(_leibniz_rows(alg), n * n):
+        da, db = next(x for x in reversed(v) if x != (0, 0))
+        norm = da * da + db * db  # (a + b i) / d = (a + b i) conj(d) / |d|^2
+        flat = [gaussian(a * da + b * db, b * da - a * db, norm) for a, b in v]
+        basis.append(tuple(tuple(flat[p * n:(p + 1) * n]) for p in range(n)))
+    return DerivationSpace(len(basis), tuple(basis))

@@ -5,15 +5,16 @@ scanning columns left to right and rows top to bottom, so echelon forms are
 reproducible for golden tests.  One fraction-free Bareiss update over
 Gaussian integers, with its exact division by the previous pivot, serves two
 routines: the elimination gaussian_int_echelon gives the spans of the
-identify path (powers, annihilator); its Gauss-Jordan form
-gaussian_int_adjugate gives det and adjugate for the change of basis of a
-Q(i) table.  gaussian_int_rank (dim Der, the invertibility test of random
-bases) proves a rank from both sides: pivots found modulo a prime bound it
-below, and a kernel found by Bareiss on those pivot rows alone and checked
-exactly against every row bounds it above.  rref, kernel_basis and
-invert_matrix work over Q(i).  laplace_adjugate, with no division, gives det
-and adjugate over any commutative ring; the change of basis of a parametric
-witness runs it on polynomials in Z[i][t] (``scalars.Poly`` over 1).
+identify path (powers); its Gauss-Jordan form gaussian_int_adjugate gives
+det and adjugate for the change of basis of a Q(i) table.
+gaussian_int_kernel (the annihilator, the derivations and their dimension,
+the invertibility test of random bases) proves a kernel from both sides:
+pivots found modulo a prime bound the rank below, and kernel vectors found
+by Bareiss on those pivot rows alone and checked exactly against every row
+bound it above; gaussian_int_rank counts them.  rref and invert_matrix work
+over Q(i).  laplace_adjugate, with no division, gives det and adjugate over
+any commutative ring; the change of basis of a parametric witness runs it on
+polynomials in Z[i][t] (``scalars.Poly`` over 1).
 """
 
 from __future__ import annotations
@@ -60,26 +61,6 @@ def rref(rows):
         pivots.append(col)
         r += 1
     return rows, pivots
-
-
-def kernel_basis(rows, ncols):
-    """Basis of {x : A x = 0} for the matrix with the given rows.
-
-    The basis is the standard free-column parametrization of the RREF, taken
-    in ascending free-column order, so the output is deterministic.
-    """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(ncols):
-        if free_col in pivot_set:
-            continue
-        v = [GR_ZERO] * ncols
-        v[free_col] = GR_ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -reduced[ri][free_col]
-        basis.append(v)
-    return basis
 
 
 def invert_matrix(matrix):
@@ -228,28 +209,34 @@ RANK_PRIME = 2 ** 61 - 31
 RANK_SQRT_M1 = 583529827753931384
 
 
-def gaussian_int_rank(rows) -> int:
-    """Rank of a matrix of Gaussian integers given as (re, im) int pairs,
-    proved from both sides.
+def gaussian_int_kernel(rows, ncols):
+    """A basis of {x : A x = 0} for the matrix A of Gaussian integers with
+    the given rows, as lists of (re, im) int pairs, proved from both sides.
 
     Lower bound: elimination mod RANK_PRIME finds r pivot rows whose r x r
     minor on the pivot columns is nonzero mod p, hence nonzero, so rank >= r.
-    Upper bound: unless r is the number of rows or columns, the pivot rows
-    alone, eliminated exactly, give one Gaussian-integer kernel vector per
-    free column (``_kernel_vectors``), nonzero there and zero at the other
-    free columns; these are independent, and when every input row has dot
-    product 0 with each, rank <= r.  A failed check (p divides
-    a minor that decides the rank) falls back to ``gaussian_int_echelon``.
+    Upper bound: the pivot rows alone give one kernel vector per free column
+    (``_kernel_vectors``), d there and 0 at the other free columns; these are
+    independent, and when every other row has dot product 0 with each,
+    rank <= r and they span the kernel.  A failed check (p divides a minor
+    that decides the rank) falls back to the vectors of all the rows.  So a
+    vector divided by d, its last nonzero entry, is the standard free-column
+    basis vector of the reduced echelon form, in ascending free-column order.
     """
+    pivot_rows = [rows[k] for k in _modular_pivot_rows(rows, ncols)]
+    if len(pivot_rows) == ncols:
+        return []
+    vectors = _kernel_vectors(pivot_rows, ncols)
+    if len(pivot_rows) == len(rows) or _annihilates(vectors, rows, ncols):
+        return vectors
+    return _kernel_vectors(rows, ncols)
+
+
+def gaussian_int_rank(rows) -> int:
+    """Rank of a matrix of Gaussian integers given as (re, im) int pairs:
+    the number of columns less the dimension of ``gaussian_int_kernel``."""
     ncols = len(rows[0]) if rows else 0
-    pivot_rows = _modular_pivot_rows(rows, ncols)
-    r = len(pivot_rows)
-    if r in (ncols, len(rows)):
-        return r
-    vectors = _kernel_vectors([rows[k] for k in pivot_rows], ncols)
-    if _annihilates(vectors, rows, ncols):
-        return r
-    return len(gaussian_int_echelon(rows))
+    return ncols - len(gaussian_int_kernel(rows, ncols))
 
 
 def _modular_pivot_rows(rows, ncols):
@@ -294,18 +281,17 @@ def _modular_pivot_rows(rows, ncols):
     return pivot_rows
 
 
-def _kernel_vectors(pivot_rows, ncols):
+def _kernel_vectors(rows, ncols):
     """One kernel vector of the given rows per free column, as lists of
-    (re, im) pairs, for rows of full row rank.
+    (re, im) pairs.
 
     The Bareiss echelon form U of the rows A has pivot columns C and last
     pivot d = +-det A_C.  The vector of free column f holds d at f, 0 at the
     other free columns and at C the solution of U_C x = -d U_f, which is that
     of A_C x = -d A_f and so integral by Cramer's rule; back-substitution
-    finds it with exact Gaussian divisions.  Should a division not be exact,
-    the vector is wrong and the caller's check fails.
+    finds it with exact Gaussian divisions, and it is 0 right of f.
     """
-    echelon = gaussian_int_echelon(pivot_rows)
+    echelon = gaussian_int_echelon(rows)
     pivots = [next(c for c, e in enumerate(row) if e != (0, 0)) for row in echelon]
     da, db = echelon[-1][pivots[-1]] if echelon else (1, 0)
     vectors = []

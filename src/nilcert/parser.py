@@ -131,13 +131,23 @@ def _degree(value):
 
 
 def _weight(value):
-    """The largest bit length of an int a, b or d of the value's Gaussian
-    rationals (a + b i)/d, plus the bit length of their count: a product's
-    coefficients are sums of products of its operands' coefficients."""
-    parts = [z for c in value.values() for z in (
-        c.num.coeffs + c.den.coeffs if isinstance(c, RationalFunction) else (c,))]
-    bits = max((n.bit_length() for z in parts for n in (z.a, z.b, z.d)), default=0)
-    return bits + len(parts).bit_length()
+    """The largest bit length of an int of the value's scalars, plus the bit
+    length of their coefficient count: a product's coefficients are sums of
+    products of its operands' coefficients.  The ints are a, b and d of a
+    Gaussian rational (a + b i)/d, and re, im and d of the numerator and
+    denominator ``Poly`` of a rational function, read with no gcd: never
+    shorter than those of the reduced coefficients, so no input refused on
+    the reduced ones is accepted."""
+    ints, count = [], 0
+    for c in value.values():
+        if isinstance(c, RationalFunction):
+            num, den = c.num, c.den
+            ints += num.re + num.im + den.re + den.im + [num.d, den.d]
+            count += num.degree + den.degree + 2
+        else:
+            ints += (c.a, c.b, c.d)
+            count += 1
+    return max(map(int.bit_length, ints), default=0) + count.bit_length()
 
 
 def _add_into(out, pairs):

@@ -2,10 +2,10 @@
 conditions from the defining c(i,j,k) equations, every parenthesization of
 tail products and exhaustive minors; associativity on basis triples and the
 Leibniz rule on basis pairs; subspace membership by reduction against
-echelon rows; random sparse tables; the rank over Q(i) by ``rref``; a
-counter on the exact fallback of the certified rank; and polynomials over
-Q(i) as tuples of normalized Gaussian rationals, with the witness change of
-basis on them."""
+echelon rows; random sparse tables; the rank and the kernel over Q(i) by
+``rref``; counters of calls and of the exact fallback of the certified
+kernel; and polynomials over Q(i) as tuples of normalized Gaussian
+rationals, with the witness change of basis on them."""
 
 import random
 from fractions import Fraction
@@ -159,6 +159,21 @@ def rank(rows) -> int:
     return len(linalg.rref(rows)[1])
 
 
+def kernel_basis(rows, ncols):
+    """Basis of {x : A x = 0} for the matrix with the given rows over Q(i):
+    the standard free-column parametrization of ``linalg.rref``, in
+    ascending free-column order."""
+    reduced, pivots = linalg.rref(rows)
+    basis = []
+    for free_col in sorted(set(range(ncols)) - set(pivots)):
+        v = [GR_ZERO] * ncols
+        v[free_col] = GR_ONE
+        for ri, pc in enumerate(pivots):
+            v[pc] = -reduced[ri][free_col]
+        basis.append(v)
+    return basis
+
+
 def laplace_det(matrix):
     if len(matrix) == 1:
         return matrix[0][0]
@@ -172,9 +187,22 @@ def laplace_det(matrix):
     return total
 
 
+def count_calls(monkeypatch, module, name):
+    """A list that grows by the arguments of each call of module.name."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def count_rank_fallbacks(monkeypatch):
-    """A list that grows by one each time ``linalg.gaussian_int_rank`` falls
-    back to full Bareiss, which it does exactly when its kernel check fails."""
+    """A list that grows by one each time ``linalg.gaussian_int_kernel``
+    falls back to full Bareiss, which it does exactly when its kernel check
+    fails."""
     fallbacks = []
     check = linalg._annihilates
 

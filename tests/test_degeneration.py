@@ -241,23 +241,11 @@ def test_gaussian_determinant_is_listed_monic_without_its_power_of_t():
     assert verdict.details["exceptional_t_polys"] == ["-2 + t"]
 
 
-def count_calls(monkeypatch, module, name):
-    """A list that grows by the arguments of each call of module.name."""
-    calls, function = [], getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return function(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_family_determinant_is_computed_once_per_verify(monkeypatch):
     for wid, witness in files.load_all_witnesses():
         with monkeypatch.context() as patch:
-            calls = count_calls(patch, degeneration, "laplace_adjugate")
-            gcds = count_calls(patch, scalars, "poly_gcd")
+            calls = oracles.count_calls(patch, degeneration, "laplace_adjugate")
+            gcds = oracles.count_calls(patch, scalars, "poly_gcd")
             verdict = verify(witness)
         assert verdict.verified, wid
         assert len(calls) == 1, wid
@@ -336,7 +324,7 @@ def hostile_witness_text():
 def test_hostile_witness_verifies_without_a_polynomial_gcd(monkeypatch):
     # the gcd that reduced det E did not finish in 15 minutes here
     witness = files.load_witness(hostile_witness_text())
-    gcds = count_calls(monkeypatch, scalars, "poly_gcd")
+    gcds = oracles.count_calls(monkeypatch, scalars, "poly_gcd")
     limits, limit_table_of = [], degeneration.limit_table
 
     def recorded(*args):

@@ -1,10 +1,11 @@
 """The Gaussian-integer paths against Fraction oracles.
 
-Identities, powers, annihilators, dim Der and the change of basis are
+Identities, powers, annihilators, derivations and the change of basis are
 computed on the scaled integer tensor of a table.  The oracles here are the
 direct Q(i) computations: the per-triple associativity check, powers as sums
-of subspace products, the rank of the Leibniz system by the ``rref`` oracle,
-and the change of basis by ``linalg.invert_matrix``.
+of subspace products, the rank and kernel of the Leibniz system and the
+annihilator by the ``rref`` oracles, and the change of basis by
+``linalg.invert_matrix``.
 """
 
 import random
@@ -14,17 +15,18 @@ from itertools import product
 
 import pytest
 
-from nilcert import catalog
+from nilcert import algebra, catalog, linalg
 from nilcert.algebra import (StructureTable, Subspace, annihilator,
                              flag_subspace, power_chain, subspace_product)
 from nilcert.derivations import derivation_dimension, derivation_space
 from nilcert.linalg import (RANK_PRIME, SingularMatrixError, det,
-                            gaussian_int_echelon, invert_matrix, kernel_basis)
+                            gaussian_int_echelon, invert_matrix)
 from nilcert.sampling import (derive_rng, random_borel_matrix,
                               random_invertible, random_vector)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
-from oracles import (associative_bruteforce, count_rank_fallbacks,
-                     is_derivation, random_sparse_table, rank)
+from oracles import (associative_bruteforce, count_calls,
+                     count_rank_fallbacks, is_derivation, kernel_basis,
+                     random_sparse_table, rank)
 
 
 def subspace_powers(table, up_to, base):
@@ -37,8 +39,8 @@ def subspace_powers(table, up_to, base):
     return powers
 
 
-def fraction_leibniz_rank(table):
-    """Oracle: rank of the Leibniz system over Q(i), by ``oracles.rank``."""
+def fraction_leibniz_rows(table):
+    """Oracle: the Leibniz system over Q(i), one row per (i, j, m)."""
     n = table.dim
     rows = []
     for i, j, m in product(range(n), repeat=3):
@@ -49,7 +51,22 @@ def fraction_leibniz_rank(table):
             row[i * n + p] = row[i * n + p] - table.entry(p, j, m)
             row[j * n + p] = row[j * n + p] - table.entry(i, p, m)
         rows.append(row)
-    return rank(rows)
+    return rows
+
+
+def fraction_leibniz_rank(table):
+    """Oracle: rank of the Leibniz system over Q(i), by ``oracles.rank``."""
+    return rank(fraction_leibniz_rows(table))
+
+
+def fraction_derivation_basis(table):
+    """Oracle: the ``kernel_basis`` of the distinct nonzero rows of the
+    Leibniz system, as dim x dim matrices."""
+    n = table.dim
+    rows = list(dict.fromkeys(tuple(row) for row in fraction_leibniz_rows(table)
+                              if any(row)))
+    return tuple(tuple(tuple(v[p * n:(p + 1) * n]) for p in range(n))
+                 for v in kernel_basis(rows, n * n))
 
 
 def fraction_annihilator(table):
@@ -149,17 +166,54 @@ def test_dim_der_of_tables_scaled_by_the_rank_prime_takes_the_fallback(monkeypat
             assert len(fallbacks) == before + 1
 
 
-def test_rank_fallback_never_runs_on_the_catalog_and_its_conjugates(monkeypatch):
-    fallbacks = count_rank_fallbacks(monkeypatch)
-    for name in catalog.names():
-        assert derivation_dimension(catalog.get(name).table) == catalog.DER_DIMS[name]
+def catalog_and_conjugates():
+    """(name, table) for the catalog tables and 50 seeded conjugates."""
+    cases = [(name, catalog.get(name).table) for name in catalog.names()]
     rng = derive_rng(21, "integer-path-conjugates")
     names = [name for name in catalog.names() if name != "C5"]
     for index in range(50):
         name = names[index % len(names)]
-        moved = catalog.get(name).table.change_basis(random_invertible(rng, 5))
-        assert derivation_dimension(moved) == catalog.DER_DIMS[name]
+        cases.append((name, catalog.get(name).table.change_basis(
+            random_invertible(rng, 5))))
+    return cases
+
+
+def test_rank_fallback_never_runs_on_the_catalog_and_its_conjugates(monkeypatch):
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    for name, table in catalog_and_conjugates():
+        assert derivation_dimension(table) == catalog.DER_DIMS[name]
+        ann = annihilator(table)
+        assert ann == fraction_annihilator(table), name
+        assert ann.dim == catalog.catalog_fingerprint(name).ann_dim
     assert fallbacks == []
+
+
+def test_derivation_space_is_the_oracle_kernel_on_the_catalog_and_its_conjugates():
+    for name, table in catalog_and_conjugates():
+        space = derivation_space(table)
+        assert space.basis == fraction_derivation_basis(table), name
+        assert space.dimension == catalog.DER_DIMS[name]
+
+
+def count_rref_calls(monkeypatch):
+    """A list that grows at each call of ``linalg.rref``, by either name."""
+    calls = count_calls(monkeypatch, linalg, "rref")
+    monkeypatch.setattr(algebra, "rref", linalg.rref)
+    return calls
+
+
+def test_derivation_space_makes_no_rref_call(monkeypatch):
+    calls = count_rref_calls(monkeypatch)
+    for name in ("A_01", "A_12", "A_24", "C5"):
+        derivation_space(catalog.get(name).table)
+    assert calls == []
+
+
+def test_annihilator_makes_one_rref_call(monkeypatch):
+    calls = count_rref_calls(monkeypatch)
+    for count, name in enumerate(("A_01", "A_12", "A_24", "C5"), 1):
+        annihilator(catalog.get(name).table)
+        assert len(calls) == count, name
 
 
 def test_scaling_by_a_gaussian_rational_keeps_identities_and_fingerprint():

@@ -7,10 +7,10 @@ import pytest
 
 from nilcert.linalg import (RANK_PRIME, RANK_SQRT_M1, SingularMatrixError,
                             det, gaussian_int_adjugate, gaussian_int_echelon,
-                            gaussian_int_rank, invert_matrix, kernel_basis,
-                            laplace_adjugate, rref)
+                            gaussian_int_kernel, gaussian_int_rank,
+                            invert_matrix, laplace_adjugate, rref)
 from nilcert.scalars import GR_ONE, GR_ZERO, POLY_ONE, GaussianRational, Poly
-from oracles import count_rank_fallbacks, laplace_det, rank
+from oracles import count_rank_fallbacks, kernel_basis, laplace_det, rank
 
 
 def g(re, im=0):
@@ -40,11 +40,14 @@ def test_kernel_basis_matches_hand_computation():
     # x + y + z = 0 has kernel spanned by (-1, 1, 0), (-1, 0, 1)
     basis = kernel_basis(gm([[1, 1, 1]]), 3)
     assert basis == [[g(-1), g(1), g(0)], [g(-1), g(0), g(1)]]
+    assert gaussian_int_kernel([[(1, 0)] * 3], 3) == \
+        [[(-1, 0), (1, 0), (0, 0)], [(-1, 0), (0, 0), (1, 0)]]
 
 
 def test_kernel_of_empty_system_is_everything():
     basis = kernel_basis([], 2)
     assert len(basis) == 2
+    assert gaussian_int_kernel([], 2) == [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]
 
 
 def test_invert_round_trip():
@@ -206,6 +209,49 @@ def test_gaussian_int_rank_matches_exact_ranks_on_low_rank_products(monkeypatch)
         if trial % 3 == 0 and want:
             scaled += 1
     # every nonzero matrix scaled by RANK_PRIME is zero mod p and falls back
+    assert len(fallbacks) >= scaled > 0
+
+
+def assert_kernel_matches_the_oracles(rows, ncols):
+    """gaussian_int_kernel has ncols - rank vectors, each the oracle's
+    kernel_basis vector times d, its last nonzero entry."""
+    vectors = gaussian_int_kernel(rows, ncols)
+    grows = [[g(a, b) for a, b in row] for row in rows]
+    assert len(vectors) == ncols - rank(grows), rows
+    scaled = []
+    for v in vectors:
+        d = g(*next(x for x in reversed(v) if x != (0, 0)))
+        scaled.append([g(a, b) / d for a, b in v])
+    assert scaled == kernel_basis(grows, ncols), rows
+
+
+def test_gaussian_int_kernel_matches_the_rref_oracle(monkeypatch):
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    rng = random.Random(31)
+    for ncols in range(4):
+        assert_kernel_matches_the_oracles([], ncols)
+        assert_kernel_matches_the_oracles([[(0, 0)] * ncols] * 3, ncols)
+    scaled = 0
+    for trial in range(300):
+        # wide, square and tall matrices, of full rank or rank-deficient
+        m, n = rng.randrange(1, 9), rng.randrange(1, 9)
+        if trial % 2:
+            rows = low_rank_product(rng, m, rng.randrange(1, min(m, n) + 1), n,
+                                    2 ** 30 if trial % 4 == 1 else 3)
+        else:
+            rows = [[(rng.randrange(-9, 10), rng.randrange(-4, 5))
+                     if rng.random() < 0.6 else (0, 0) for _ in range(n)]
+                    for _ in range(m)]
+        if trial % 3 == 0:
+            rows = [[(a * RANK_PRIME, b * RANK_PRIME) for a, b in row]
+                    for row in rows]
+            scaled += any(any(a or b for a, b in row) for row in rows)
+        elif trial % 3 == 1:
+            s = rng.randrange(m)
+            rows[s] = [(a * RANK_PRIME, b * RANK_PRIME) for a, b in rows[s]]
+        assert_kernel_matches_the_oracles(rows, n)
+    # a nonzero matrix scaled by RANK_PRIME is zero mod p, so its kernel
+    # comes from the fallback
     assert len(fallbacks) >= scaled > 0
 
 

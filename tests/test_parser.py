@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcert import files
 from nilcert.parser import (MAX_NESTING, MAX_SIZE, MAX_T_DEGREE,
                             ExpressionSyntaxError, NonlinearExpressionError,
                             format_vector, parse_condition, parse_constants,
@@ -124,6 +125,36 @@ def test_sum_degree_is_predicted_from_the_denominators():
     # over coprime ones it has the degree of their product
     with pytest.raises(ExpressionSyntaxError, match="sum of degree"):
         parse_expression(f"1/(t+1)^{d} e_1 + 1/(t+2)^{d} e_1")
+
+
+def test_witness_lines_parse_without_reading_reduced_coefficients(monkeypatch):
+    # the coefficient bound reads the int lists of each Poly; reading
+    # Poly.coeffs would reduce every coefficient by its own gcd.  Only
+    # Poly.divmod, in the gcd that normalizes a rational function, reads them.
+    reads, depth = [], []
+    coeffs, divmod_ = Poly.coeffs, Poly.divmod
+
+    def counted(poly):
+        if not depth:
+            reads.append(poly)
+        return coeffs.fget(poly)
+
+    def divmod_counted(poly, other):
+        depth.append(poly)
+        try:
+            return divmod_(poly, other)
+        finally:
+            depth.pop()
+
+    lines = [line.split("=", 1)[1] for wid in files.witness_ids()
+             for line in files.data_text("witnesses", f"{wid}.wit").splitlines()
+             if line.startswith("E_")]
+    assert len(lines) == 5 * len(files.witness_ids()) == 220
+    monkeypatch.setattr(Poly, "coeffs", property(counted))
+    monkeypatch.setattr(Poly, "divmod", divmod_counted)
+    for line in lines:
+        parse_expression(line)
+    assert reads == []
 
 
 def test_work_budget_admits_the_largest_sums():
