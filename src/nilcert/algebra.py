@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (SingularMatrixError, gaussian_int_adjugate,
-                     gaussian_int_echelon, gaussian_int_kernel, rref)
+                     gaussian_int_echelon, gaussian_int_kernel, max_bits,
+                     pack_pairs, rref)
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gaussian
 
 MAX_DIM = 16  # exact arithmetic guard rail
@@ -91,19 +92,37 @@ class StructureTable:
 
     def check_identities(self) -> IdentityReport:
         """(e_i e_j) e_k = e_i (e_j e_k) on every triple, read from the
-        integer tensor P.  The left side is T(i,j,k) = sum_m P_ij^m P_mk.
-        On a commutative table the right side is (e_j e_k) e_i = T(j,k,i);
-        otherwise it is sum_m P_jk^m P_im."""
+        integer tensor P on packed outer products, one (i, j) at a time.
+
+        With entries (k, l) in slots of ``width`` bits at (k n + l) width,
+        the left sides for every (k, l) are sum_m P_ij^m Q_m, Q_m packing
+        P_mk^l over (k, l).  The right sides are sum_m Z_jm W_im: Z_jm packs
+        P_jk^m over k at k n width and W_im packs P_im^l over l at l width,
+        so their product packs P_jk^m P_im^l over (k, l).  A real part
+        with its imaginary part is two such sums; each slot is below
+        2^(width - 1) in absolute value, so the ints agree only when every
+        slot does."""
         (_, p, commutative), n = self.integer_form(), self.dim
-        columns = [[p[m][k] for m in range(n)] for k in range(n)]
-        left = {(i, j, k): _combine(p[i][j], columns[k])
-                for i in range(n) for j in range(n) for k in range(n)}
-        if commutative:
-            associative = all(v == left[j, k, i] for (i, j, k), v in left.items())
-        else:
-            associative = all(v == _combine(p[j][k], p[i])
-                              for (i, j, k), v in left.items())
-        return IdentityReport(commutative, associative)
+        width = 2 * max_bits([row for plane in p for row in plane]) + n.bit_length() + 2
+        q = [pack_pairs([pair for row in plane for pair in row], width)
+             for plane in p]
+        z = [[pack_pairs([p[j][k][m] for k in range(n)], n * width)
+              for m in range(n)] for j in range(n)]
+        w = [[pack_pairs(p[i][m], width) for m in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                left_re = left_im = right_re = right_im = 0
+                for m, (a, b) in enumerate(p[i][j]):
+                    if a or b:
+                        qa, qb = q[m]
+                        left_re += a * qa - b * qb
+                        left_im += a * qb + b * qa
+                    (za, zb), (wa, wb) = z[j][m], w[i][m]
+                    right_re += za * wa - zb * wb
+                    right_im += za * wb + zb * wa
+                if left_re != right_re or left_im != right_im:
+                    return IdentityReport(commutative, False)
+        return IdentityReport(commutative, True)
 
     def integer_tensor(self):
         """Dense products of the scaled table lambda mu, lambda the lcm of
@@ -345,8 +364,10 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
 
 def annihilator(alg: StructureTable) -> Subspace:
     """{x : x * e_j = 0 = e_j * x for all j}: the certified kernel
-    (``gaussian_int_kernel``) of the 2 dim^2 rows of the integer tensor."""
-    n, p = alg.dim, alg.integer_tensor()
+    (``gaussian_int_kernel``) of the rows of the integer tensor, dim^2 for
+    x * e_j and, unless the table is commutative, dim^2 more for e_j * x."""
+    n, (_, p, commutative) = alg.dim, alg.integer_form()
     rows = [[p[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-    rows += [[p[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
+    if not commutative:
+        rows += [[p[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
     return Subspace(n, _rationals(gaussian_int_kernel(rows, n)))

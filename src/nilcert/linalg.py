@@ -8,18 +8,24 @@ routines: the elimination gaussian_int_echelon gives the spans of the
 identify path (powers); its Gauss-Jordan form gaussian_int_adjugate gives
 det and adjugate for the change of basis of a Q(i) table.
 gaussian_int_kernel (the annihilator, the derivations and their dimension,
-the invertibility test of random bases) proves a kernel from both sides:
-pivots found modulo a prime bound the rank below, and kernel vectors found
-by Bareiss on those pivot rows alone and checked exactly against every row
-bound it above; gaussian_int_rank counts them.  rref and invert_matrix work
-over Q(i).  laplace_adjugate, with no division, gives det and adjugate over
-any commutative ring; the change of basis of a parametric witness runs it on
-polynomials in Z[i][t] (``scalars.Poly`` over 1).
+the invertibility test of random bases) proves a kernel from both sides.
+Lower bound: one elimination modulo a prime finds pivot rows whose pivot
+minor is nonzero mod p, hence nonzero.  Upper bound: the kernel vectors of
+their reduced echelon form mod p, lifted to Gaussian integers by rational
+reconstruction, are checked exactly against every row; they are
+independent by their identity block at the free columns.  Bareiss on all
+the rows is only the fallback.  gaussian_int_rank counts the vectors.
+rref and invert_matrix work over Q(i).  laplace_adjugate, with no division,
+gives det and adjugate over any commutative ring; the change of basis of a
+parametric witness runs it on polynomials in Z[i][t] (``scalars.Poly`` over
+1).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
+from math import gcd, isqrt
 
 from .scalars import GR_ONE, GR_ZERO
 
@@ -201,89 +207,293 @@ def _bareiss_tails(rows, prow, col, prev):
     return tails
 
 
-# -- certified rank: pivots mod a prime, kernel checked in Gaussian integers ------
+# -- certified kernel: reduced echelon forms mod primes, lifted and checked --------
 
-# A prime p = 1 mod 4 and a square root of -1 mod p: a + b i -> a + b s mod p
-# is a ring map Z[i] -> Z/p, so a minor that is nonzero mod p is nonzero.
-RANK_PRIME = 2 ** 61 - 31
-RANK_SQRT_M1 = 583529827753931384
+# Primes p = 1 mod 4, each with a square root s of -1 mod p: a + b i ->
+# a +- b s mod p are ring maps Z[i] -> Z/p, so a minor that is nonzero mod p
+# under either is nonzero.  None is wider than the first, which sets the
+# slot width of packed rows.
+RANK_PRIMES = (
+    (2 ** 61 - 31, 583529827753931384),
+    (2 ** 61 - 259, 966685122347009555),
+    (2 ** 61 - 283, 1015389886790033265),
+    (2 ** 61 - 339, 330140092769082148),
+)
+RANK_PRIME, RANK_SQRT_M1 = RANK_PRIMES[0]
+# a random residue has a lift with probability about 2^-LIFT_MARGIN (``_lift``)
+LIFT_MARGIN = 20
+
+
+class IntRows:
+    """A matrix of Gaussian integers as ``gaussian_int_kernel`` reads it,
+    here from its rows as lists of (re, im) int pairs.  A subclass may give
+    the same matrix without building them (``derivations.LeibnizRows``).
+
+    ``gaussian`` tells whether an entry has an imaginary part, and
+    ``norm_bits`` bounds the bit length of a row's sum of max(|re|, |im|)."""
+
+    def __init__(self, rows, ncols):
+        self._rows, self._ncols = rows, ncols
+
+    @cached_property
+    def gaussian(self):
+        return any(b for row in self._rows for _, b in row)
+
+    @cached_property
+    def norm_bits(self):
+        return max_bits(self._rows) + self._ncols.bit_length()
+
+    def modular(self, prime, root, width, keys=None):
+        """(key, x) for each row with a key in ``keys`` (default: every
+        row) that is not all zero: x packs the row mod ``prime`` under
+        i -> root, entry c in the ``width`` bits at bit c width, each below
+        3 prime."""
+        packed = []
+        for k, row in (enumerate(self._rows) if keys is None
+                       else ((k, self._rows[k]) for k in keys)):
+            x = 0
+            for a, b in reversed(row):
+                x = (x << width) | (a + b * root) % prime
+            if x:
+                packed.append((k, x))
+        return packed
+
+    def products(self, xs, ys):
+        """For each row, sum_c (a_c xs[c] + b_c ys[c]) over its entries
+        a_c + b_c i (see ``_annihilates``)."""
+        for row in self._rows:
+            s = 0
+            for (a, b), x, y in zip(row, xs, ys):
+                if a:
+                    s += a * x
+                if b:
+                    s += b * y
+            yield s
+
+    def rows(self):
+        """The rows, for the Bareiss fallback."""
+        return self._rows
 
 
 def gaussian_int_kernel(rows, ncols):
     """A basis of {x : A x = 0} for the matrix A of Gaussian integers with
-    the given rows, as lists of (re, im) int pairs, proved from both sides.
+    the given rows (lists of (re, im) int pairs, or an ``IntRows``), proved
+    from both sides.
 
-    Lower bound: elimination mod RANK_PRIME finds r pivot rows whose r x r
-    minor on the pivot columns is nonzero mod p, hence nonzero, so rank >= r.
-    Upper bound: the pivot rows alone give one kernel vector per free column
-    (``_kernel_vectors``), d there and 0 at the other free columns; these are
-    independent, and when every other row has dot product 0 with each,
-    rank <= r and they span the kernel.  A failed check (p divides a minor
-    that decides the rank) falls back to the vectors of all the rows.  So a
-    vector divided by d, its last nonzero entry, is the standard free-column
-    basis vector of the reduced echelon form, in ascending free-column order.
+    Lower bound: one elimination mod p = RANK_PRIME, under i -> s, finds r
+    pivot rows whose r x r minor on the pivot columns is nonzero mod p,
+    hence nonzero, so rank >= r.  Full column rank returns here.
+    Upper bound: the reduced echelon form R of the pivot rows mod p gives
+    the kernel vector e_f - sum_i R_if e_(c_i) of each free column f; for
+    Gaussian rows, the pivot rows reduced under i -> -s as well give its
+    real and imaginary parts.  ``_lift`` lifts it to Gaussian integers
+    times a common denominator D >= 1, so it holds D at f and 0 at the
+    other free columns; when some entry has no lift, the pivot rows are
+    reduced mod the next prime of RANK_PRIMES too and the lift is retried
+    mod the product (Chinese remainder theorem).  The lifted vectors are
+    independent by their identity block at the free columns, and the exact
+    check ``_annihilates`` of every row on each gives rank <= r and that
+    they span the kernel.
+
+    A residue 0 lifts to 0, so a checked vector is 0 right of f, and a pivot
+    that p hides leaves a vector that fails the check: the pivot columns
+    are those of the reduced echelon form over Q(i).  Bareiss on all the
+    rows (``_kernel_vectors``) runs only when an image loses a pivot, no
+    lift is found or the check fails.  Either way a vector divided by its
+    last nonzero entry, at its free column, is the standard free-column
+    basis vector of the reduced echelon form, in ascending column order.
     """
-    pivot_rows = [rows[k] for k in _modular_pivot_rows(rows, ncols)]
-    if len(pivot_rows) == ncols:
+    source = rows if isinstance(rows, IntRows) else IntRows(rows, ncols)
+    width = 2 * RANK_PRIME.bit_length() + ncols.bit_length() + 2
+    pivots = _modular_echelon(source.modular(RANK_PRIME, RANK_SQRT_M1, width),
+                              ncols, width, RANK_PRIME)
+    if len(pivots) == ncols:
         return []
-    vectors = _kernel_vectors(pivot_rows, ncols)
-    if len(pivot_rows) == len(rows) or _annihilates(vectors, rows, ncols):
+    vectors = _lifted_vectors(source, pivots, ncols, width)
+    if vectors is not None and _annihilates(vectors, source):
         return vectors
-    return _kernel_vectors(rows, ncols)
+    return _kernel_vectors(source.rows(), ncols)
 
 
-def gaussian_int_rank(rows) -> int:
-    """Rank of a matrix of Gaussian integers given as (re, im) int pairs:
-    the number of columns less the dimension of ``gaussian_int_kernel``."""
-    ncols = len(rows[0]) if rows else 0
+def gaussian_int_rank(rows, ncols=None) -> int:
+    """Rank of a matrix of Gaussian integers (as for ``gaussian_int_kernel``;
+    ``ncols`` defaults to the length of the first row): the number of
+    columns less the dimension of its certified kernel."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     return ncols - len(gaussian_int_kernel(rows, ncols))
 
 
-def _modular_pivot_rows(rows, ncols):
-    """Indices of the pivot rows of the rows reduced mod RANK_PRIME, by
-    elimination with the first nonzero entry of each column as pivot.
+def _modular_echelon(packed, ncols, width, prime):
+    """(column, key, row, pivot) of each pivot row, in column order, of rows
+    packed as by ``IntRows.modular``, by elimination mod ``prime`` with the
+    first nonzero entry of each column as pivot; the row is as it stood
+    when chosen.
 
-    Each row is one int holding an entry per slot of ``width`` bits, so a row
-    update is one multiply-add.  Updates add the normalized pivot row (entries
-    below p) times p - f and are never reduced: a slot receives at most one
-    update per pivot, so it stays below p + ncols p^2 and never carries.
+    A row update is one multiply-add of the pivot row scaled to pivot 1
+    (entries below p, right of the pivot) times p - f, never reduced: a
+    slot starts below 3p and receives at most one update per pivot, so it
+    stays below 3p + ncols p^2 < 2^width.
     """
-    p = RANK_PRIME
-    width = 2 * p.bit_length() + ncols.bit_length() + 1
     mask = (1 << width) - 1
-    packed = []
-    for k, row in enumerate(rows):
-        x = 0
-        for a, b in reversed(row):
-            x = (x << width) | (a + b * RANK_SQRT_M1) % p
-        if x:
-            packed.append((k, x))
-    pivot_rows = []
+    keys = [k for k, _ in packed]
+    rows = [x for _, x in packed]
+    pivots = []
     for col in range(ncols):
         shift = col * width
-        heads = [((x >> shift) & mask) % p for _, x in packed]
+        heads = [(x >> shift & mask) % prime for x in rows]
         pr = next((i for i, f in enumerate(heads) if f), None)
         if pr is None:
             continue
-        k, x = packed.pop(pr)
-        pivot = heads.pop(pr)
-        pivot_rows.append(k)
-        if not any(heads):
-            continue
-        inv = pow(pivot, -1, p)
-        # the pivot row scaled to pivot 1, right of the pivot only
-        unit = 0
-        for c in range(ncols - 1, col, -1):
-            unit = (unit << width) | ((x >> (c * width)) & mask) * inv % p
-        unit <<= shift + width
-        packed = [(k, x + (p - f) * unit) if f else (k, x)
-                  for (k, x), f in zip(packed, heads)]
-    return pivot_rows
+        key, x, head = keys.pop(pr), rows.pop(pr), heads.pop(pr)
+        pivots.append((col, key, x, head))
+        if any(heads):
+            unit = _scaled_tail(x, col, head, ncols, width, prime) << (shift + width)
+            rows = [x + (prime - f) * unit if f else x
+                    for x, f in zip(rows, heads)]
+    return pivots
+
+
+def _scaled_tail(x, col, head, ncols, width, prime):
+    """The entries of packed row x right of ``col``, divided by its entry
+    ``head`` at ``col`` mod prime, packed from bit 0."""
+    inv, mask, tail = pow(head, -1, prime), (1 << width) - 1, 0
+    for c in range(ncols - 1, col, -1):
+        tail = (tail << width) | (x >> (c * width) & mask) * inv % prime
+    return tail
+
+
+def _reduced_entries(pivots, free, ncols, width, prime):
+    """For each pivot row of ``_modular_echelon``, in order, its entries mod
+    ``prime`` at the ``free`` columns in the reduced echelon form: by
+    back-substitution from the last, on rows packed over the free columns.
+    """
+    done, rows = [], []
+    for col, _, x, head in reversed(pivots):
+        entries = _slots(_scaled_tail(x, col, head, ncols, width, prime), width,
+                         ncols - col - 1)
+        x = pack_slots([entries[f - col - 1] if f > col else 0 for f in free],
+                       width)
+        for later, y in done:
+            f = entries[later - col - 1]
+            if f:
+                x += (prime - f) * y
+        row = [s % prime for s in _slots(x, width, len(free))]
+        done.append((col, pack_slots(row, width)))
+        rows.append(row)
+    return rows[::-1]
+
+
+def _lifted_vectors(source, pivots, ncols, width):
+    """One kernel vector of the pivot rows per free column, lifted from
+    their reduced echelon forms mod one or more of RANK_PRIMES, or None."""
+    columns = [col for col, _, _, _ in pivots]
+    keys = [key for _, key, _, _ in pivots]
+    free = sorted(set(range(ncols)) - set(columns))
+
+    def reduced(prime, root):
+        echelon = _modular_echelon(source.modular(prime, root, width, keys),
+                                   ncols, width, prime)
+        if [col for col, _, _, _ in echelon] == columns:
+            return _reduced_entries(echelon, free, ncols, width, prime)
+        return None
+
+    modulus = 1
+    for prime, root in RANK_PRIMES:
+        images = [reduced(prime, root) if modulus > 1
+                  else _reduced_entries(pivots, free, ncols, width, prime)]
+        if source.gaussian:
+            images.append(reduced(prime, prime - root))
+        if None in images:
+            return None
+        # the entries -R as real parts, then imaginary parts: from the images
+        # x + y s and x - y s of x + y i when the rows are Gaussian
+        if source.gaussian:
+            half, over_2s = pow(2, -1, prime), pow(2 * root, -1, prime)
+            image = [[-(a + b) * half % prime for a, b in zip(u, v)]
+                     + [(b - a) * over_2s % prime for a, b in zip(u, v)]
+                     for u, v in zip(*images)]
+        else:
+            image = [[-a % prime for a in row] + [0] * len(free)
+                     for row in images[0]]
+        if modulus == 1:
+            residues = image
+        else:  # x = old mod modulus, x = new mod prime
+            inverse = pow(modulus, -1, prime)
+            residues = [[a + modulus * ((b - a) * inverse % prime)
+                         for a, b in zip(old, new)]
+                        for old, new in zip(residues, image)]
+        modulus *= prime
+        vectors = []
+        for t, f in enumerate(free):
+            lifted = _lift([row[t] for row in residues]
+                           + [row[len(free) + t] for row in residues], modulus)
+            if lifted is None:
+                break
+            d, values = lifted
+            v = [(0, 0)] * ncols
+            v[f] = (d, 0)
+            for i, col in enumerate(columns):
+                v[col] = (values[i], values[len(columns) + i])
+            vectors.append(v)
+        else:
+            return vectors
+    return None
+
+
+def _lift(residues, modulus):
+    """(d, [n_1, ...]) with n_k = d r_k mod ``modulus`` for one common
+    denominator d >= 1, or None.  Numerators and d are at most
+    B = isqrt(modulus / 2^(LIFT_MARGIN + 1)), so a lift is unique and a
+    random residue has one with probability about 2^-LIFT_MARGIN.  An entry
+    that d already brings within B is taken as it is; only the others go
+    through rational reconstruction (Wang, Guy and Davenport, ACM SIGSAM
+    Bull. 16, 1982), which multiplies d by the denominator it finds."""
+    bound = isqrt(modulus >> (LIFT_MARGIN + 1))
+    d, values = 1, []
+    for r in residues:
+        y = r * d % modulus
+        if y > modulus // 2:
+            y -= modulus
+        if abs(y) > bound:
+            # the half-extended Euclidean algorithm: r1 = t1 y mod modulus,
+            # stopped at the first remainder within the bound
+            r0, r1, t0, t1 = modulus, y % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            if not 0 < t1 <= bound // d or gcd(r1, t1) != 1:
+                return None
+            y, d = r1, d * t1
+            values = [x * t1 for x in values]
+        values.append(y)
+    return d, values
+
+
+def pack_slots(values, width):
+    """Ints 0 <= v < 2^width in one int, value k at bit k width."""
+    x = 0
+    for v in reversed(values):
+        x = (x << width) | v
+    return x
+
+
+def _slots(x, width, count):
+    """The first ``count`` slots of ``width`` bits of x, as ``pack_slots``
+    fills them."""
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        out.append(x & mask)
+        x >>= width
+    return out
 
 
 def _kernel_vectors(rows, ncols):
     """One kernel vector of the given rows per free column, as lists of
-    (re, im) pairs.
+    (re, im) pairs: the Bareiss fallback of ``gaussian_int_kernel``.
 
     The Bareiss echelon form U of the rows A has pivot columns C and last
     pivot d = +-det A_C.  The vector of free column f holds d at f, 0 at the
@@ -314,35 +524,41 @@ def _kernel_vectors(rows, ncols):
     return vectors
 
 
-def _annihilates(vectors, rows, ncols) -> bool:
-    """Whether every row has dot product 0 with every vector, exactly.
+def _annihilates(vectors, source) -> bool:
+    """Whether every row of the source is zero on every vector, exactly:
+    the one check of lifted kernel vectors, for every kind of ``IntRows``.
 
-    Column c of all the vectors is packed into one int per part, vector f at
-    bit f K (K = ``shift``), so a row's products sum to sum_f D_f 2^(f K),
-    with D_f its dot product with vector f.  Each |D_f| is below 2^(K - 1),
-    so the sum is 0 only when every D_f is.
+    Column c of the vectors is packed into one int X_c: the real part of
+    vector f at bit f K (K = ``shift``) and its imaginary part at bit
+    H + f K (H = K times the number of vectors).  Y_c packs i times the
+    same entries, so an entry a + b i of a row contributes a X_c + b Y_c,
+    and a row's products sum to the real and imaginary parts of its dot
+    product with each vector, each in its own K bits.  Each part is below
+    2^(K - 1) in absolute value, so the sum is 0 only when every part is.
     """
-    shift = _max_bits(vectors) + _max_bits(rows) + ncols.bit_length() + 2
-    re, im = [0] * ncols, [0] * ncols
-    for v in reversed(vectors):
-        for c, (a, b) in enumerate(v):
-            re[c] = (re[c] << shift) + a
-            im[c] = (im[c] << shift) + b
-    for row in rows:
-        sa = sb = 0
-        for (a, b), va, vb in zip(row, re, im):
-            if a:
-                sa += a * va
-                sb += a * vb
-            if b:
-                sa -= b * vb
-                sb += b * va
-        if sa or sb:
-            return False
-    return True
+    shift = max_bits(vectors) + source.norm_bits + 2
+    high = shift * len(vectors)
+    xs, ys = [], []
+    for column in zip(*vectors):
+        re, im = pack_pairs(column, shift)
+        xs.append(re + (im << high))
+        ys.append((re << high) - im)
+    return not any(source.products(xs, ys))
 
 
-def _max_bits(matrix) -> int:
+def pack_pairs(pairs, step):
+    """(re, im) for Gaussian-integer (re, im) pairs: each part packed into
+    one int, pair k at bit k step, as signed digits.  Two such packings are
+    equal only when their digits are, if each digit is below 2^step in
+    absolute value."""
+    re = im = 0
+    for a, b in reversed(pairs):
+        re = (re << step) + a
+        im = (im << step) + b
+    return re, im
+
+
+def max_bits(matrix) -> int:
     """Bit length of the largest real or imaginary part in the matrix."""
     parts = chain.from_iterable(chain.from_iterable(matrix))
     return max(map(abs, parts), default=0).bit_length()

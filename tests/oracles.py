@@ -200,9 +200,12 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_rank_fallbacks(monkeypatch):
-    """A list that grows by one each time ``linalg.gaussian_int_kernel``
-    falls back to full Bareiss, which it does exactly when its kernel check
-    fails."""
+    """A list that grows by one each time the exact check of the lifted
+    kernel vectors, ``linalg._annihilates``, fails and so sends
+    ``linalg.gaussian_int_kernel`` to full Bareiss; list rows and the
+    Leibniz rows of ``derivations.LeibnizRows`` go through that one check.
+    A lift that fails falls back before any check, so this counter does not
+    see it: count the calls of ``linalg._kernel_vectors`` for that."""
     fallbacks = []
     check = linalg._annihilates
 

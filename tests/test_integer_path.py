@@ -180,12 +180,41 @@ def catalog_and_conjugates():
 
 def test_rank_fallback_never_runs_on_the_catalog_and_its_conjugates(monkeypatch):
     fallbacks = count_rank_fallbacks(monkeypatch)
+    # a lift that fails never reaches the check, so Bareiss is counted too
+    bareiss = count_calls(monkeypatch, linalg, "_kernel_vectors")
     for name, table in catalog_and_conjugates():
         assert derivation_dimension(table) == catalog.DER_DIMS[name]
         ann = annihilator(table)
         assert ann == fraction_annihilator(table), name
         assert ann.dim == catalog.catalog_fingerprint(name).ann_dim
     assert fallbacks == []
+    assert bareiss == []
+
+
+def test_non_commutative_derivations_are_the_oracle_kernel_with_or_without_fallback(
+        monkeypatch):
+    # the Leibniz rows of a non-commutative table read every pair (i, j);
+    # scaled by RANK_PRIME they are 0 mod p, so the lifted vectors fail the
+    # check and the kernel comes from Bareiss on the list rows
+    fallbacks = count_rank_fallbacks(monkeypatch)
+    rng = derive_rng(32, "integer-path-non-commutative")
+    tested = 0
+    while tested < 6:
+        dim = 3 + tested % 2
+        table = random_sparse_table(rng, dim, max_entries=8, symmetric=False)
+        if table.is_commutative():
+            continue
+        tested += 1
+        moved = table.change_basis(random_invertible(rng, dim))
+        scaled = StructureTable(dim, {key: c * RANK_PRIME
+                                      for key, c in moved.entries.items()})
+        for t, fallback in ((table, 0), (moved, 0), (scaled, 1)):
+            want = fraction_derivation_basis(t)
+            before = len(fallbacks)
+            assert derivation_dimension(t) == len(want) == \
+                dim * dim - fraction_leibniz_rank(t)
+            assert derivation_space(t).basis == want
+            assert len(fallbacks) == before + 2 * fallback
 
 
 def test_derivation_space_is_the_oracle_kernel_on_the_catalog_and_its_conjugates():

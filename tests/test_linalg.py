@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from nilcert.linalg import (RANK_PRIME, RANK_SQRT_M1, SingularMatrixError,
-                            det, gaussian_int_adjugate, gaussian_int_echelon,
-                            gaussian_int_kernel, gaussian_int_rank,
-                            invert_matrix, laplace_adjugate, rref)
+from nilcert import linalg
+from nilcert.linalg import (RANK_PRIME, RANK_PRIMES, RANK_SQRT_M1,
+                            SingularMatrixError, det, gaussian_int_adjugate,
+                            gaussian_int_echelon, gaussian_int_kernel,
+                            gaussian_int_rank, invert_matrix, laplace_adjugate,
+                            rref)
 from nilcert.scalars import GR_ONE, GR_ZERO, POLY_ONE, GaussianRational, Poly
-from oracles import count_rank_fallbacks, kernel_basis, laplace_det, rank
+from nilcert.sampling import derive_rng, random_invertible
+from oracles import (count_calls, count_rank_fallbacks, kernel_basis,
+                     laplace_det, rank)
 
 
 def g(re, im=0):
@@ -155,6 +159,14 @@ def test_rank_prime_and_its_root_of_minus_one():
     assert is_prime(RANK_PRIME)
     assert RANK_PRIME % 4 == 1
     assert pow(RANK_SQRT_M1, 2, RANK_PRIME) == RANK_PRIME - 1
+    assert (RANK_PRIME, RANK_SQRT_M1) == RANK_PRIMES[0]
+    # the further primes of the lift: distinct, and no wider than the first,
+    # which sets the slot width of the packed rows
+    assert len({prime for prime, _ in RANK_PRIMES}) == len(RANK_PRIMES) > 1
+    for prime, root in RANK_PRIMES:
+        assert is_prime(prime) and prime % 4 == 1
+        assert prime.bit_length() <= RANK_PRIME.bit_length()
+        assert pow(root, 2, prime) == prime - 1
 
 
 def test_gaussian_int_rank_falls_back_when_the_prime_divides_the_minor(monkeypatch):
@@ -175,6 +187,46 @@ def test_gaussian_int_rank_of_zero_and_empty_matrices(monkeypatch):
     assert gaussian_int_rank([[(0, 0)] * 3] * 2) == 0
     assert gaussian_int_rank([[(0, 0), (RANK_PRIME, 0)], [(0, 0), (0, 0)]]) == 1
     assert len(fallbacks) == 1
+
+
+def test_full_column_rank_returns_before_any_lift(monkeypatch):
+    lifts = count_calls(monkeypatch, linalg, "_lifted_vectors")
+    rng = derive_rng(32, "linalg-full-rank")
+    for _ in range(20):
+        rows = [[(c.a, c.b) for c in row] for row in random_invertible(rng, 5)]
+        assert gaussian_int_kernel(rows, 5) == []
+        assert gaussian_int_kernel(rows + rows[:2], 5) == []
+    assert lifts == []
+
+
+def test_gaussian_int_kernel_lifts_past_one_prime_by_the_chinese_remainder_theorem(
+        monkeypatch):
+    bareiss = count_calls(monkeypatch, linalg, "_kernel_vectors")
+    # each vector has an entry whose numerator or denominator is past the
+    # lift bound of RANK_PRIME alone
+    cases = ([[(2 ** 40 + 1, 0), (1, 0)]],
+             [[(2 ** 30 + 1, 2 ** 29), (1, 0), (0, 0)], [(0, 0), (0, 0), (3, 0)]],
+             [[(3, 0), (0, 0), (2 ** 45 + 7, 0)], [(0, 0), (5, 1), (2 ** 45, 1)]])
+    for rows in cases:
+        assert_kernel_matches_the_oracles(rows, len(rows[0]))
+    assert bareiss == []
+
+
+def test_gaussian_int_kernel_falls_back_when_no_lift_is_found(monkeypatch):
+    bareiss = count_calls(monkeypatch, linalg, "_kernel_vectors")
+    cases = (
+        # -1 / (2^300 + 1) is past the lift bound of the product of RANK_PRIMES
+        [[(2 ** 300 + 1, 0), (1, 0)]],
+        # s + i is 0 under i -> -s, so the second image moves the pivot...
+        [[(RANK_SQRT_M1, 1), (1, 0)]],
+        # ... or loses it, and its rank drops
+        [[(1, 0), (0, 0), (0, 0)], [(0, 0), (RANK_SQRT_M1, 1), (0, 0)]],
+        # the lift of -1 / a needs a second prime, and a is 0 mod that prime
+        [[(RANK_PRIMES[1][0] * (2 ** 40 + 1), 0), (1, 0)]],
+    )
+    for count, rows in enumerate(cases, 1):
+        assert_kernel_matches_the_oracles(rows, len(rows[0]))
+        assert len(bareiss) == count, rows
 
 
 def low_rank_product(rng, m, k, n, bound):
