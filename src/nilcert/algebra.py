@@ -339,20 +339,34 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
     non-associative diagnostic tables.  Once S^z = ... = S^(2z-2) = 0 the
     chain stops: every product of at least z factors contains a sub-product
     of z to 2z-2 factors, so every later power is zero as well.  Products
-    are taken on the integer tensor and spanned by the integer echelon.
+    are taken on the integer tensor and spanned by the integer echelon:
+    each spanning vector u of a power gets its left-multiplication matrix
+    (the products u e_j) once, so u w costs one combination.  On a
+    commutative table S^p S^q = S^q S^p, so only p <= q is formed, and for
+    p = q only the pairs u_a u_b with a <= b.
     """
     n = alg.dim
-    tensor = alg.integer_tensor()
+    _, tensor, commutative = alg.integer_form()
+    columns = [[plane[j] for plane in tensor] for j in range(n)]
     if base is None:
         base = Subspace.full(n)
     spans = [None, [_scaled_ints(row)[1] for row in base.rows]]
+    lefts = {}  # p -> the left-multiplication matrices of spans[p]
     powers = [None, base]
     first_zero = 1 if base.is_zero else None
     for m in range(2, up_to + 1):
         if first_zero is not None and m >= 2 * first_zero - 1:
             break
-        products = [_int_multiply(tensor, u, w) for p in range(1, m)
-                    for u in spans[p] for w in spans[m - p]]
+        products = []
+        for p in range(1, m // 2 + 1 if commutative else m):
+            if p not in lefts:
+                lefts[p] = [[_combine(u, column) for column in columns]
+                            for u in spans[p]]
+            for a, left in enumerate(lefts[p]):
+                right = spans[m - p]
+                if commutative and 2 * p == m:
+                    right = right[a:]
+                products.extend(_combine(w, left) for w in right)
         powers.append(Subspace(n, _rationals(gaussian_int_echelon(products))))
         spans.append([_scaled_ints(row)[1] for row in powers[-1].rows])
         if spans[-1]:

@@ -40,18 +40,20 @@ class LeibnizRows(IntRows):
           = sum_k P_ij^k D_km - sum_p D_ip P_pj^m - sum_p D_jp P_ip^m.
 
     On a commutative table (j, i, m) is the same row, so only i <= j is
-    taken.  The rows are built as lists only for the Bareiss fallback."""
+    taken; ``keys`` lists the rows as (i, j, m).  The rows are built as
+    lists only for the Bareiss fallback."""
 
     def __init__(self, alg: StructureTable):
         n = self.dim = alg.dim
         _, self.tensor, commutative = alg.integer_form()
         self.pairs = [(i, j) for i in range(n)
                       for j in range(i if commutative else 0, n)]
+        self.keys = [(i, j, m) for i, j in self.pairs for m in range(n)]
         planes = [row for plane in self.tensor for row in plane]
         self.gaussian = any(b for row in planes for _, b in row)
         self.norm_bits = max_bits(planes) + (3 * n).bit_length()
 
-    def modular(self, prime, root, width, keys=None):
+    def modular(self, prime, root, width, keys):
         """Row (i, j, m) mod p is P_ij shifted to the columns (k, m), plus
         -P_.j^m at the columns (i, p) and -P_i.^m at (j, p), each of the
         three packed once per (i, j), (j, m) and (i, m)."""
@@ -64,8 +66,6 @@ class LeibnizRows(IntRows):
                  for m in range(n)] for j in range(n)]
         right = [[pack_slots([-t[i][q][m] % p for q in range(n)], width)
                   for m in range(n)] for i in range(n)]
-        if keys is None:
-            keys = [(i, j, m) for i, j in self.pairs for m in range(n)]
         packed = []
         for i, j, m in keys:
             x = ((spread[i][j] << (m * width)) + (left[j][m] << (i * step))
@@ -75,7 +75,7 @@ class LeibnizRows(IntRows):
         return packed
 
     def products(self, xs, ys):
-        """Row (i, j, m) on the vectors packed as in ``_annihilates``: the
+        """Row (i, j, m) on the vectors packed as in ``_failing_rows``: the
         Leibniz rule itself, read from the tensor."""
         n, tensor = self.dim, self.tensor
         for i, j in self.pairs:

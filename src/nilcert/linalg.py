@@ -8,13 +8,16 @@ routines: the elimination gaussian_int_echelon gives the spans of the
 identify path (powers); its Gauss-Jordan form gaussian_int_adjugate gives
 det and adjugate for the change of basis of a Q(i) table.
 gaussian_int_kernel (the annihilator, the derivations and their dimension,
-the invertibility test of random bases) proves a kernel from both sides.
-Lower bound: one elimination modulo a prime finds pivot rows whose pivot
-minor is nonzero mod p, hence nonzero.  Upper bound: the kernel vectors of
-their reduced echelon form mod p, lifted to Gaussian integers by rational
-reconstruction, are checked exactly against every row; they are
-independent by their identity block at the free columns.  Bareiss on all
-the rows is only the fallback.  gaussian_int_rank counts the vectors.
+the invertibility test of random bases) proves a kernel from both sides,
+eliminating only the rows the proof needs.  Lower bound: the elimination
+modulo a prime of any rows of the matrix finds pivot rows whose pivot minor
+is nonzero mod p, hence nonzero.  Upper bound: the kernel vectors of their
+reduced echelon form mod p, lifted to Gaussian integers by rational
+reconstruction, are checked exactly against every row of the matrix; they
+are independent by their identity block at the free columns.  The first
+rows taken are evenly spaced; a failed check names the rows to add.
+Bareiss on all the rows is only the fallback.  gaussian_int_rank counts
+the vectors.
 rref and invert_matrix work over Q(i).  laplace_adjugate, with no division,
 gives det and adjugate over any commutative ring; the change of basis of a
 parametric witness runs it on polynomials in Z[i][t] (``scalars.Poly`` over
@@ -23,7 +26,7 @@ parametric witness runs it on polynomials in Z[i][t] (``scalars.Poly`` over
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, isqrt
 
@@ -229,11 +232,14 @@ class IntRows:
     here from its rows as lists of (re, im) int pairs.  A subclass may give
     the same matrix without building them (``derivations.LeibnizRows``).
 
-    ``gaussian`` tells whether an entry has an imaginary part, and
-    ``norm_bits`` bounds the bit length of a row's sum of max(|re|, |im|)."""
+    ``keys`` names the rows, here by index, in the order ``products``
+    yields them; ``gaussian`` tells whether an entry has an imaginary part,
+    and ``norm_bits`` bounds the bit length of a row's sum of
+    max(|re|, |im|)."""
 
     def __init__(self, rows, ncols):
         self._rows, self._ncols = rows, ncols
+        self.keys = range(len(rows))
 
     @cached_property
     def gaussian(self):
@@ -243,16 +249,14 @@ class IntRows:
     def norm_bits(self):
         return max_bits(self._rows) + self._ncols.bit_length()
 
-    def modular(self, prime, root, width, keys=None):
-        """(key, x) for each row with a key in ``keys`` (default: every
-        row) that is not all zero: x packs the row mod ``prime`` under
-        i -> root, entry c in the ``width`` bits at bit c width, each below
-        3 prime."""
+    def modular(self, prime, root, width, keys):
+        """(key, x) for each row with a key in ``keys`` that is not all
+        zero: x packs the row mod ``prime`` under i -> root, entry c in the
+        ``width`` bits at bit c width, each below 3 prime."""
         packed = []
-        for k, row in (enumerate(self._rows) if keys is None
-                       else ((k, self._rows[k]) for k in keys)):
+        for k in keys:
             x = 0
-            for a, b in reversed(row):
+            for a, b in reversed(self._rows[k]):
                 x = (x << width) | (a + b * root) % prime
             if x:
                 packed.append((k, x))
@@ -260,7 +264,7 @@ class IntRows:
 
     def products(self, xs, ys):
         """For each row, sum_c (a_c xs[c] + b_c ys[c]) over its entries
-        a_c + b_c i (see ``_annihilates``)."""
+        a_c + b_c i (see ``_failing_rows``)."""
         for row in self._rows:
             s = 0
             for (a, b), x, y in zip(row, xs, ys):
@@ -278,11 +282,13 @@ class IntRows:
 def gaussian_int_kernel(rows, ncols):
     """A basis of {x : A x = 0} for the matrix A of Gaussian integers with
     the given rows (lists of (re, im) int pairs, or an ``IntRows``), proved
-    from both sides.
+    from both sides, eliminating only the rows the proof needs.
 
-    Lower bound: one elimination mod p = RANK_PRIME, under i -> s, finds r
-    pivot rows whose r x r minor on the pivot columns is nonzero mod p,
-    hence nonzero, so rank >= r.  Full column rank returns here.
+    Lower bound: any rows of A whose elimination mod p = RANK_PRIME, under
+    i -> s, finds r pivots have an r x r minor on the pivot columns that is
+    nonzero mod p, hence nonzero, so rank A >= r.  The first round takes
+    ``ncols`` evenly spaced rows of those not zero mod p (all of them when
+    there are fewer); full column rank returns here.
     Upper bound: the reduced echelon form R of the pivot rows mod p gives
     the kernel vector e_f - sum_i R_if e_(c_i) of each free column f; for
     Gaussian rows, the pivot rows reduced under i -> -s as well give its
@@ -292,26 +298,44 @@ def gaussian_int_kernel(rows, ncols):
     reduced mod the next prime of RANK_PRIMES too and the lift is retried
     mod the product (Chinese remainder theorem).  The lifted vectors are
     independent by their identity block at the free columns, and the exact
-    check ``_annihilates`` of every row on each gives rank <= r and that
-    they span the kernel.
+    check ``_failing_rows`` against every row of A either gives rank A <= r
+    and that they span the kernel, or names the rows that fail.  Those not
+    yet eliminated are added and the elimination goes on with them.  Rows
+    that have the rank of A have its reduced echelon form, so the vectors
+    do not depend on which rows were taken.
 
     A residue 0 lifts to 0, so a checked vector is 0 right of f, and a pivot
     that p hides leaves a vector that fails the check: the pivot columns
     are those of the reduced echelon form over Q(i).  Bareiss on all the
     rows (``_kernel_vectors``) runs only when an image loses a pivot, no
-    lift is found or the check fails.  Either way a vector divided by its
+    lift is found, or the check fails on no row that is left to add (all
+    eliminated already or zero mod p).  Either way a vector divided by its
     last nonzero entry, at its free column, is the standard free-column
     basis vector of the reduced echelon form, in ascending column order.
     """
     source = rows if isinstance(rows, IntRows) else IntRows(rows, ncols)
     width = 2 * RANK_PRIME.bit_length() + ncols.bit_length() + 2
-    pivots = _modular_echelon(source.modular(RANK_PRIME, RANK_SQRT_M1, width),
-                              ncols, width, RANK_PRIME)
-    if len(pivots) == ncols:
-        return []
-    vectors = _lifted_vectors(source, pivots, ncols, width)
-    if vectors is not None and _annihilates(vectors, source):
-        return vectors
+    packed = source.modular(RANK_PRIME, RANK_SQRT_M1, width, source.keys)
+    rest = {}  # the rows not yet eliminated
+    if len(packed) > ncols > 0:
+        step = len(packed) // ncols
+        rest = dict(row for k, row in enumerate(packed)
+                    if k % step or k >= step * ncols)
+        packed = packed[:step * ncols:step]
+    pivots = []
+    while True:
+        pivots = _modular_echelon(packed, ncols, width, RANK_PRIME, pivots)
+        if len(pivots) == ncols:
+            return []
+        vectors = _lifted_vectors(source, pivots, ncols, width)
+        if vectors is None:
+            break
+        failed = _failing_rows(vectors, source)
+        if not failed:
+            return vectors
+        packed = [(k, rest.pop(k)) for k in failed if k in rest]
+        if not packed:
+            break
     return _kernel_vectors(source.rows(), ncols)
 
 
@@ -324,81 +348,105 @@ def gaussian_int_rank(rows, ncols=None) -> int:
     return ncols - len(gaussian_int_kernel(rows, ncols))
 
 
-def _modular_echelon(packed, ncols, width, prime):
-    """(column, key, row, pivot) of each pivot row, in column order, of rows
+def _modular_echelon(packed, ncols, width, prime, pivots=()):
+    """(column, key, tail) of each pivot row, in column order, of rows
     packed as by ``IntRows.modular``, by elimination mod ``prime`` with the
-    first nonzero entry of each column as pivot; the row is as it stood
-    when chosen.
+    first nonzero entry of each column as pivot; the tail holds the row's
+    entries right of the pivot as it stood when chosen, divided by the
+    pivot, packed from bit 0, each below 2p (``_fold``).  Given the pivots
+    of earlier rows, it goes on from them: those keep their columns, and
+    the rows are reduced by them.  Each pivot row is zero left of its
+    pivot, so the pivot rows are independent mod p either way.
 
-    A row update is one multiply-add of the pivot row scaled to pivot 1
-    (entries below p, right of the pivot) times p - f, never reduced: a
-    slot starts below 3p and receives at most one update per pivot, so it
-    stays below 3p + ncols p^2 < 2^width.
+    A row update is one multiply-add of the tail times p - f, never
+    reduced: a slot starts below 3p and receives at most one update per
+    pivot, so it stays below 3p + 2 ncols p^2 < 2^width.
     """
-    mask = (1 << width) - 1
+    mask, folding = (1 << width) - 1, _folding(ncols, width, prime)
     keys = [k for k, _ in packed]
     rows = [x for _, x in packed]
+    known = {col: (key, tail) for col, key, tail in pivots}
     pivots = []
     for col in range(ncols):
         shift = col * width
         heads = [(x >> shift & mask) % prime for x in rows]
-        pr = next((i for i, f in enumerate(heads) if f), None)
-        if pr is None:
-            continue
-        key, x, head = keys.pop(pr), rows.pop(pr), heads.pop(pr)
-        pivots.append((col, key, x, head))
+        if col in known:
+            key, tail = known[col]
+        else:
+            pr = next((i for i, f in enumerate(heads) if f), None)
+            if pr is None:
+                continue
+            key, x, head = keys.pop(pr), rows.pop(pr), heads.pop(pr)
+            tail = x >> (shift + width)
+            if tail:
+                inverse = pow(head, -1, prime)
+                tail = _fold(_fold(tail, folding) * inverse, folding)
+        pivots.append((col, key, tail))
         if any(heads):
-            unit = _scaled_tail(x, col, head, ncols, width, prime) << (shift + width)
+            unit = tail << (shift + width)
             rows = [x + (prime - f) * unit if f else x
                     for x, f in zip(rows, heads)]
     return pivots
 
 
-def _scaled_tail(x, col, head, ncols, width, prime):
-    """The entries of packed row x right of ``col``, divided by its entry
-    ``head`` at ``col`` mod prime, packed from bit 0."""
-    inv, mask, tail = pow(head, -1, prime), (1 << width) - 1, 0
-    for c in range(ncols - 1, col, -1):
-        tail = (tail << width) | (x >> (c * width) & mask) * inv % prime
-    return tail
+@lru_cache(maxsize=None)
+def _folding(ncols, width, prime):
+    """(low, high, k, c) for ``_fold`` of ``ncols`` slots of ``width`` bits
+    mod prime = 2^k - c: low masks the low k bits of each slot, high the
+    next width - k bits of each slot of x >> k."""
+    k = prime.bit_length()
+    low = pack_slots([(1 << k) - 1] * ncols, width)
+    high = pack_slots([(1 << (width - k)) - 1] * ncols, width)
+    return low, high, k, (1 << k) - prime
+
+
+def _fold(x, folding):
+    """x with each slot replaced by one below 2 prime of the same residue
+    (``_folding``).  A slot h 2^k + l is congruent to c h + l; two such
+    folds of every slot at once bring a slot below 2^width to below
+    2^k + c + c^2 2^(width - 2k), which is below 2 prime for each of
+    RANK_PRIMES (k = 61, c < 2^9) at any width ``gaussian_int_kernel``
+    takes."""
+    low, high, k, c = folding
+    x = (x & low) + c * (x >> k & high)
+    return (x & low) + c * (x >> k & high)
 
 
 def _reduced_entries(pivots, free, ncols, width, prime):
     """For each pivot row of ``_modular_echelon``, in order, its entries mod
     ``prime`` at the ``free`` columns in the reduced echelon form: by
-    back-substitution from the last, on rows packed over the free columns.
-    """
+    back-substitution from the last, on packed rows kept at the free
+    columns only and folded after each row (slots below 2 prime)."""
+    mask, folding = (1 << width) - 1, _folding(ncols, width, prime)
+    keep = pack_slots([mask if c in free else 0 for c in range(ncols)], width)
     done, rows = [], []
-    for col, _, x, head in reversed(pivots):
-        entries = _slots(_scaled_tail(x, col, head, ncols, width, prime), width,
-                         ncols - col - 1)
-        x = pack_slots([entries[f - col - 1] if f > col else 0 for f in free],
-                       width)
+    for col, _, tail in reversed(pivots):
+        x = tail << ((col + 1) * width)
         for later, y in done:
-            f = entries[later - col - 1]
+            f = (tail >> ((later - col - 1) * width) & mask) % prime
             if f:
                 x += (prime - f) * y
-        row = [s % prime for s in _slots(x, width, len(free))]
-        done.append((col, pack_slots(row, width)))
-        rows.append(row)
+        x = _fold(x & keep, folding)
+        done.append((col, x))
+        rows.append([(x >> (f * width) & mask) % prime for f in free])
     return rows[::-1]
 
 
 def _lifted_vectors(source, pivots, ncols, width):
     """One kernel vector of the pivot rows per free column, lifted from
     their reduced echelon forms mod one or more of RANK_PRIMES, or None."""
-    columns = [col for col, _, _, _ in pivots]
-    keys = [key for _, key, _, _ in pivots]
+    columns = [col for col, _, _ in pivots]
+    keys = [key for _, key, _ in pivots]
     free = sorted(set(range(ncols)) - set(columns))
 
     def reduced(prime, root):
         echelon = _modular_echelon(source.modular(prime, root, width, keys),
                                    ncols, width, prime)
-        if [col for col, _, _, _ in echelon] == columns:
+        if [col for col, _, _ in echelon] == columns:
             return _reduced_entries(echelon, free, ncols, width, prime)
         return None
 
-    modulus = 1
+    parts, modulus = 1 + source.gaussian, 1
     for prime, root in RANK_PRIMES:
         images = [reduced(prime, root) if modulus > 1
                   else _reduced_entries(pivots, free, ncols, width, prime)]
@@ -406,16 +454,15 @@ def _lifted_vectors(source, pivots, ncols, width):
             images.append(reduced(prime, prime - root))
         if None in images:
             return None
-        # the entries -R as real parts, then imaginary parts: from the images
-        # x + y s and x - y s of x + y i when the rows are Gaussian
+        # the entries -R as real parts, then for Gaussian rows imaginary
+        # parts: from the images x + y s and x - y s of x + y i
         if source.gaussian:
             half, over_2s = pow(2, -1, prime), pow(2 * root, -1, prime)
             image = [[-(a + b) * half % prime for a, b in zip(u, v)]
                      + [(b - a) * over_2s % prime for a, b in zip(u, v)]
                      for u, v in zip(*images)]
         else:
-            image = [[-a % prime for a in row] + [0] * len(free)
-                     for row in images[0]]
+            image = [[-a % prime for a in row] for row in images[0]]
         if modulus == 1:
             residues = image
         else:  # x = old mod modulus, x = new mod prime
@@ -426,11 +473,14 @@ def _lifted_vectors(source, pivots, ncols, width):
         modulus *= prime
         vectors = []
         for t, f in enumerate(free):
-            lifted = _lift([row[t] for row in residues]
-                           + [row[len(free) + t] for row in residues], modulus)
+            lifted = _lift([row[u] for u in range(t, parts * len(free),
+                                                  len(free))
+                            for row in residues], modulus)
             if lifted is None:
                 break
             d, values = lifted
+            if not source.gaussian:
+                values += [0] * len(columns)
             v = [(0, 0)] * ncols
             v[f] = (d, 0)
             for i, col in enumerate(columns):
@@ -449,11 +499,11 @@ def _lift(residues, modulus):
     that d already brings within B is taken as it is; only the others go
     through rational reconstruction (Wang, Guy and Davenport, ACM SIGSAM
     Bull. 16, 1982), which multiplies d by the denominator it finds."""
-    bound = isqrt(modulus >> (LIFT_MARGIN + 1))
+    bound, half = isqrt(modulus >> (LIFT_MARGIN + 1)), modulus // 2
     d, values = 1, []
     for r in residues:
         y = r * d % modulus
-        if y > modulus // 2:
+        if y > half:
             y -= modulus
         if abs(y) > bound:
             # the half-extended Euclidean algorithm: r1 = t1 y mod modulus,
@@ -478,17 +528,6 @@ def pack_slots(values, width):
     for v in reversed(values):
         x = (x << width) | v
     return x
-
-
-def _slots(x, width, count):
-    """The first ``count`` slots of ``width`` bits of x, as ``pack_slots``
-    fills them."""
-    mask = (1 << width) - 1
-    out = []
-    for _ in range(count):
-        out.append(x & mask)
-        x >>= width
-    return out
 
 
 def _kernel_vectors(rows, ncols):
@@ -524,9 +563,10 @@ def _kernel_vectors(rows, ncols):
     return vectors
 
 
-def _annihilates(vectors, source) -> bool:
-    """Whether every row of the source is zero on every vector, exactly:
-    the one check of lifted kernel vectors, for every kind of ``IntRows``.
+def _failing_rows(vectors, source):
+    """The keys of the rows of the source that are not zero on every
+    vector, exactly: the one check of lifted kernel vectors, for every kind
+    of ``IntRows``.
 
     Column c of the vectors is packed into one int X_c: the real part of
     vector f at bit f K (K = ``shift``) and its imaginary part at bit
@@ -543,7 +583,7 @@ def _annihilates(vectors, source) -> bool:
         re, im = pack_pairs(column, shift)
         xs.append(re + (im << high))
         ys.append((re << high) - im)
-    return not any(source.products(xs, ys))
+    return [k for k, s in zip(source.keys, source.products(xs, ys)) if s]
 
 
 def pack_pairs(pairs, step):

@@ -50,6 +50,7 @@ is a fixed point.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .scalars import (GR_I, GR_ONE, GR_ZERO, RF_ONE, RF_T, RF_ZERO,
                       GaussianRational, RationalFunction)
@@ -138,16 +139,18 @@ def _weight(value):
     denominator ``Poly`` of a rational function, read with no gcd: never
     shorter than those of the reduced coefficients, so no input refused on
     the reduced ones is accepted."""
-    ints, count = [], 0
+    top = count = 0  # the bit length of an or of ints is the largest one
     for c in value.values():
         if isinstance(c, RationalFunction):
             num, den = c.num, c.den
-            ints += num.re + num.im + den.re + den.im + [num.d, den.d]
+            for x in chain(num.re, num.im, den.re, den.im):
+                top |= abs(x)
+            top |= num.d | den.d
             count += num.degree + den.degree + 2
         else:
-            ints += (c.a, c.b, c.d)
+            top |= abs(c.a) | abs(c.b) | c.d
             count += 1
-    return max(map(int.bit_length, ints), default=0) + count.bit_length()
+    return top.bit_length() + count.bit_length()
 
 
 def _add_into(out, pairs):
@@ -280,7 +283,8 @@ class _Parser:
                     0 if self.context.linear else
                     len(a) * len(b) * (1 + _degree(a) + _degree(b)), pos,
                     bits=_weight(a) + _weight(b))
-        return _add_into({}, ((tuple(sorted(ma + mb)), ca * cb)
+        return _add_into({}, (((tuple(sorted(ma + mb)) if ma and mb
+                                else ma or mb), ca * cb)
                               for ma, ca in a.items() for mb, cb in b.items()))
 
     def divide(self, a, b, pos):

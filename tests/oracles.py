@@ -200,23 +200,12 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_rank_fallbacks(monkeypatch):
-    """A list that grows by one each time the exact check of the lifted
-    kernel vectors, ``linalg._annihilates``, fails and so sends
-    ``linalg.gaussian_int_kernel`` to full Bareiss; list rows and the
-    Leibniz rows of ``derivations.LeibnizRows`` go through that one check.
-    A lift that fails falls back before any check, so this counter does not
-    see it: count the calls of ``linalg._kernel_vectors`` for that."""
-    fallbacks = []
-    check = linalg._annihilates
-
-    def counted(*args):
-        ok = check(*args)
-        if not ok:
-            fallbacks.append(args)
-        return ok
-
-    monkeypatch.setattr(linalg, "_annihilates", counted)
-    return fallbacks
+    """A list that grows by the arguments of each call of
+    ``linalg._kernel_vectors``, the Bareiss fallback of
+    ``linalg.gaussian_int_kernel``, for list rows and the Leibniz rows of
+    ``derivations.LeibnizRows`` alike.  A failed check first adds the rows
+    it names, so a failed check alone is no fallback."""
+    return count_calls(monkeypatch, linalg, "_kernel_vectors")
 
 
 class RationalPoly:

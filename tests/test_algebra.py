@@ -3,7 +3,7 @@ and basis changes, with brute-force oracles for the derived values."""
 
 import pytest
 
-from nilcert import catalog
+from nilcert import algebra, catalog
 from nilcert.algebra import (BasisChange, IdentityReport, StructureTable,
                              Subspace, annihilator, flag_subspace, power_chain,
                              subspace_product)
@@ -169,6 +169,35 @@ def test_power_chain_of_a_subspace_outlives_a_zero_power():
     chain = power_chain(table, 6, Subspace.spanned_by([unit(0, 3)], 3))
     assert [chain[k].dim for k in range(1, 7)] == [1, 1, 0, 1, 0, 0]
     assert contains(chain[4], unit(2, 3))
+
+
+def test_power_chain_forms_each_product_of_a_commutative_table_once(monkeypatch):
+    # S^m spans the products of S^p and S^q for p + q = m; on a commutative
+    # table only p <= q, and for p = q only the pairs u_a u_b with a <= b
+    sizes, echelon = [], algebra.gaussian_int_echelon
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(algebra, "gaussian_int_echelon", counted)
+
+    def products(dims, m, commutative):
+        if not commutative:
+            return sum(dims[p] * dims[m - p] for p in range(1, m))
+        half = dims[m // 2] * (dims[m // 2] + 1) // 2 if m % 2 == 0 else 0
+        return sum(dims[p] * dims[m - p] for p in range(1, (m + 1) // 2)) + half
+
+    # e_1 e_2 = e_3 alone is not commutative
+    for table, commutative in ((catalog.get("A_01").table, True),
+                               (catalog.get("A_13").table, True),
+                               (StructureTable(3, {(0, 1, 2): GR_ONE}), False)):
+        sizes.clear()
+        chain = power_chain(table, 6)
+        dims = [None] + [power.dim for power in chain[1:]]
+        assert sizes == [products(dims, m, commutative)
+                         for m in range(2, 2 + len(sizes))], table
+        assert len(sizes) >= 3
 
 
 def test_annihilator_dimensions():

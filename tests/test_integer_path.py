@@ -18,7 +18,8 @@ import pytest
 from nilcert import algebra, catalog, linalg
 from nilcert.algebra import (StructureTable, Subspace, annihilator,
                              flag_subspace, power_chain, subspace_product)
-from nilcert.derivations import derivation_dimension, derivation_space
+from nilcert.derivations import (LeibnizRows, derivation_dimension,
+                                 derivation_space)
 from nilcert.linalg import (RANK_PRIME, SingularMatrixError, det,
                             gaussian_int_echelon, invert_matrix)
 from nilcert.sampling import (derive_rng, random_borel_matrix,
@@ -180,7 +181,7 @@ def catalog_and_conjugates():
 
 def test_rank_fallback_never_runs_on_the_catalog_and_its_conjugates(monkeypatch):
     fallbacks = count_rank_fallbacks(monkeypatch)
-    # a lift that fails never reaches the check, so Bareiss is counted too
+    # count_rank_fallbacks counts the Bareiss calls too; both must stay empty
     bareiss = count_calls(monkeypatch, linalg, "_kernel_vectors")
     for name, table in catalog_and_conjugates():
         assert derivation_dimension(table) == catalog.DER_DIMS[name]
@@ -215,6 +216,37 @@ def test_non_commutative_derivations_are_the_oracle_kernel_with_or_without_fallb
                 dim * dim - fraction_leibniz_rank(t)
             assert derivation_space(t).basis == want
             assert len(fallbacks) == before + 2 * fallback
+
+
+def test_the_leibniz_check_names_the_rows_that_fail_by_their_keys(monkeypatch):
+    # LeibnizRows row (i, j, m) is the fraction_leibniz_rows row (i, j, m)
+    # scaled by lambda: the check names it when it is nonzero on a vector.
+    # The certified kernel vectors fail on no row; a unit vector at column c
+    # fails exactly on the rows nonzero at c.
+    rng = derive_rng(34, "integer-path-failing-rows")
+    cases = catalog_and_conjugates()[::5]
+    while len(cases) < 25:
+        table = random_sparse_table(rng, 3 + len(cases) % 2, max_entries=8,
+                                    symmetric=len(cases) % 3 > 0)
+        cases.append((None, table.change_basis(random_invertible(rng, table.dim))))
+    for _, table in cases:
+        n = table.dim
+        source = LeibnizRows(table)
+        rows = fraction_leibniz_rows(table)
+        kernel = linalg.gaussian_int_kernel(source, n * n)
+        assert not kernel or linalg._failing_rows(kernel, source) == []
+        column = rng.randrange(n * n)
+        unit = [(0, 0)] * (n * n)
+        unit[column] = (1, rng.choice((0, 1)))
+        want = [(i, j, m) for i, j, m in source.keys
+                if rows[(i * n + j) * n + m][column]]
+        assert linalg._failing_rows(kernel + [unit], source) == want, table
+    # some catalog tables in their own basis have more nonzero rows than the
+    # first round takes, and their kernels take a second round
+    lifts = count_calls(monkeypatch, linalg, "_lifted_vectors")
+    for name in catalog.names():
+        assert derivation_dimension(catalog.get(name).table) == catalog.DER_DIMS[name]
+    assert len(lifts) > len(catalog.names())
 
 
 def test_derivation_space_is_the_oracle_kernel_on_the_catalog_and_its_conjugates():

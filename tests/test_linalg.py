@@ -229,6 +229,22 @@ def test_gaussian_int_kernel_falls_back_when_no_lift_is_found(monkeypatch):
         assert len(bareiss) == count, rows
 
 
+def test_gaussian_int_kernel_adds_the_rows_the_check_names(monkeypatch):
+    lifts = count_calls(monkeypatch, linalg, "_lifted_vectors")
+    bareiss = count_rank_fallbacks(monkeypatch)
+    # six nonzero rows over three columns: the evenly spaced rows 0, 2 and 4
+    # have rank 1, so their kernel vectors fail on row 5 alone, which the
+    # second round adds and which raises the rank to 2
+    for last in ([(0, 0), (1, 0), (1, 0)], [(0, 0), (2, 1), (0, -3)]):
+        rows = [[(c, 0), (0, 0), (0, 0)] for c in (1, 1, 2, 1, 3)] + [last]
+        first = gaussian_int_kernel(rows[::2], 3)
+        assert linalg._failing_rows(first, linalg.IntRows(rows, 3)) == [5]
+        before = len(lifts)
+        assert_kernel_matches_the_oracles(rows, 3)
+        assert len(lifts) == before + 2
+    assert bareiss == []
+
+
 def low_rank_product(rng, m, k, n, bound):
     """(m x k)(k x n) with Gaussian entries below ``bound`` in each part."""
     def draw(rows, cols):
