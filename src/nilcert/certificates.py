@@ -11,13 +11,18 @@ basis or in none, and are checked once.
 
 The toolkit deliberately distinguishes two escape outcomes for a target:
 
-* CERTIFIED  -- a basis-independent invariant (annihilator dimension, or a
-  whole-algebra power) already contradicts membership in R in every basis;
+* CERTIFIED  -- a basis-independent invariant contradicts the degeneration:
+  R's own annihilator bound or whole-algebra power fails for the target in
+  every basis, or else the pair screen (necessary_conditions) fails for the
+  target against every source of the row, so R is not needed;
 * EVIDENTIAL -- a randomized search over bases found no membership; this is
   evidence, not proof, and is labelled as such.
 
+check_claim searches only the targets left without a certificate.
 Stability of R under the flag-preserving (Borel) subgroup is probed with
-random flag-preserving basis changes rather than proven.
+random flag-preserving basis changes rather than proven, and only for rows
+with a target left to the search: a row whose targets are all certified
+draws no samples.
 """
 
 from __future__ import annotations
@@ -198,12 +203,14 @@ class EscapeReport:
         return self.status in (CERTIFIED, EVIDENTIAL) and self.random_hits == 0
 
 
-def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
-                    samples: int, rng) -> EscapeReport:
-    """Certified escape from basis-independent invariants, else random search.
+def certified_escape(spec: ClosedSetSpec, target: StructureTable,
+                     screens=()) -> EscapeReport | None:
+    """A proof that the target escapes, or None.
 
-    random_hits > 0 refutes the claim; random_hits = 0 after the full sample
-    budget is evidence only and is labelled EVIDENTIAL, not a proof.
+    R's own basis-independent conditions come first.  Then the screens,
+    necessary_conditions(source, target) for each source of the row: a
+    target that fails all of them is a degeneration of no source, whatever
+    R says.
     """
     for conj in spec.conjuncts:
         if isinstance(conj, AnnDimAtLeast):
@@ -218,6 +225,22 @@ def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
             return EscapeReport(
                 CERTIFIED,
                 f"A^{k} has dimension {power.dim} != 0 in every basis", 0, 0)
+    if screens and not any(screen.all_pass for screen in screens):
+        broken = "; ".join(f"{screen.source} -> {screen.target} "
+                           f"{', '.join(screen.evidence())}"
+                           for screen in screens)
+        return EscapeReport(
+            CERTIFIED, f"pair screen, R not needed: {broken}", 0, 0)
+    return None
+
+
+def random_escape(spec: ClosedSetSpec, target: StructureTable,
+                  samples: int, rng) -> EscapeReport:
+    """Random search for a basis in which the target satisfies R.
+
+    random_hits > 0 refutes the claim; random_hits = 0 after the full sample
+    budget is evidence only and is labelled EVIDENTIAL, not a proof.
+    """
     per_sample = _basis_dependent(spec)
     hits = 0
     example = None
@@ -230,6 +253,14 @@ def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
     status = REFUTED if hits else EVIDENTIAL
     return EscapeReport(status, None, hits, samples,
                         [[repr(c) for c in row] for row in example] if example else None)
+
+
+def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
+                    samples: int, rng) -> EscapeReport:
+    """Certified escape from R's basis-independent conditions, else random
+    search."""
+    return certified_escape(spec, target) or random_escape(spec, target,
+                                                           samples, rng)
 
 
 # -- degeneration screening battery --------------------------------------------------------------------
@@ -263,6 +294,24 @@ class ScreeningReport:
             out.append("dim Ann decreases")
         return out
 
+    def evidence(self):
+        """The failures with the values of both catalog algebras."""
+        if self.trivial:
+            return []
+        fp_s = catalog.catalog_fingerprint(self.source)
+        fp_t = catalog.catalog_fingerprint(self.target)
+        out = []
+        if not self.der_dim_increases:
+            out.append(f"does not raise dim Der ({fp_s.dim_der} -> "
+                       f"{fp_t.dim_der})")
+        if not self.power_dims_non_increase:
+            out.extend(f"raises dim A^{k} from {a} to {b}" for k, (a, b)
+                       in enumerate(zip(fp_s.power_dims, fp_t.power_dims), 2)
+                       if a < b)
+        if not self.ann_dim_non_decreases:
+            out.append(f"lowers dim Ann from {fp_s.ann_dim} to {fp_t.ann_dim}")
+        return out
+
 
 def necessary_conditions(source: str, target: str) -> ScreeningReport:
     """Semicontinuity screen for 'source degenerates to target'."""
@@ -288,6 +337,7 @@ class SourceCheck:
     used_witness: bool
     satisfied: bool
     borel_violation: list | None
+    borel_samples: int  # the probe's sample count; 0 when no probe ran
 
 
 @dataclass
@@ -306,6 +356,20 @@ class ClaimOutcome:
 
 def check_claim(claim: NonDegenerationClaim, escape_samples: int,
                 borel_samples: int, rng) -> ClaimOutcome:
+    """Sources in R, then escapes: certificates first, the search for the
+    targets left.
+
+    R is needed only for the searched targets, so the Borel probe runs only
+    when one is left (a certificate from R's own dim Ann >= d or A^k = 0 is
+    also a failed pair screen, as these are closed and basis-free).  The
+    probes draw before the searches, and the searches go in target order.
+    """
+    escapes = {name: certified_escape(
+                   claim.spec, catalog.get(name).table,
+                   [necessary_conditions(s, name) for s in claim.sources])
+               for name in claim.targets}
+    searched = [name for name, e in escapes.items() if e is None]
+    probe_samples = borel_samples if searched else 0
     source_checks = []
     for name in claim.sources:
         table = catalog.get(name).table
@@ -314,15 +378,16 @@ def check_claim(claim: NonDegenerationClaim, escape_samples: int,
             table = table.change_basis(witness)
         ok = satisfies(claim.spec, table)
         violation = None
-        if ok and borel_samples:
-            g = borel_stability_probe(claim.spec, table, borel_samples, rng)
+        drawn = probe_samples if ok else 0
+        if drawn:
+            g = borel_stability_probe(claim.spec, table, drawn, rng)
             if g is not None:
                 violation = [[repr(c) for c in row] for row in g]
-        source_checks.append(SourceCheck(name, witness is not None, ok, violation))
-    escapes = {}
-    for name in claim.targets:
-        escapes[name] = escape_evidence(claim.spec, catalog.get(name).table,
-                                        escape_samples, rng)
+        source_checks.append(SourceCheck(name, witness is not None, ok,
+                                         violation, drawn))
+    for name in searched:
+        escapes[name] = random_escape(claim.spec, catalog.get(name).table,
+                                      escape_samples, rng)
     return ClaimOutcome(claim, source_checks, escapes)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import catalog
 
@@ -20,6 +21,14 @@ class DegenerationGraph:
     nodes: tuple
     edges: tuple                      # proper verified edges + trivial edges
     provenance: dict = field(default_factory=dict)
+
+    @cached_property
+    def closure(self) -> set:
+        return transitive_closure(self.edges, self.nodes)
+
+    @cached_property
+    def hasse(self) -> set:
+        return hasse_reduction(self.edges, self.nodes, self.closure)
 
 
 def build(verdicts) -> DegenerationGraph:
@@ -66,9 +75,11 @@ def transitive_closure(edges, nodes) -> set:
     return closure
 
 
-def hasse_reduction(edges, nodes) -> set:
-    """Covering edges of the reachability order; unique for a DAG."""
-    closure = transitive_closure(edges, nodes)
+def hasse_reduction(edges, nodes, closure=None) -> set:
+    """Covering edges of the reachability order; unique for a DAG.  The
+    closure of the edges is computed unless it is passed."""
+    if closure is None:
+        closure = transitive_closure(edges, nodes)
     reduced = set()
     for (a, b) in closure:
         if not any((a, w) in closure and (w, b) in closure
@@ -103,16 +114,14 @@ def compare_with_reference(graph: DegenerationGraph, reference_edges) -> GraphDi
     edges are reported separately: they are a finding about the printed
     figure, not a mismatch of the orders.
     """
-    ours_closure = transitive_closure(graph.edges, graph.nodes)
-    ours_reduction = hasse_reduction(graph.edges, graph.nodes)
     ref = set(reference_edges)
     ref_closure = transitive_closure(ref, graph.nodes)
-    ref_reduction = hasse_reduction(ref, graph.nodes)
+    ref_reduction = hasse_reduction(ref, graph.nodes, ref_closure)
     return GraphDiff(
-        missing_reduction=sorted(ref_reduction - ours_reduction),
-        extra_reduction=sorted(ours_reduction - ref_reduction),
-        missing_closure=sorted(ref_closure - ours_closure),
-        extra_closure=sorted(ours_closure - ref_closure),
+        missing_reduction=sorted(ref_reduction - graph.hasse),
+        extra_reduction=sorted(graph.hasse - ref_reduction),
+        missing_closure=sorted(ref_closure - graph.closure),
+        extra_closure=sorted(graph.closure - ref_closure),
         redundant_reference_edges=sorted(ref - ref_reduction),
     )
 
@@ -132,9 +141,9 @@ def _edge_view(graph: DegenerationGraph, view: str):
     if view == "verified":
         return sorted(graph.edges)
     if view == "closure":
-        return sorted(transitive_closure(graph.edges, graph.nodes))
+        return sorted(graph.closure)
     if view == "hasse":
-        return sorted(hasse_reduction(graph.edges, graph.nodes))
+        return sorted(graph.hasse)
     raise ValueError(f"unknown view {view!r}")
 
 

@@ -2,12 +2,21 @@
 reconstruction, non-degeneration claims, screening completeness, and the
 advisory numeric cross-check, assembled into one machine-readable report.
 
+The verified graph's closure and covering reduction are computed once and
+serve the graph, witness and screening sections.  In the claims section a
+target is searched only when no certificate decides it (see
+certificates.check_claim); the screening section lists the claim rows in
+which the pair screen alone decides every target, as the graph section
+lists the redundant reference edges: a finding, the claims file stays.
+
 With jobs > 1 the witness and claim checks run on one pool of jobs forked
-workers, one task per witness and per claim; the sections still run one
-after another.  The run is deterministic for a fixed seed: every randomized
-probe draws from a generator derived from (seed, task label) via sha256 in
-the process that runs the task, so the report does not depend on execution
-order or the pool size.
+workers, which take a section's tasks in chunks of the size
+multiprocessing.Pool.map picks, ceil(tasks / (4 jobs)): on two jobs the 44
+witnesses go out six at a time and the 8 claims one at a time.  The
+sections still run one after another.  The run is deterministic for a
+fixed seed: every randomized probe draws from a generator derived from
+(seed, task label) via sha256 in the process that runs the task, so the
+report does not depend on execution order or the pool size.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from contextlib import contextmanager
 
 from . import __version__, catalog, files
 from . import graph as graphmod
-from .certificates import check_claim, screening_completeness
+from .certificates import (check_claim, necessary_conditions,
+                           screening_completeness)
 from .degeneration import verify
 from .sampling import derive_rng
 
@@ -43,11 +53,14 @@ def _check_claim_task(task):
 @contextmanager
 def _task_map(jobs):
     """The builtin map for one job, else the map of a pool of jobs forked
-    workers.  The workers fork at the first task, so they inherit the caches
-    filled before it; leaving the block joins them, also on an error."""
+    workers over a list, in chunks of ceil(len / (4 jobs)) tasks, the size
+    multiprocessing.Pool.map picks.  The workers fork at the first task, so
+    they inherit the caches filled before it; leaving the block joins them,
+    also on an error."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield pool.map
+            yield lambda fn, tasks: pool.map(
+                fn, tasks, chunksize=max(1, -(-len(tasks) // (4 * jobs))))
     else:
         yield map
 
@@ -105,7 +118,6 @@ def _graph_section(verdicts):
     reference = files.load_reference_edges()
     diff = graphmod.compare_with_reference(g, reference)
     unique_sources = graphmod.sources(g)
-    hasse = sorted(graphmod.hasse_reduction(g.edges, g.nodes))
     ok = diff.reduction_matches and diff.closure_matches \
         and unique_sources == ["A_01"]
     section = {
@@ -120,18 +132,17 @@ def _graph_section(verdicts):
         "redundant_reference_edges":
             [list(e) for e in diff.redundant_reference_edges],
         "sources_without_incoming": unique_sources,
-        "hasse_edges": [list(e) for e in hasse],
+        "hasse_edges": [list(e) for e in sorted(g.hasse)],
     }
     return section, g, ok
 
 
 def _mark_transitivity(witness_records, g):
-    hasse = graphmod.hasse_reduction(g.edges, g.nodes)
-    closure = graphmod.transitive_closure(g.edges, g.nodes)
     for record in witness_records:
         edge = (record["source"], record["target"])
-        record["hasse_edge"] = edge in hasse
-        record["implied_by_transitivity"] = edge not in hasse and edge in closure
+        record["hasse_edge"] = edge in g.hasse
+        record["implied_by_transitivity"] = edge not in g.hasse \
+            and edge in g.closure
 
 
 def _claims_section(pmap, seed, samples, borel_samples, log):
@@ -151,6 +162,7 @@ def _claims_section(pmap, seed, samples, borel_samples, log):
             "source_checks": [
                 {"name": s.name, "used_witness": s.used_witness,
                  "satisfied": s.satisfied,
+                 "borel_samples": s.borel_samples,
                  "borel_violation": s.borel_violation}
                 for s in outcome.source_checks],
             "escapes": {
@@ -165,14 +177,20 @@ def _claims_section(pmap, seed, samples, borel_samples, log):
 
 
 def _screening_section(g, claims_records):
-    closure = graphmod.transitive_closure(g.edges, g.nodes)
     pairs = []
     for record in claims_records:
         if record["valid"]:
             for s in record["sources"]:
                 for t in record["targets"]:
                     pairs.append((s, t))
-    report = screening_completeness(closure, pairs)
+    report = screening_completeness(g.closure, pairs)
+    # rows whose every (source, target) pair fails the screen: a finding
+    # about the claims file, like the redundant reference edges
+    redundant_rows = [
+        f"{' '.join(r['sources'])} !-> {' '.join(r['targets'])}"
+        for r in claims_records
+        if not any(necessary_conditions(s, t).all_pass
+                   for s in r["sources"] for t in r["targets"])]
     ok = not report["unexplained"]
     return {
         "ok": ok,
@@ -181,6 +199,7 @@ def _screening_section(g, claims_records):
                       for (x, y), reasons in sorted(report["explained"].items())},
         "unexplained": [list(p) for p in report["unexplained"]],
         "unexplained_count": len(report["unexplained"]),
+        "redundant_claim_rows": redundant_rows,
         "note": "A_p^k conditions with p = 1 are read as powers of the whole "
                 "algebra, hence basis independent.",
     }, ok

@@ -23,13 +23,19 @@ from oracles import conjunct_holds_bruteforce, random_sparse_table
 EXPECTED_DER_COLUMN = (5, 6, 6, 7, 7, 7, 7, 8, 8, 9, 9, 11,
                        8, 9, 9, 10, 10, 11, 11, 12, 11, 12, 14, 17)
 
-# Targets whose escape is certified by a basis-independent invariant; every
-# other (claim, target) pair must come back EVIDENTIAL with zero hits.
+# Targets whose escape is certified by a basis-independent invariant, R's own
+# or the pair screen against the row's source; every other (claim, target)
+# pair must come back EVIDENTIAL with zero hits.
 EXPECTED_CERTIFIED = {
     (("A_03",), "A_05"),                 # whole-algebra A^4 != 0
     (("A_05", "A_06", "A_07"), "A_21"),  # dim Ann = 1 < 2
+    (("A_07",), "A_16"),                 # pair screen: dim A^2 2 -> 3
     (("A_07",), "A_18"),                 # whole-algebra A^3 != 0
+    (("A_13",), "A_16"),                 # pair screen: dim A^2 2 -> 3
+    (("A_16",), "A_12"),                 # pair screen: dim Ann 3 -> 2
     (("A_16",), "A_18"),                 # whole-algebra A^3 != 0
+    (("A_16",), "A_22"),                 # pair screen: dim Ann 3 -> 2
+    (("A_21",), "A_20"),                 # pair screen: dim A^2 1 -> 2
 }
 
 

@@ -240,7 +240,8 @@ def test_screening_reads_the_cached_catalog_fingerprints(monkeypatch):
 def test_samples_build_no_table_and_no_power_chain(monkeypatch):
     # a sample reads its conditions from the coordinates of one BasisChange;
     # the only table built is the A_13 witness basis, and power_chain runs
-    # only for the whole-power certificates and the membership of a source
+    # only for the whole-power certificates (certified_escape, which
+    # check_claim asks before any search) and the membership of a source
     bases, chains = [], []
     change_basis, power_chain = StructureTable.change_basis, certificates.power_chain
 
@@ -269,7 +270,70 @@ def test_samples_build_no_table_and_no_power_chain(monkeypatch):
     witness = next(c for c in claims if c.sources == ("A_13",))
     assert few[0] == [witness.witness_bases["A_13"]]
     assert {(caller, whole) for caller, _, whole in few[1]} == {
-        ("escape_evidence", True), ("conjunct_holds", False)}
+        ("certified_escape", True), ("conjunct_holds", False)}
+
+
+def test_a_target_failing_the_pair_screen_for_every_source_is_not_searched():
+    claim, = files.load_claims("claim A_21 !-> A_20\nrequire A_1 A_1 <= A_5\n")
+    rng = derive_rng(0, "screened")
+    state = rng.getstate()
+    outcome = check_claim(claim, 12, 3, rng)
+    escape = outcome.escapes["A_20"]
+    assert escape.status == "CERTIFIED"
+    assert escape.certificate == ("pair screen, R not needed: A_21 -> A_20 "
+                                  "raises dim A^2 from 1 to 2")
+    assert escape.samples == 0 and escape.random_hits == 0
+    assert [s.borel_samples for s in outcome.source_checks] == [0]
+    assert outcome.valid and rng.getstate() == state
+
+
+def test_a_target_passing_the_pair_screen_for_one_source_is_searched():
+    # A_21 -> A_20 raises dim A^2, but A_16 -> A_20 passes the screen
+    claim, = files.load_claims(
+        "claim A_16 A_21 !-> A_20\nrequire A_1 A_1 <= A_5\n")
+    assert not necessary_conditions("A_21", "A_20").all_pass
+    assert necessary_conditions("A_16", "A_20").all_pass
+    outcome = check_claim(claim, 12, 3, derive_rng(0, "mixed"))
+    escape = outcome.escapes["A_20"]
+    assert escape.status in ("EVIDENTIAL", "REFUTED")
+    assert escape.samples == 12 and escape.certificate is None
+    # A_16 is not in R in its catalog basis, so only A_21 is probed
+    assert [(s.name, s.satisfied, s.borel_samples)
+            for s in outcome.source_checks] == [("A_16", False, 0),
+                                                ("A_21", True, 3)]
+
+
+def test_borel_probe_runs_only_for_rows_left_to_the_search(monkeypatch):
+    probed = []
+
+    def counted(spec, alg, samples, rng):
+        probed.append(samples)
+        return probe(spec, alg, samples, rng)
+
+    probe = certificates.borel_stability_probe
+    monkeypatch.setattr(certificates, "borel_stability_probe", counted)
+    rows = {}
+    for index, claim in enumerate(files.load_shipped_claims()):
+        probed.clear()
+        rng = derive_rng(0, f"rows:{index}")
+        state = rng.getstate()
+        outcome = check_claim(claim, 16, 4, rng)
+        searched = sorted(name for name, e in outcome.escapes.items()
+                          if e.status == "EVIDENTIAL")
+        rows[claim.sources] = (searched, list(probed))
+        assert [s.borel_samples for s in outcome.source_checks] == \
+            [4 if searched else 0] * len(claim.sources)
+        assert (rng.getstate() == state) is not searched
+    assert rows == {
+        ("A_03",): (["A_07"], [4]),
+        ("A_05",): (["A_15"], [4]),
+        ("A_05", "A_06", "A_07"): ([], []),
+        ("A_07",): ([], []),
+        ("A_10",): (["A_19", "A_22"], [4]),
+        ("A_13",): (["A_12"], [4]),
+        ("A_16",): ([], []),
+        ("A_21",): ([], []),
+    }
 
 
 def test_all_shipped_claims_valid_at_smoke_scale():

@@ -201,6 +201,10 @@ def test_verify_all_small_run_and_report(tmp_path, capsys):
     assert by_id["a09_to_a12"]["implied_by_transitivity"] is True
     assert by_id["a09_to_a11"]["implied_by_transitivity"] is False
     assert by_id["a09_to_a11"]["hasse_edge"] is True
+    # rows in which the pair screen decides every target: a finding only
+    assert report["screening"]["redundant_claim_rows"] == [
+        "A_05 A_06 A_07 !-> A_21", "A_07 !-> A_16 A_18",
+        "A_16 !-> A_12 A_18 A_22", "A_21 !-> A_20"]
     out = capsys.readouterr().out
     assert "all checks passed" in out
 
@@ -213,24 +217,62 @@ def test_verify_all_is_deterministic_under_a_seed():
 
 def test_worker_pool_gives_identical_witness_and_claim_results(monkeypatch):
     # A^6 = 0 holds for A_24 in every basis: the random search hits on its
-    # first sample, so hit_example is a matrix drawn from the claim's stream
+    # first sample, so hit_example is a matrix drawn from the claim's stream.
+    # Three jobs take the 44 witnesses in 11 chunks of 4, which they cannot
+    # share evenly.
     claims = files.load_shipped_claims() + files.load_claims(
         "claim A_01 !-> A_24\nrequire A_1^6 = 0\n")
     monkeypatch.setattr(files, "load_shipped_claims", lambda: claims)
     sequential = strip_nondeterministic(
         run_all(seed=3, samples=2, borel_samples=1, jobs=1))
-    parallel = strip_nondeterministic(
-        run_all(seed=3, samples=2, borel_samples=1, jobs=2))
-    assert multiprocessing.active_children() == []
     sequential["meta"].pop("jobs")
-    parallel["meta"].pop("jobs")
     assert all(len(r["numeric"]) == 1 for r in sequential["witnesses"])
-    assert [r["claim"] for r in parallel["claims"]] == \
-        [claim.describe() for claim in claims]
-    escape = parallel["claims"][-1]["escapes"]["A_24"]
-    assert escape["status"] == "REFUTED" and escape["random_hits"] == 2
-    assert escape["hit_example"] is not None
-    assert sequential == parallel
+    for jobs in (2, 3):
+        parallel = strip_nondeterministic(
+            run_all(seed=3, samples=2, borel_samples=1, jobs=jobs))
+        assert multiprocessing.active_children() == []
+        assert parallel["meta"].pop("jobs") == jobs
+        assert [r["claim"] for r in parallel["claims"]] == \
+            [claim.describe() for claim in claims]
+        escape = parallel["claims"][-1]["escapes"]["A_24"]
+        assert escape["status"] == "REFUTED" and escape["random_hits"] == 2
+        assert escape["hit_example"] is not None
+        assert sequential == parallel
+
+
+def test_worker_pool_takes_tasks_in_chunks(monkeypatch):
+    chunks = []
+
+    class Recording(suite.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            chunks.append((len(iterables[0]), chunksize))
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", Recording)
+    with suite._task_map(3) as pmap:
+        assert list(pmap(abs, list(range(-13, 0)))) == list(range(13, 0, -1))
+        assert list(pmap(abs, [])) == []
+    run_all(seed=3, samples=1, borel_samples=1, jobs=2)
+    # the chunk size multiprocessing.Pool.map picks, ceil(len / (4 jobs))
+    assert chunks == [(13, 2), (0, 1), (44, 6), (8, 1)]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_all_closes_and_reduces_each_graph_once(monkeypatch):
+    calls = {"transitive_closure": 0, "hasse_reduction": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(suite.graphmod, name,
+                            counting(name, getattr(suite.graphmod, name)))
+    run_all(seed=3, samples=1, borel_samples=1)
+    # once for the verified graph and once for the reference edges
+    assert calls == {"transitive_closure": 2, "hasse_reduction": 2}
 
 
 def test_failing_claim_task_shuts_the_worker_pool_down(monkeypatch):
