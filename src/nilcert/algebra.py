@@ -85,10 +85,8 @@ class StructureTable:
     # -- identity checks -------------------------------------------------------------
 
     def is_commutative(self) -> bool:
-        for (i, j, k), c in self.entries.items():
-            if self.entry(j, i, k) != c:
-                return False
-        return True
+        return all(self.entry(j, i, k) == c
+                   for (i, j, k), c in self.entries.items())
 
     def check_identities(self) -> IdentityReport:
         """(e_i e_j) e_k = e_i (e_j e_k) on every triple, read from the

@@ -18,16 +18,20 @@ The toolkit deliberately distinguishes two escape outcomes for a target:
 * EVIDENTIAL -- a randomized search over bases found no membership; this is
   evidence, not proof, and is labelled as such.
 
-check_claim searches only the targets left without a certificate.
-Stability of R under the flag-preserving (Borel) subgroup is probed with
-random flag-preserving basis changes rather than proven, and only for rows
-with a target left to the search: a row whose targets are all certified
-draws no samples.
+The pair screen reads one table of semicontinuous invariants, INVARIANTS:
+along a degeneration dim Der must strictly grow, each dim A^k may only drop
+and dim Ann may only grow.  check_claim searches only the targets left
+without a certificate.  Stability of R under the flag-preserving (Borel)
+subgroup is probed with random flag-preserving basis changes rather than
+proven, and only for rows with a target left to the search and a condition
+that depends on the basis; other rows draw no samples.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import catalog
 from .algebra import (BasisChange, StructureTable, annihilator, flag_subspace,
@@ -183,9 +187,9 @@ def borel_stability_probe(spec: ClosedSetSpec, alg: StructureTable,
     if not satisfies(spec, alg):
         raise ValueError("algebra does not satisfy the spec in the given basis")
     per_sample = _basis_dependent(spec)
-    for _ in range(samples):
+    for _ in range(samples if per_sample.conjuncts else 0):
         g = random_borel_matrix(rng, alg.dim)
-        if per_sample.conjuncts and not satisfies(per_sample, BasisChange(alg, g)):
+        if not satisfies(per_sample, BasisChange(alg, g)):
             return g
     return None
 
@@ -266,66 +270,84 @@ def escape_evidence(spec: ClosedSetSpec, target: StructureTable,
 # -- degeneration screening battery --------------------------------------------------------------------
 
 
+MAY_GROW, MAY_DROP, MUST_GROW = operator.le, operator.ge, operator.lt
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """One entry of the pair screen.  A tuple value is compared componentwise
+    and evidence is formatted for each component that breaks the direction,
+    with its values a and b and k = 2 + its index (A^k in power_dims)."""
+
+    name: str
+    value: Callable  # catalog.InvariantFingerprint -> int or tuple
+    direction: Callable  # MAY_GROW, MAY_DROP or MUST_GROW
+    failure: str
+    evidence: str
+
+    def holds(self, a, b):
+        """Whether a source value a and a target value b obey the direction."""
+        return all(map(self.direction, a, b)) if isinstance(a, tuple) \
+            else self.direction(a, b)
+
+    def broken(self, a, b):
+        """(k, a_k, b_k) for each component that moves against the direction."""
+        pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+        return [(k, x, y) for k, (x, y) in enumerate(pairs, 2)
+                if not self.direction(x, y)]
+
+
+INVARIANTS = (
+    Invariant("dim Der", operator.attrgetter("dim_der"), MUST_GROW,
+              "dim Der does not strictly increase",
+              "does not raise dim Der ({a} -> {b})"),
+    Invariant("dim A^k", operator.attrgetter("power_dims"), MAY_DROP,
+              "some dim A^k increases", "raises dim A^{k} from {a} to {b}"),
+    Invariant("dim Ann", operator.attrgetter("ann_dim"), MAY_GROW,
+              "dim Ann decreases", "lowers dim Ann from {a} to {b}"),
+)
+"""The invariants a degeneration source -> target can move only one way.
+
+Soundness: for a matrix M(mu) polynomial in the structure constants whose
+rank does not depend on the basis, {mu : rank M(mu) <= r} is cut out by the
+(r+1)-minors, so it is closed and GL-stable, and a rank can only drop along
+a degeneration (as in Burde and Steinhoff, J. Algebra 214, 1999).  dim A^k
+is such a rank; dim Ann and dim Der are kernel dimensions of such matrices,
+so they can only grow.  dim Der grows strictly on a proper degeneration:
+the orbit of mu has dimension n^2 - dim Der, and the boundary of its
+closure is a union of orbits of smaller dimension.
+"""
+
+
 @dataclass(frozen=True)
 class ScreeningReport:
     source: str
     target: str
-    trivial: bool
-    der_dim_increases: bool  # also the orbit test: dim orbit = n^2 - dim Der
-    power_dims_non_increase: bool
-    ann_dim_non_decreases: bool
+    failed: tuple  # (invariant, source value, target value) per broken entry
 
     @property
     def all_pass(self) -> bool:
-        if self.trivial:
-            return True
-        return (self.der_dim_increases and self.power_dims_non_increase
-                and self.ann_dim_non_decreases)
+        return not self.failed
 
     def failures(self):
-        if self.trivial:
-            return []
-        out = []
-        if not self.der_dim_increases:
-            out.append("dim Der does not strictly increase")
-        if not self.power_dims_non_increase:
-            out.append("some dim A^k increases")
-        if not self.ann_dim_non_decreases:
-            out.append("dim Ann decreases")
-        return out
+        return [entry.failure for entry, _, _ in self.failed]
 
     def evidence(self):
         """The failures with the values of both catalog algebras."""
-        if self.trivial:
-            return []
-        fp_s = catalog.catalog_fingerprint(self.source)
-        fp_t = catalog.catalog_fingerprint(self.target)
-        out = []
-        if not self.der_dim_increases:
-            out.append(f"does not raise dim Der ({fp_s.dim_der} -> "
-                       f"{fp_t.dim_der})")
-        if not self.power_dims_non_increase:
-            out.extend(f"raises dim A^{k} from {a} to {b}" for k, (a, b)
-                       in enumerate(zip(fp_s.power_dims, fp_t.power_dims), 2)
-                       if a < b)
-        if not self.ann_dim_non_decreases:
-            out.append(f"lowers dim Ann from {fp_s.ann_dim} to {fp_t.ann_dim}")
-        return out
+        return [entry.evidence.format(k=k, a=a, b=b)
+                for entry, s, t in self.failed for k, a, b in entry.broken(s, t)]
 
 
 def necessary_conditions(source: str, target: str) -> ScreeningReport:
     """Semicontinuity screen for 'source degenerates to target'."""
-    fp_s = catalog.catalog_fingerprint(source)
-    fp_t = catalog.catalog_fingerprint(target)
-    return ScreeningReport(
-        source=source,
-        target=target,
-        trivial=source == target,
-        der_dim_increases=fp_s.dim_der < fp_t.dim_der,
-        power_dims_non_increase=all(a >= b for a, b in
-                                    zip(fp_s.power_dims, fp_t.power_dims)),
-        ann_dim_non_decreases=fp_s.ann_dim <= fp_t.ann_dim,
-    )
+    failed = []
+    if source != target:
+        fp_s, fp_t = map(catalog.catalog_fingerprint, (source, target))
+        for entry in INVARIANTS:
+            a, b = entry.value(fp_s), entry.value(fp_t)
+            if not entry.holds(a, b):
+                failed.append((entry, a, b))
+    return ScreeningReport(source, target, tuple(failed))
 
 
 # -- whole-claim checking -----------------------------------------------------------------------------------
@@ -361,15 +383,17 @@ def check_claim(claim: NonDegenerationClaim, escape_samples: int,
 
     R is needed only for the searched targets, so the Borel probe runs only
     when one is left (a certificate from R's own dim Ann >= d or A^k = 0 is
-    also a failed pair screen, as these are closed and basis-free).  The
-    probes draw before the searches, and the searches go in target order.
+    also a failed pair screen, as these are closed and basis-free) and R has
+    a condition a basis change can alter.  The probes draw before the
+    searches, and the searches go in target order.
     """
     escapes = {name: certified_escape(
                    claim.spec, catalog.get(name).table,
                    [necessary_conditions(s, name) for s in claim.sources])
                for name in claim.targets}
     searched = [name for name, e in escapes.items() if e is None]
-    probe_samples = borel_samples if searched else 0
+    probed = searched and _basis_dependent(claim.spec).conjuncts
+    probe_samples = borel_samples if probed else 0
     source_checks = []
     for name in claim.sources:
         table = catalog.get(name).table
@@ -410,10 +434,7 @@ def screening_completeness(closure, claim_pairs):
         for y in names:
             if x == y or (x, y) in closure:
                 continue
-            reasons = []
-            screen = necessary_conditions(x, y)
-            if not screen.all_pass:
-                reasons.extend(screen.failures())
+            reasons = necessary_conditions(x, y).failures()
             for (s, t) in claim_pairs:
                 reaches_source = s == x or (s, x) in closure
                 target_reaches = t == y or (y, t) in closure

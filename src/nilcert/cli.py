@@ -59,6 +59,8 @@ def _load_algebra_file(path):
 
 
 def _cmd_verify_all(args):
+    if min(args.samples, args.borel_samples) < 1:
+        return _fail_input("--samples and --borel-samples must be at least 1")
     report = run_all(seed=args.seed, samples=args.samples,
                      borel_samples=args.borel_samples, jobs=args.jobs,
                      log=lambda line: print(line))

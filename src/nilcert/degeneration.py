@@ -243,15 +243,10 @@ def verify(witness: DegenerationWitness) -> Verdict:
 
 
 def _table_diff(got: StructureTable, want: StructureTable):
-    diff = []
-    keys = sorted(set(got.entries) | set(want.entries))
-    for (i, j, k) in keys:
-        g = got.entry(i, j, k)
-        w = want.entry(i, j, k)
-        if g != w:
-            diff.append({"index": [i + 1, j + 1, k + 1],
-                         "got": repr(g), "want": repr(w)})
-    return diff
+    pairs = ((key, got.entry(*key), want.entry(*key))
+             for key in sorted(got.entries.keys() | want.entries.keys()))
+    return [{"index": [i + 1 for i in key], "got": repr(g), "want": repr(w)}
+            for key, g, w in pairs if g != w]
 
 
 # -- advisory numeric cross-check -------------------------------------------------

@@ -242,33 +242,20 @@ def _parse_condition(line, lineno, dim):
 
 def load_claims(text, dim=5):
     """Parse a claims file into a list of NonDegenerationClaim."""
-    claims = []
-    current = None
-
-    def flush():
-        nonlocal current
-        if current is not None:
-            claims.append(certificates.NonDegenerationClaim(
-                sources=tuple(current["sources"]),
-                targets=tuple(current["targets"]),
-                spec=certificates.ClosedSetSpec(tuple(current["conditions"])),
-                witness_bases=dict(current["witnesses"]),
-            ))
-        current = None
-
+    blocks = []
     for lineno, line in _meaningful_lines(text):
         if line.startswith("claim "):
-            flush()
             body = line.removeprefix("claim ")
             if "!->" not in body:
                 raise FileFormatError(f"line {lineno}: expected 'claim A !-> B ...'")
             lhs, rhs = body.split("!->", 1)
-            current = {"sources": lhs.split(), "targets": rhs.split(),
-                       "conditions": [], "witnesses": {}}
-        elif current is None:
+            blocks.append({"sources": tuple(lhs.split()),
+                           "targets": tuple(rhs.split()),
+                           "conditions": [], "witnesses": {}})
+        elif not blocks:
             raise FileFormatError(f"line {lineno}: condition outside a claim block")
         elif line.startswith("require "):
-            current["conditions"].append(_parse_condition(line, lineno, dim))
+            blocks[-1]["conditions"].append(_parse_condition(line, lineno, dim))
         elif line.startswith("witness "):
             body = line.removeprefix("witness ")
             if ":" not in body:
@@ -278,11 +265,14 @@ def load_claims(text, dim=5):
                       for part in rows.split(",")]
             if len(matrix) != dim:
                 raise FileFormatError(f"line {lineno}: witness basis needs {dim} rows")
-            current["witnesses"][name.strip()] = matrix
+            blocks[-1]["witnesses"][name.strip()] = matrix
         else:
             raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
-    flush()
-    return claims
+    return [certificates.NonDegenerationClaim(
+                block["sources"], block["targets"],
+                certificates.ClosedSetSpec(tuple(block["conditions"])),
+                block["witnesses"])
+            for block in blocks]
 
 
 def _condition_line(conj) -> str:

@@ -70,6 +70,7 @@ class NonlinearExpressionError(ValueError):
 
 
 _TOKEN_OPS = set("+-*/^(),")
+_DIGITS = set("0123456789")  # str.isdigit also admits non-ASCII digits
 
 
 def _tokenize(text):
@@ -81,9 +82,9 @@ def _tokenize(text):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("int", int(text[start:pos]), start))
             continue
@@ -92,15 +93,12 @@ def _tokenize(text):
             pos += 1
             continue
         if ch == "e" and pos + 1 < n and text[pos + 1] == "_":
-            start = pos
-            pos += 2
-            digits = ""
-            while pos < n and text[pos].isdigit():
-                digits += text[pos]
+            start, pos = pos, pos + 2
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
-            if not digits:
+            if pos == start + 2:
                 raise ExpressionSyntaxError("basis vector needs an index", start)
-            tokens.append(("basis", int(digits), start))
+            tokens.append(("basis", int(text[start + 2:pos]), start))
             continue
         if ch in "tic":
             tokens.append((ch, ch, pos))

@@ -177,12 +177,8 @@ def _claims_section(pmap, seed, samples, borel_samples, log):
 
 
 def _screening_section(g, claims_records):
-    pairs = []
-    for record in claims_records:
-        if record["valid"]:
-            for s in record["sources"]:
-                for t in record["targets"]:
-                    pairs.append((s, t))
+    pairs = [(s, t) for record in claims_records if record["valid"]
+             for s in record["sources"] for t in record["targets"]]
     report = screening_completeness(g.closure, pairs)
     # rows whose every (source, target) pair fails the screen: a finding
     # about the claims file, like the redundant reference edges

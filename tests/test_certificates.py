@@ -1,6 +1,8 @@
 """Closed-set certificates: membership, witnesses, probes, escapes, and the
 screening battery, with oracle equivalence against the raw defining equations."""
 
+import operator
+import random
 import sys
 from itertools import permutations
 
@@ -8,8 +10,9 @@ import pytest
 
 from nilcert import catalog, certificates, files
 from nilcert.algebra import BasisChange, StructureTable
-from nilcert.certificates import (AnnDimAtLeast, ClosedSetSpec,
-                                  FlagContainment, PolynomialEq, PowerVanish,
+from nilcert.certificates import (INVARIANTS, MUST_GROW, AnnDimAtLeast,
+                                  ClosedSetSpec, FlagContainment,
+                                  PolynomialEq, PowerVanish,
                                   borel_stability_probe, check_claim,
                                   conjunct_holds, escape_evidence,
                                   necessary_conditions, satisfies,
@@ -123,6 +126,32 @@ def test_borel_probe_finds_no_violation_on_shipped_rows():
             assert borel_stability_probe(claim.spec, table, 25, rng) is None
 
 
+def test_a_row_with_no_basis_dependent_condition_draws_no_borel_samples(
+        monkeypatch):
+    # A^6 = 0 holds in every basis or in none, so a flag-preserving change
+    # has nothing to check: the probe draws nothing, the source records 0
+    # Borel samples and the search of A_24 starts from the untouched stream
+    claim, = files.load_claims("claim A_01 !-> A_24\nrequire A_1^6 = 0\n")
+    rng = derive_rng(0, "basis-free")
+    state = rng.getstate()
+    assert borel_stability_probe(claim.spec, catalog.get("A_01").table, 5,
+                                 rng) is None
+    assert rng.getstate() == state
+    at_search = []
+
+    def recorded(spec, target, samples, rng):
+        at_search.append(rng.getstate())
+        return search(spec, target, samples, rng)
+
+    search = certificates.random_escape
+    monkeypatch.setattr(certificates, "random_escape", recorded)
+    outcome = check_claim(claim, 3, 2, rng)
+    assert [(s.name, s.satisfied, s.borel_samples)
+            for s in outcome.source_checks] == [("A_01", True, 0)]
+    assert at_search == [state]
+    assert outcome.escapes["A_24"].status == "REFUTED"
+
+
 def test_borel_probe_reports_a_violating_matrix_when_unstable():
     # c(1,1,3) = 0 holds for the algebra with e_1^2 = e_2 in its own basis,
     # but f_1^2 picks up an f_3 component as soon as f_2 mixes e_2 and e_3,
@@ -212,7 +241,93 @@ def test_screening_rejects_the_reverse_direction():
 
 
 def test_screening_waives_strictness_for_the_trivial_pair():
-    assert necessary_conditions("A_13", "A_13").all_pass
+    report = necessary_conditions("A_13", "A_13")
+    assert report.all_pass and report.failed == ()
+
+
+def test_each_screen_entry_prints_its_failure_and_its_values():
+    cases = {
+        ("A_02", "A_03"): (["dim Der does not strictly increase"],
+                           ["does not raise dim Der (6 -> 6)"]),
+        ("A_03", "A_05"): (["some dim A^k increases"],
+                           ["raises dim A^3 from 1 to 2",
+                            "raises dim A^4 from 0 to 1"]),
+        ("A_05", "A_13"): (["dim Ann decreases"],
+                           ["lowers dim Ann from 2 to 1"]),
+    }
+    for (source, target), (failures, evidence) in cases.items():
+        report = necessary_conditions(source, target)
+        assert report.failures() == failures, (source, target)
+        assert report.evidence() == evidence, (source, target)
+
+
+def test_an_invariant_added_to_the_table_reaches_the_whole_screen(monkeypatch):
+    # A^k = 0 is closed, so the nilpotency index can only drop; the entry
+    # alone makes the screen, its failures and its evidence read it
+    nilpotency = certificates.Invariant(
+        "nilpotency index", operator.attrgetter("nilpotency_index"),
+        certificates.MAY_DROP, "the nilpotency index increases",
+        "raises the nilpotency index from {a} to {b}")
+    monkeypatch.setattr(certificates, "INVARIANTS", INVARIANTS + (nilpotency,))
+    report = necessary_conditions("A_03", "A_05")
+    assert report.failed[-1] == (nilpotency, 4, 5)
+    assert report.failures() == ["some dim A^k increases",
+                                 "the nilpotency index increases"]
+    assert report.evidence() == ["raises dim A^3 from 1 to 2",
+                                 "raises dim A^4 from 0 to 1",
+                                 "raises the nilpotency index from 4 to 5"]
+    assert necessary_conditions("A_05", "A_03").failed[-1][0] is not nilpotency
+
+
+def weighted_limit(table, order, weights):
+    """The limit at t -> 0 of the table in the basis E_a = t^(w_a) e_(P a),
+    P = order and w = weights, or None when it has a pole there.
+
+    E_a E_b = sum_c mu(P a, P b, P c) t^(w_a + w_b - w_c) E_c, so the limit
+    exists when every nonzero constant has w_a + w_b >= w_c and keeps those
+    with equality; it is a degeneration of the table."""
+    position = {p: a for a, p in enumerate(order)}
+    entries = {}
+    for (i, j, k), c in table.entries.items():
+        a, b, m = position[i], position[j], position[k]
+        excess = weights[a] + weights[b] - weights[m]
+        if excess < 0:
+            return None
+        if excess == 0:
+            entries[(a, b, m)] = c
+    return StructureTable(table.dim, entries)
+
+
+def test_every_invariant_moves_only_in_its_direction_along_weighted_limits():
+    # soundness beyond the shipped witnesses: the values are computed on
+    # each limit table directly, with no identification
+    rng = random.Random(16)
+    names = catalog.names()
+    moved = dict.fromkeys((entry.name for entry in INVARIANTS), 0)
+    kept = 0
+    while kept < 300:
+        name = rng.choice(names)
+        order = rng.sample(range(5), 5)
+        weights = [rng.randint(0, 3) for _ in range(5)]
+        limit = weighted_limit(catalog.get(name).table, order, weights)
+        if limit is None:
+            continue
+        kept += 1
+        source, target = catalog.catalog_fingerprint(name), catalog.fingerprint(limit)
+        values = {entry.name: (entry.value(source), entry.value(target))
+                  for entry in INVARIANTS}
+        changed = {key for key, (a, b) in values.items() if a != b}
+        for entry in INVARIANTS:
+            a, b = values[entry.name]
+            # a strict entry may stay put only on a limit that no other entry
+            # tells apart from the source: it may be the source itself
+            if entry.direction is MUST_GROW and a == b \
+                    and not changed - {entry.name}:
+                continue
+            assert entry.holds(a, b), (name, order, weights, entry.name)
+        for key in changed:
+            moved[key] += 1
+    assert all(moved.values()), moved
 
 
 def test_screening_reads_the_cached_catalog_fingerprints(monkeypatch):

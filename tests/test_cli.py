@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from nilcert import degeneration, files, suite
+from nilcert import cli, degeneration, files, suite
 from nilcert.cli import build_arg_parser, main
 from nilcert.suite import run_all, strip_nondeterministic
 
@@ -207,6 +207,20 @@ def test_verify_all_small_run_and_report(tmp_path, capsys):
         "A_16 !-> A_12 A_18 A_22", "A_21 !-> A_20"]
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--borel-samples"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_all_refuses_a_sample_count_below_one(flag, count, capsys,
+                                                     monkeypatch):
+    # zero samples would print EVIDENTIAL escapes drawn from no sample
+    monkeypatch.setattr(cli, "run_all", None)  # refused before any run
+    assert main(["verify-all", flag, count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "input",
+        "detail": "--samples and --borel-samples must be at least 1"}
 
 
 def test_verify_all_is_deterministic_under_a_seed():

@@ -61,9 +61,13 @@ def test_juxtaposition_never_swallows_subtraction():
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(ExpressionSyntaxError) as err:
-        parse_expression("t e_1 + & e_2")
-    assert err.value.position == 8
+    # digits are ASCII only: a superscript or an Arabic-Indic digit, which
+    # str.isdigit accepts, is an unexpected character, not a number
+    for text, position in (("t e_1 + & e_2", 8), ("\u00b2", 0), ("1\u00b2", 1),
+                           ("e_\u00b9", 0), ("\u0663", 0)):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
+        assert err.value.position == position, text
 
 
 def test_unbalanced_parenthesis():
