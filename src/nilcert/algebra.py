@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (SingularMatrixError, gaussian_int_adjugate,
-                     gaussian_int_echelon, gaussian_int_kernel, max_bits,
+                     gaussian_int_jordan, gaussian_int_kernel, max_bits,
                      pack_pairs, rref)
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gaussian
 
@@ -337,7 +337,8 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
     non-associative diagnostic tables.  Once S^z = ... = S^(2z-2) = 0 the
     chain stops: every product of at least z factors contains a sub-product
     of z to 2z-2 factors, so every later power is zero as well.  Products
-    are taken on the integer tensor and spanned by the integer echelon:
+    are taken on the integer tensor and spanned by the rows of their
+    fraction-free reduced echelon form (``gaussian_int_jordan``):
     each spanning vector u of a power gets its left-multiplication matrix
     (the products u e_j) once, so u w costs one combination.  On a
     commutative table S^p S^q = S^q S^p, so only p <= q is formed, and for
@@ -365,7 +366,8 @@ def power_chain(alg: StructureTable, up_to: int, base: Subspace | None = None):
                 if commutative and 2 * p == m:
                     right = right[a:]
                 products.extend(_combine(w, left) for w in right)
-        powers.append(Subspace(n, _rationals(gaussian_int_echelon(products))))
+        _, _, reduced = gaussian_int_jordan(products)
+        powers.append(Subspace(n, _rationals(reduced)))
         spans.append([_scaled_ints(row)[1] for row in powers[-1].rows])
         if spans[-1]:
             first_zero = None

@@ -23,8 +23,9 @@ along a degeneration dim Der must strictly grow, each dim A^k may only drop
 and dim Ann may only grow.  check_claim searches only the targets left
 without a certificate.  Stability of R under the flag-preserving (Borel)
 subgroup is probed with random flag-preserving basis changes rather than
-proven, and only for rows with a target left to the search and a condition
-that depends on the basis; other rows draw no samples.
+proven, and only for rows with a target left to the search and a polynomial
+equation: such a change maps each flag tail onto itself, so it keeps every
+other kind of condition.  Other rows draw no samples.
 """
 
 from __future__ import annotations
@@ -178,15 +179,23 @@ def _basis_dependent(spec: ClosedSetSpec) -> ClosedSetSpec:
         if not isinstance(c, AnnDimAtLeast) and _whole_power(c) is None))
 
 
+def _polynomial(spec: ClosedSetSpec) -> ClosedSetSpec:
+    """The spec's polynomial equations, the only conditions that a
+    flag-preserving basis change, which maps each A_p onto itself, alters."""
+    return ClosedSetSpec(tuple(
+        c for c in spec.conjuncts if isinstance(c, PolynomialEq)))
+
+
 def borel_stability_probe(spec: ClosedSetSpec, alg: StructureTable,
                           samples: int, rng):
     """Search for a flag-preserving basis change that exits the set.
 
     Requires satisfies(spec, alg); returns the first violating matrix or None.
+    Each sample checks the polynomial equations only (``_polynomial``).
     """
     if not satisfies(spec, alg):
         raise ValueError("algebra does not satisfy the spec in the given basis")
-    per_sample = _basis_dependent(spec)
+    per_sample = _polynomial(spec)
     for _ in range(samples if per_sample.conjuncts else 0):
         g = random_borel_matrix(rng, alg.dim)
         if not satisfies(per_sample, BasisChange(alg, g)):
@@ -384,15 +393,16 @@ def check_claim(claim: NonDegenerationClaim, escape_samples: int,
     R is needed only for the searched targets, so the Borel probe runs only
     when one is left (a certificate from R's own dim Ann >= d or A^k = 0 is
     also a failed pair screen, as these are closed and basis-free) and R has
-    a condition a basis change can alter.  The probes draw before the
-    searches, and the searches go in target order.
+    a polynomial equation, the only kind of condition a flag-preserving
+    basis change can alter.  The probes draw before the searches, and the
+    searches go in target order.
     """
     escapes = {name: certified_escape(
                    claim.spec, catalog.get(name).table,
                    [necessary_conditions(s, name) for s in claim.sources])
                for name in claim.targets}
     searched = [name for name, e in escapes.items() if e is None]
-    probed = searched and _basis_dependent(claim.spec).conjuncts
+    probed = searched and _polynomial(claim.spec).conjuncts
     probe_samples = borel_samples if probed else 0
     source_checks = []
     for name in claim.sources:

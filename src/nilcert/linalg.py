@@ -2,11 +2,11 @@
 
 All routines are deterministic: pivots are chosen as the first nonzero entry
 scanning columns left to right and rows top to bottom, so echelon forms are
-reproducible for golden tests.  One fraction-free Bareiss update over
-Gaussian integers, with its exact division by the previous pivot, serves two
-routines: the elimination gaussian_int_echelon gives the spans of the
-identify path (powers); its Gauss-Jordan form gaussian_int_adjugate gives
-det and adjugate for the change of basis of a Q(i) table.
+reproducible for golden tests.  One fraction-free Gauss-Jordan elimination
+over Gaussian integers, gaussian_int_jordan, gives rows that are d times the
+reduced echelon form, read off three ways: their span (powers, on the
+identify path), d G^-1 from [G | I] (gaussian_int_adjugate, for the change of
+basis of a Q(i) table) and the kernel vectors of the fallback below.
 gaussian_int_kernel (the annihilator, the derivations and their dimension,
 the invertibility test of random bases) proves a kernel from both sides,
 eliminating only the rows the proof needs.  Lower bound: the elimination
@@ -16,8 +16,8 @@ reduced echelon form mod p, lifted to Gaussian integers by rational
 reconstruction, are checked exactly against every row of the matrix; they
 are independent by their identity block at the free columns.  The first
 rows taken are evenly spaced; a failed check names the rows to add.
-Bareiss on all the rows is only the fallback.  gaussian_int_rank counts
-the vectors.
+Gauss-Jordan on all the rows is only the fallback.  gaussian_int_rank
+counts the vectors.
 rref and invert_matrix work over Q(i).  laplace_adjugate, with no division,
 gives det and adjugate over any commutative ring; the change of basis of a
 parametric witness runs it on polynomials in Z[i][t] (``scalars.Poly`` over
@@ -124,79 +124,77 @@ def laplace_adjugate(matrix):
 
 # -- fraction-free fast path over Gaussian integers ------------------------------
 
-def gaussian_int_echelon(rows):
-    """Row echelon form of a matrix of Gaussian integers given as (re, im)
-    int pairs: its nonzero rows, which span the row space of the input.
+def gaussian_int_jordan(rows):
+    """(d, pivots, reduced) for a matrix of Gaussian integers given as
+    (re, im) int pairs, by fraction-free Gauss-Jordan elimination: one row
+    per pivot column of the reduced echelon form R, in column order, with d
+    at its own pivot, 0 at the other pivots and d R elsewhere; d = +-det of
+    the pivot minor, the last pivot, or (1, 0) when there is none.
 
-    Single-step Bareiss elimination (``_bareiss_tails``): intermediate
-    entries stay minors of the input instead of growing exponentially.  No
-    content stripping: it would break the exactness of the Bareiss division.
-    Only columns right of the pivot are updated, and a row that becomes zero
-    is dropped.
+    Single-step Bareiss elimination (``_bareiss_tails``): every entry stays
+    a minor of the input (Sylvester's identity), so the divisions are exact
+    and nothing grows exponentially; content stripping would break that.
+    The rows left are updated right of the pivot, and one that becomes zero
+    is dropped; the earlier pivot rows also at the free columns left of it,
+    and their own pivot entries take the new pivot.
     """
     rows = [list(r) for r in rows if any(a or b for a, b in r)]
-    echelon = []
+    pivots, reduced, free = [], [], []
     prev = (1, 0, 1)
     for col in range(len(rows[0]) if rows else 0):
         pr = next((k for k, row in enumerate(rows) if row[col] != (0, 0)), None)
         if pr is None:
+            free.append(col)
             continue
         prow = rows.pop(pr)
-        echelon.append(prow)
         zeros = [(0, 0)] * (col + 1)
         rows = [zeros + tail for tail in _bareiss_tails(rows, prow, col, prev)
                 if tail.count((0, 0)) < len(tail)]
+        for row, c, tail in zip(reduced, pivots,
+                                _bareiss_tails(reduced, prow, col, prev, free)):
+            for f, x in zip(free, tail):
+                row[f] = x
+            row[c] = prow[col]
+            row[col:] = [(0, 0)] + tail[len(free):]
+        pivots.append(col)
+        reduced.append(prow)
         pa, pb = prow[col]
         prev = (pa, pb, pa * pa + pb * pb)
-    return echelon
+    return prev[:2], pivots, reduced
 
 
 def gaussian_int_adjugate(rows):
     """(d, d G^-1) for a square matrix G of Gaussian integers given as
-    (re, im) int pairs, with d = +-det G; d G^-1 is the adjugate up to that
-    sign.  Raises SingularMatrixError when det G = 0.
-
-    Fraction-free Gauss-Jordan on [G | I]: the Bareiss update of
-    ``gaussian_int_echelon`` applied to the rows above the pivot as well.
-    After the pivot of column k every row holds the pivot p_k in its own
-    pivot column, so the rows end as [d I | d G^-1] with d the last pivot.
+    (re, im) int pairs, with d = +-det G (d G^-1 is the adjugate up to that
+    sign): the rows [d I | d G^-1] of ``gaussian_int_jordan`` on [G | I].
+    Raises SingularMatrixError when det G = 0.
     """
     n = len(rows)
-    aug = [list(row) + [(1, 0) if c == r else (0, 0) for c in range(n)]
-           for r, row in enumerate(rows)]
-    prev = (1, 0, 1)
-    for col in range(n):
-        pr = next((k for k in range(col, n) if aug[k][col] != (0, 0)), None)
-        if pr is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pr] = aug[pr], aug[col]
-        prow = aug.pop(col)
-        # columns up to col would hold only each row's own pivot, which is
-        # never read again, so they are filled with zeros
-        aug = [[(0, 0)] * (col + 1) + tail
-               for tail in _bareiss_tails(aug, prow, col, prev)]
-        aug.insert(col, prow)
-        pa, pb = prow[col]
-        prev = (pa, pb, pa * pa + pb * pb)
-    return (prev[0], prev[1]), [row[n:] for row in aug]
+    d, pivots, reduced = gaussian_int_jordan(
+        [list(row) + [(1, 0) if c == r else (0, 0) for c in range(n)]
+         for r, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return d, [row[n:] for row in reduced]
 
 
-def _bareiss_tails(rows, prow, col, prev):
-    """For each row, the entries right of ``col`` of (p row - row[col] prow) / q,
-    where p is the pivot prow[col] and q the previous pivot, given as
-    (re, im, norm).
+def _bareiss_tails(rows, prow, col, prev, left=()):
+    """For each row, the entries at the columns ``left`` and then those
+    right of ``col`` of (p row - row[col] prow) / q, where p is the pivot
+    prow[col] and q the previous pivot, given as (re, im, norm).
 
     The division is exact (Bareiss identity).  Every row is rescaled, zero
     entries in the pivot column included; skipping them would break that.
     """
     pa, pb = prow[col]
-    ptail = prow[col + 1:]
+    ptail = [prow[c] for c in left] + prow[col + 1:]
     prev_re, prev_im, prev_norm = prev
     tails = []
     for row in rows:
         ka, kb = row[col]
         tail = []
-        for (xa, xb), (ya, yb) in zip(row[col + 1:], ptail):
+        xs = [row[c] for c in left] + row[col + 1:] if left else row[col + 1:]
+        for (xa, xb), (ya, yb) in zip(xs, ptail):
             na = pa * xa - pb * xb - (ka * ya - kb * yb)
             nb = pa * xb + pb * xa - (ka * yb + kb * ya)
             if na or nb:
@@ -275,7 +273,7 @@ class IntRows:
             yield s
 
     def rows(self):
-        """The rows, for the Bareiss fallback."""
+        """The rows, for the Gauss-Jordan fallback."""
         return self._rows
 
 
@@ -306,8 +304,8 @@ def gaussian_int_kernel(rows, ncols):
 
     A residue 0 lifts to 0, so a checked vector is 0 right of f, and a pivot
     that p hides leaves a vector that fails the check: the pivot columns
-    are those of the reduced echelon form over Q(i).  Bareiss on all the
-    rows (``_kernel_vectors``) runs only when an image loses a pivot, no
+    are those of the reduced echelon form over Q(i).  Gauss-Jordan on all
+    the rows (``_kernel_vectors``) runs only when an image loses a pivot, no
     lift is found, or the check fails on no row that is left to add (all
     eliminated already or zero mod p).  Either way a vector divided by its
     last nonzero entry, at its free column, is the standard free-column
@@ -532,33 +530,19 @@ def pack_slots(values, width):
 
 def _kernel_vectors(rows, ncols):
     """One kernel vector of the given rows per free column, as lists of
-    (re, im) pairs: the Bareiss fallback of ``gaussian_int_kernel``.
-
-    The Bareiss echelon form U of the rows A has pivot columns C and last
-    pivot d = +-det A_C.  The vector of free column f holds d at f, 0 at the
-    other free columns and at C the solution of U_C x = -d U_f, which is that
-    of A_C x = -d A_f and so integral by Cramer's rule; back-substitution
-    finds it with exact Gaussian divisions, and it is 0 right of f.
+    (re, im) pairs: the fallback of ``gaussian_int_kernel``, read off the
+    rows d R of ``gaussian_int_jordan``.  The vector of free column f is
+    d (e_f - sum_i R_if e_(c_i)): d at f, 0 at the other free columns and
+    right of f, and -d R_if at each pivot column c_i.
     """
-    echelon = gaussian_int_echelon(rows)
-    pivots = [next(c for c, e in enumerate(row) if e != (0, 0)) for row in echelon]
-    da, db = echelon[-1][pivots[-1]] if echelon else (1, 0)
+    d, pivots, reduced = gaussian_int_jordan(rows)
     vectors = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = [(0, 0)] * ncols
-        v[f] = (da, db)
-        for row, c in zip(reversed(echelon), reversed(pivots)):
-            na = nb = 0
-            for j in range(c + 1, ncols):
-                ya, yb = v[j]
-                if ya or yb:
-                    ua, ub = row[j]
-                    if ua or ub:
-                        na -= ua * ya - ub * yb
-                        nb -= ua * yb + ub * ya
-            pa, pb = row[c]
-            norm = pa * pa + pb * pb
-            v[c] = ((na * pa + nb * pb) // norm, (nb * pa - na * pb) // norm)
+        v[f] = d
+        for row, c in zip(reduced, pivots):
+            a, b = row[f]
+            v[c] = (-a, -b)
         vectors.append(v)
     return vectors
 

@@ -71,6 +71,7 @@ class NonlinearExpressionError(ValueError):
 
 _TOKEN_OPS = set("+-*/^(),")
 _DIGITS = set("0123456789")  # str.isdigit also admits non-ASCII digits
+_BLANKS = set(" \t\n\r\f\v")  # str.isspace also admits non-ASCII blanks
 
 
 def _tokenize(text):
@@ -79,7 +80,7 @@ def _tokenize(text):
     n = len(text)
     while pos < n:
         ch = text[pos]
-        if ch.isspace():
+        if ch in _BLANKS:
             pos += 1
             continue
         if ch in _DIGITS:

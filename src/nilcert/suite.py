@@ -26,6 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import __version__, catalog, files
 from . import graph as graphmod
@@ -159,17 +160,9 @@ def _claims_section(pmap, seed, samples, borel_samples, log):
             "targets": list(claim.targets),
             "conditions": claim.spec.describe(),
             "valid": outcome.valid,
-            "source_checks": [
-                {"name": s.name, "used_witness": s.used_witness,
-                 "satisfied": s.satisfied,
-                 "borel_samples": s.borel_samples,
-                 "borel_violation": s.borel_violation}
-                for s in outcome.source_checks],
-            "escapes": {
-                name: {"status": e.status, "certificate": e.certificate,
-                       "random_hits": e.random_hits, "samples": e.samples,
-                       "hit_example": e.hit_example}
-                for name, e in outcome.escapes.items()},
+            "source_checks": [asdict(s) for s in outcome.source_checks],
+            "escapes": {name: asdict(e)
+                        for name, e in outcome.escapes.items()},
         })
         if log:
             log(f"claim {claim.describe()}: {'ok' if outcome.valid else 'FAILED'}")

@@ -174,13 +174,13 @@ def test_power_chain_of_a_subspace_outlives_a_zero_power():
 def test_power_chain_forms_each_product_of_a_commutative_table_once(monkeypatch):
     # S^m spans the products of S^p and S^q for p + q = m; on a commutative
     # table only p <= q, and for p = q only the pairs u_a u_b with a <= b
-    sizes, echelon = [], algebra.gaussian_int_echelon
+    sizes, jordan = [], algebra.gaussian_int_jordan
 
     def counted(rows):
         sizes.append(len(rows))
-        return echelon(rows)
+        return jordan(rows)
 
-    monkeypatch.setattr(algebra, "gaussian_int_echelon", counted)
+    monkeypatch.setattr(algebra, "gaussian_int_jordan", counted)
 
     def products(dims, m, commutative):
         if not commutative:

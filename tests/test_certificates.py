@@ -405,20 +405,23 @@ def test_a_target_failing_the_pair_screen_for_every_source_is_not_searched():
 def test_a_target_passing_the_pair_screen_for_one_source_is_searched():
     # A_21 -> A_20 raises dim A^2, but A_16 -> A_20 passes the screen
     claim, = files.load_claims(
-        "claim A_16 A_21 !-> A_20\nrequire A_1 A_1 <= A_5\n")
+        "claim A_16 A_21 !-> A_20\nrequire A_1 A_1 <= A_5\n"
+        "require poly c(1,1,1) = 0\n")
     assert not necessary_conditions("A_21", "A_20").all_pass
     assert necessary_conditions("A_16", "A_20").all_pass
     outcome = check_claim(claim, 12, 3, derive_rng(0, "mixed"))
     escape = outcome.escapes["A_20"]
     assert escape.status in ("EVIDENTIAL", "REFUTED")
     assert escape.samples == 12 and escape.certificate is None
-    # A_16 is not in R in its catalog basis, so only A_21 is probed
+    # A_16 is not in R in its catalog basis, so only A_21 is probed, for
+    # the polynomial equation
     assert [(s.name, s.satisfied, s.borel_samples)
             for s in outcome.source_checks] == [("A_16", False, 0),
                                                 ("A_21", True, 3)]
 
 
 def test_borel_probe_runs_only_for_rows_left_to_the_search(monkeypatch):
+    # and only for a row with a polynomial equation: A_05 !-> A_15 alone
     probed = []
 
     def counted(spec, alg, samples, rng):
@@ -437,15 +440,15 @@ def test_borel_probe_runs_only_for_rows_left_to_the_search(monkeypatch):
                           if e.status == "EVIDENTIAL")
         rows[claim.sources] = (searched, list(probed))
         assert [s.borel_samples for s in outcome.source_checks] == \
-            [4 if searched else 0] * len(claim.sources)
+            [4 if probed else 0] * len(claim.sources)
         assert (rng.getstate() == state) is not searched
     assert rows == {
-        ("A_03",): (["A_07"], [4]),
+        ("A_03",): (["A_07"], []),
         ("A_05",): (["A_15"], [4]),
         ("A_05", "A_06", "A_07"): ([], []),
         ("A_07",): ([], []),
-        ("A_10",): (["A_19", "A_22"], [4]),
-        ("A_13",): (["A_12"], [4]),
+        ("A_10",): (["A_19", "A_22"], []),
+        ("A_13",): (["A_12"], []),
         ("A_16",): ([], []),
         ("A_21",): ([], []),
     }

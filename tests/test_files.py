@@ -97,6 +97,7 @@ def test_algebra_loader_rejects_bad_input():
     ("witness A_23 -> A_24\nE_1 e_1\n", 2),
     ("witness A_23 -> A_24\nE_1 = e_1 +\n", 2),
     ("algebra X\ndim 5\ne_1 * e_2 = e_3 +\n", 3),
+    ("algebra X\ndim 5\ne_1 * e_1 = e_2 +\u00a00 e_1\n", 3),
     ("claim A_05 !-> A_15\nrequire 0^0 e_1\n", 2),
 ])
 def test_loader_errors_name_their_line(text, lineno):

@@ -21,7 +21,7 @@ from nilcert.algebra import (StructureTable, Subspace, annihilator,
 from nilcert.derivations import (LeibnizRows, derivation_dimension,
                                  derivation_space)
 from nilcert.linalg import (RANK_PRIME, SingularMatrixError, det,
-                            gaussian_int_echelon, invert_matrix)
+                            gaussian_int_jordan, invert_matrix, rref)
 from nilcert.sampling import (derive_rng, random_borel_matrix,
                               random_invertible, random_vector)
 from nilcert.scalars import GR_ONE, GR_ZERO, GaussianRational
@@ -288,18 +288,32 @@ def test_scaling_by_a_gaussian_rational_keeps_identities_and_fingerprint():
         assert name in catalog.identify(scaled)
 
 
-def test_echelon_spans_the_row_space():
+def test_jordan_rows_are_d_times_the_reduced_echelon_form():
     rng = random.Random(23)
+    cases = []
     for trial in range(100):
         n, gaussian = rng.randrange(1, 7), trial % 2
         rows = [[(rng.randrange(-6, 7), rng.randrange(-3, 4) * gaussian)
                  for _ in range(n)] for _ in range(rng.randrange(1, 7))]
         rows.append([(a + c, b + d) for (a, b), (c, d) in zip(rows[0], rows[-1])])
+        cases.append(rows)
+    # column 1 is free and left of the pivots 2 and 3, so the first pivot
+    # row is updated there after it was chosen
+    cases.append([[(2, 0), (4, 0), (1, 0), (3, 0)],
+                  [(1, 0), (2, 0), (5, 0), (1, 0)],
+                  [(3, 0), (6, 0), (0, 1), (2, 0)]])
+    for rows in cases:
+        n = len(rows[0])
         as_q = [[GaussianRational(a, b) for a, b in row] for row in rows]
-        echelon = [[GaussianRational(a, b) for a, b in row]
-                   for row in gaussian_int_echelon(rows)]
-        assert Subspace.spanned_by(echelon, n) == Subspace.spanned_by(as_q, n)
-        assert len(echelon) == rank(as_q)
+        (da, db), pivots, reduced = gaussian_int_jordan(rows)
+        want, want_pivots = rref(as_q)
+        assert pivots == want_pivots, rows
+        d = GaussianRational(da, db)
+        assert d != GR_ZERO
+        got = [[GaussianRational(a, b) for a, b in row] for row in reduced]
+        assert got == [[d * x for x in row] for row in want[:len(pivots)]], rows
+        assert Subspace.spanned_by(got, n) == Subspace.spanned_by(as_q, n)
+        assert len(got) == rank(as_q)
 
 
 def test_power_chain_keeps_no_padding_past_a_zero_power():

@@ -61,10 +61,12 @@ def test_juxtaposition_never_swallows_subtraction():
 
 
 def test_syntax_error_carries_position():
-    # digits are ASCII only: a superscript or an Arabic-Indic digit, which
-    # str.isdigit accepts, is an unexpected character, not a number
+    # digits and blanks are ASCII only: a superscript or an Arabic-Indic
+    # digit, which str.isdigit accepts, and an ideographic or a no-break
+    # space, which str.isspace accepts, are unexpected characters
     for text, position in (("t e_1 + & e_2", 8), ("\u00b2", 0), ("1\u00b2", 1),
-                           ("e_\u00b9", 0), ("\u0663", 0)):
+                           ("e_\u00b9", 0), ("\u0663", 0),
+                           ("e_1 + e_2\u3000", 9), ("e_1 +\u00a0e_2", 5)):
         with pytest.raises(ExpressionSyntaxError) as err:
             parse_expression(text)
         assert err.value.position == position, text
