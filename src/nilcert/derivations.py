@@ -11,8 +11,9 @@ the scaled table of StructureTable.integer_tensor has the same derivations.
 The dimension and the basis come from the certified kernel of the system
 (``linalg.gaussian_int_kernel``), read from the integer tensor by
 ``LeibnizRows``: its rows are packed modulo a prime straight from the
-tensor, lifted kernel vectors are checked by the Leibniz rule itself, and
-the rows are built as lists only for the Bareiss fallback.
+tensor, and lifted kernel vectors are checked by the Leibniz rule itself,
+which also gives the rows of the Gauss-Jordan fallback
+(``linalg.dense_rows``).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class LeibnizRows(IntRows):
           = sum_k P_ij^k D_km - sum_p D_ip P_pj^m - sum_p D_jp P_ip^m.
 
     On a commutative table (j, i, m) is the same row, so only i <= j is
-    taken; ``keys`` lists the rows as (i, j, m).  The rows are built as
-    lists only for the Bareiss fallback."""
+    taken; ``keys`` lists the rows as (i, j, m).  The unknown D_pq is
+    column p dim + q."""
 
     def __init__(self, alg: StructureTable):
         n = self.dim = alg.dim
@@ -99,28 +100,6 @@ class LeibnizRows(IntRows):
                     if b:
                         s -= b * ys[j * n + p]
                 yield s
-
-    def rows(self):
-        """The rows as (re, im) int pairs; unknown (p, q) is column p dim + q.
-        Duplicate rows are dropped."""
-        n, tensor = self.dim, self.tensor
-        rows = {}
-        for i, j in self.pairs:
-            for m in range(n):
-                re, im = [0] * (n * n), [0] * (n * n)
-                for k, (a, b) in enumerate(tensor[i][j]):
-                    re[k * n + m] += a
-                    im[k * n + m] += b
-                for p in range(n):
-                    a, b = tensor[p][j][m]
-                    re[i * n + p] -= a
-                    im[i * n + p] -= b
-                    a, b = tensor[i][p][m]
-                    re[j * n + p] -= a
-                    im[j * n + p] -= b
-                if any(re) or any(im):
-                    rows.setdefault(tuple(zip(re, im)), None)
-        return list(rows)
 
 
 def derivation_dimension(alg: StructureTable) -> int:

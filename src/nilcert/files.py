@@ -1,7 +1,10 @@
 """ASCII file formats: algebra tables, parametric-basis witnesses,
 non-degeneration claims, and reference graph edge lists.
 
-All formats are line based, '#' starts a comment, and every number is exact.
+All formats are line based (split at line feeds only), '#' starts a comment,
+and every number is exact.  Each line, less its comment and end blanks, must
+match its format's one ``re.ASCII`` pattern in whole: blanks and digits are
+ASCII, as in ``parser``, and names are kept as written between blanks.
 
 Algebra file::
 
@@ -12,13 +15,13 @@ Algebra file::
     e_1 * e_2 = e_4
     e_2 * e_3 = -1 e_5
 
-Witness file::
+Witness file (``dim``, 5 by default, comes before the rows)::
 
     witness A_23 -> A_24
     E_1 = t e_1 + e_2
     ...exactly dim lines...
 
-Claims file (several blocks)::
+Claims file (blocks; a ``witness`` line names a source of its claim, once)::
 
     claim A_13 !-> A_12 A_16
     require A_1 A_1 <= A_4
@@ -42,6 +45,7 @@ has roots: a ``sqrt`` is a FileFormatError on its line.
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 from . import certificates, degeneration
@@ -54,31 +58,49 @@ class FileFormatError(ValueError):
     """Malformed input file."""
 
 
-def _meaningful_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+_BLANKS = " \t\n\r\f\v"  # parser._BLANKS, and \s under re.ASCII
+_LINE_ERRORS = (ValueError, ZeroDivisionError)  # raised by range checks, int(), the parser
+# the line grammar: one pattern per format, 'require' lines taking a _CONDITION
+_ALGEBRA_LINE = re.compile(r"algebra\s+(?P<name>\S+)"
+                           r"|dim\s+(?P<dim>\d+)"
+                           r"|field\s+(?P<field>.+)"
+                           r"|table\s+(?P<mode>.+)"
+                           r"|e_(?P<i>\d+)\s*\*\s*e_(?P<j>\d+)\s*=\s*(?P<rhs>.*)",
+                           re.ASCII)
+_WITNESS_LINE = re.compile(r"witness\s+(?P<source>\S+?)\s*->\s*(?P<target>\S+)"
+                           r"|dim\s+(?P<dim>\d+)"
+                           r"|E_(?P<row>\d+)\s*=\s*(?P<rhs>.*)", re.ASCII)
+# 'A_p^k = 0', 'A_p A_q <= A_r', 'A_p A_q = 0', 'ann >= d', 'poly ... = 0'
+_CONDITION = (r"A_(?P<p>\d+)(?:\^(?P<k>\d+)\s*=\s*0"
+              r"|\s+A_(?P<q>\d+)\s*(?:<=\s*A_(?P<r>\d+)|=\s*0))"
+              r"|ann\s*>=\s*(?P<ann>\d+)"
+              r"|poly\s+(?P<poly>\S(?:.*\S)?)\s*=\s*0")
+_CLAIMS_LINE = re.compile(r"claim\s(?P<sources>.*?)!->(?P<targets>.*)"
+                          r"|require\s+(?:" + _CONDITION + ")"
+                          r"|witness\s+(?P<name>\S+?)\s*:\s*(?P<basis>.*)", re.ASCII)
+_EDGE_LINE = re.compile(r"(?P<source>\S+?)\s*->\s*(?P<target>\S+)", re.ASCII)
+_NAME = re.compile(r"\S+", re.ASCII)
+
+
+def _lines(text, pattern):
+    """(lineno, match) of each line with text before its '#', matched in whole."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if line:
-            yield lineno, line
+            match = pattern.fullmatch(line)
+            if match is None:
+                raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
+            yield lineno, match
 
 
-def _parse_int(text, lineno, what, low=None, high=None):
-    """An integer, checked against low..high when they are given."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise FileFormatError(
-            f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
-    if low is not None and not low <= value <= high:
-        raise FileFormatError(f"line {lineno}: {what} {value} outside {low}..{high}")
+def _bounded(m, group, what, low, high):
+    """The int of a group's matched digits, in low..high; None if unmatched."""
+    if m[group] is None:
+        return None
+    value = int(m[group])
+    if not low <= value <= high:
+        raise ValueError(f"{what} {value} outside {low}..{high}")
     return value
-
-
-def _parse_line(parse, text, lineno, dim):
-    """parse(text, dim), with its errors as FileFormatError on this line."""
-    try:
-        return parse(text, dim)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FileFormatError(f"line {lineno}: {exc}") from None
 
 
 # -- algebra files ------------------------------------------------------------------
@@ -88,44 +110,39 @@ def load_algebra(text):
     """Parse an algebra file; returns (name, StructureTable over Q(i))."""
     name, dim, symmetrize = None, None, True
     products = []
-    for lineno, line in _meaningful_lines(text):
-        if line.startswith("algebra "):
-            name = line.split(None, 1)[1].strip()
-        elif line.startswith("dim "):
-            dim = _parse_int(line.removeprefix("dim "), lineno, "dim", 1, MAX_DIM)
-        elif line.startswith("field "):
-            field = line.split(None, 1)[1].strip()
-            if field != "Q(i)":
-                raise FileFormatError(f"line {lineno}: unsupported field {field!r}")
-        elif line.startswith("table "):
-            mode = line.split(None, 1)[1].strip()
-            if mode not in ("commutative", "raw"):
-                raise FileFormatError(f"line {lineno}: unknown table mode {mode!r}")
-            symmetrize = mode == "commutative"
-        elif "=" in line:
-            lhs, rhs = line.split("=", 1)
-            parts = lhs.split("*")
-            if len(parts) != 2:
-                raise FileFormatError(f"line {lineno}: expected 'e_i * e_j = ...'")
-            i, j = (_parse_int(part.strip().removeprefix("e_"), lineno,
-                               "product index") for part in parts)
-            products.append((lineno, i, j, rhs.strip()))
-        else:
-            raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
+    for lineno, m in _lines(text, _ALGEBRA_LINE):
+        try:
+            if m["name"] is not None:
+                name = m["name"]
+            elif m["dim"] is not None:
+                dim = _bounded(m, "dim", "dim", 1, MAX_DIM)
+            elif m["field"] is not None:
+                if m["field"] != "Q(i)":
+                    raise ValueError(f"unsupported field {m['field']!r}")
+            elif m["mode"] is not None:
+                if m["mode"] not in ("commutative", "raw"):
+                    raise ValueError(f"unknown table mode {m['mode']!r}")
+                symmetrize = m["mode"] == "commutative"
+            else:
+                products.append((lineno, m))
+        except _LINE_ERRORS as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
     if name is None or dim is None:
         raise FileFormatError("missing 'algebra <name>' or 'dim <n>' header")
     entries = {}
-    for lineno, i, j, rhs in products:
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise FileFormatError(f"line {lineno}: index out of range")
-        for k, value in enumerate(_parse_line(parse_constants, rhs, lineno, dim)):
-            if not value:
-                continue
-            for key in {(i - 1, j - 1, k), (j - 1, i - 1, k)} if symmetrize \
-                    else {(i - 1, j - 1, k)}:
-                if key in entries and entries[key] != value:
-                    raise FileFormatError(f"line {lineno}: conflicting entry {key}")
-                entries[key] = value
+    for lineno, m in products:
+        try:
+            i, j = (_bounded(m, g, "product index", 1, dim) for g in "ij")
+            for k, value in enumerate(parse_constants(m["rhs"], dim)):
+                if not value:
+                    continue
+                for key in {(i - 1, j - 1, k), (j - 1, i - 1, k)} if symmetrize \
+                        else {(i - 1, j - 1, k)}:
+                    if key in entries and entries[key] != value:
+                        raise ValueError(f"conflicting entry {key}")
+                    entries[key] = value
+        except _LINE_ERRORS as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
     return name, StructureTable(dim, entries)
 
 
@@ -152,27 +169,24 @@ def dump_algebra(name, table: StructureTable) -> str:
 def load_witness(text) -> degeneration.DegenerationWitness:
     source, target, dim = None, None, 5
     rows = {}
-    for lineno, line in _meaningful_lines(text):
-        if line.startswith("witness "):
-            header = line.split(None, 1)[1]
-            if "->" not in header:
-                raise FileFormatError(f"line {lineno}: expected 'witness A -> B'")
-            source, target = (p.strip() for p in header.split("->", 1))
-        elif line.startswith("dim "):
-            dim = _parse_int(line.removeprefix("dim "), lineno, "dim", 1, MAX_DIM)
-        elif line.startswith("E_"):
-            if "=" not in line:
-                raise FileFormatError(f"line {lineno}: expected 'E_k = ...'")
-            lhs, rhs = line.split("=", 1)
-            idx = _parse_int(lhs.strip().removeprefix("E_"), lineno, "row index")
-            if idx in rows:
-                raise FileFormatError(f"line {lineno}: duplicate E_{idx}")
-            rows[idx] = _parse_line(parse_expression, rhs.strip(), lineno, dim)
-        else:
-            raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
+    for lineno, m in _lines(text, _WITNESS_LINE):
+        try:
+            if m["source"] is not None:
+                source, target = m["source"], m["target"]
+            elif m["dim"] is not None:
+                if rows:
+                    raise ValueError("dim must come before the E_k rows")
+                dim = _bounded(m, "dim", "dim", 1, MAX_DIM)
+            else:
+                idx = _bounded(m, "row", "row index", 1, dim)
+                if idx in rows:
+                    raise ValueError(f"duplicate E_{idx}")
+                rows[idx] = parse_expression(m["rhs"], dim)
+        except _LINE_ERRORS as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
     if source is None:
         raise FileFormatError("missing 'witness A -> B' header")
-    if sorted(rows) != list(range(1, dim + 1)):
+    if len(rows) != dim:
         raise FileFormatError(f"expected exactly E_1..E_{dim} lines")
     matrix = degeneration.ParametricMatrix([rows[i] for i in range(1, dim + 1)])
     return degeneration.DegenerationWitness(source, target, matrix)
@@ -188,91 +202,47 @@ def dump_witness(witness: degeneration.DegenerationWitness) -> str:
 # -- claims files ----------------------------------------------------------------------------
 
 
-def _parse_flag_atom(token, lineno, dim):
-    token = token.strip()
-    if not token.startswith("A_"):
-        raise FileFormatError(f"line {lineno}: expected flag A_p, got {token!r}")
-    return _parse_int(token.removeprefix("A_"), lineno, "flag index", 1, dim)
-
-
-def _parse_flag_pair(text, lineno, dim):
-    atoms = text.split()
-    if len(atoms) != 2:
-        raise FileFormatError(f"line {lineno}: expected 'A_p A_q', got {text.strip()!r}")
-    return tuple(_parse_flag_atom(atom, lineno, dim) for atom in atoms)
-
-
-def _parse_condition(line, lineno, dim):
-    body = line.removeprefix("require ").strip()
-    if body.startswith("ann"):
-        rest = body.removeprefix("ann").strip()
-        if not rest.startswith(">="):
-            raise FileFormatError(f"line {lineno}: expected 'ann >= d'")
-        return certificates.AnnDimAtLeast(
-            _parse_int(rest.removeprefix(">="), lineno, "ann bound", 0, dim))
-    if body.startswith("poly "):
-        expr = body.removeprefix("poly ").strip()
-        if not expr.endswith("= 0"):
-            raise FileFormatError(f"line {lineno}: polynomial condition must end '= 0'")
-        text = expr[: -len("= 0")].strip()
-        return certificates.PolynomialEq(
-            _parse_line(parse_condition, text, lineno, dim), text)
-    # flag products and powers: 'A_p A_q <= A_r', 'A_p A_q = 0', 'A_p^k = 0'
-    if "^" in body.split("=")[0] and "<=" not in body:
-        lhs, _, rhs = body.partition("=")
-        if rhs.strip() != "0":
-            raise FileFormatError(f"line {lineno}: power condition must be '= 0'")
-        base, k = lhs.split("^", 1)
-        k = _parse_int(k, lineno, "power exponent", 1, MAX_EXPONENT)
-        return certificates.PowerVanish(_parse_flag_atom(base, lineno, dim), k)
-    if "<=" in body:
-        lhs, rhs = body.split("<=", 1)
-        p, q = _parse_flag_pair(lhs, lineno, dim)
-        return certificates.FlagContainment(
-            p, q, _parse_flag_atom(rhs, lineno, dim))
-    if "=" in body:
-        lhs, rhs = body.split("=", 1)
-        if rhs.strip() != "0":
-            raise FileFormatError(f"line {lineno}: expected '= 0'")
-        p, q = _parse_flag_pair(lhs, lineno, dim)
-        # None encodes containment in 0
-        return certificates.FlagContainment(p, q, None)
-    raise FileFormatError(f"line {lineno}: unrecognized condition {body!r}")
+def _parse_condition(m, dim):
+    if m["ann"] is not None:
+        return certificates.AnnDimAtLeast(_bounded(m, "ann", "ann bound", 0, dim))
+    if m["poly"] is not None:
+        return certificates.PolynomialEq(parse_condition(m["poly"], dim), m["poly"])
+    p, q, r = (_bounded(m, g, "flag index", 1, dim) for g in "pqr")
+    if m["k"] is not None:
+        return certificates.PowerVanish(
+            p, _bounded(m, "k", "power exponent", 1, MAX_EXPONENT))
+    # r None encodes containment in 0
+    return certificates.FlagContainment(p, q, r)
 
 
 def load_claims(text, dim=5):
     """Parse a claims file into a list of NonDegenerationClaim."""
-    blocks = []
-    for lineno, line in _meaningful_lines(text):
-        if line.startswith("claim "):
-            body = line.removeprefix("claim ")
-            if "!->" not in body:
-                raise FileFormatError(f"line {lineno}: expected 'claim A !-> B ...'")
-            lhs, rhs = body.split("!->", 1)
-            blocks.append({"sources": tuple(lhs.split()),
-                           "targets": tuple(rhs.split()),
-                           "conditions": [], "witnesses": {}})
-        elif not blocks:
-            raise FileFormatError(f"line {lineno}: condition outside a claim block")
-        elif line.startswith("require "):
-            blocks[-1]["conditions"].append(_parse_condition(line, lineno, dim))
-        elif line.startswith("witness "):
-            body = line.removeprefix("witness ")
-            if ":" not in body:
-                raise FileFormatError(f"line {lineno}: expected 'witness NAME : ...'")
-            name, rows = body.split(":", 1)
-            matrix = [_parse_line(parse_constants, part.strip(), lineno, dim)
-                      for part in rows.split(",")]
-            if len(matrix) != dim:
-                raise FileFormatError(f"line {lineno}: witness basis needs {dim} rows")
-            blocks[-1]["witnesses"][name.strip()] = matrix
-        else:
-            raise FileFormatError(f"line {lineno}: unrecognized line {line!r}")
+    blocks = []  # (sources, targets, conditions, witness bases)
+    for lineno, m in _lines(text, _CLAIMS_LINE):
+        try:
+            if m["sources"] is not None:
+                blocks.append((tuple(_NAME.findall(m["sources"])),
+                               tuple(_NAME.findall(m["targets"])), [], {}))
+            elif not blocks:
+                raise ValueError("condition outside a claim block")
+            elif m["name"] is not None:
+                sources, _, _, witnesses = blocks[-1]
+                if m["name"] not in sources:
+                    raise ValueError(f"witness {m['name']} is no source of its claim")
+                if m["name"] in witnesses:
+                    raise ValueError(f"duplicate witness {m['name']}")
+                matrix = [parse_constants(part.strip(_BLANKS), dim)
+                          for part in m["basis"].split(",")]
+                if len(matrix) != dim:
+                    raise ValueError(f"witness basis needs {dim} rows")
+                witnesses[m["name"]] = matrix
+            else:
+                blocks[-1][2].append(_parse_condition(m, dim))
+        except _LINE_ERRORS as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
     return [certificates.NonDegenerationClaim(
-                block["sources"], block["targets"],
-                certificates.ClosedSetSpec(tuple(block["conditions"])),
-                block["witnesses"])
-            for block in blocks]
+                sources, targets, certificates.ClosedSetSpec(tuple(conditions)),
+                witnesses) for sources, targets, conditions, witnesses in blocks]
 
 
 def _condition_line(conj) -> str:
@@ -302,13 +272,7 @@ def dump_claims(claims) -> str:
 
 
 def load_edges(text):
-    edges = []
-    for lineno, line in _meaningful_lines(text):
-        if "->" not in line:
-            raise FileFormatError(f"line {lineno}: expected 'A -> B'")
-        src, dst = (p.strip() for p in line.split("->", 1))
-        edges.append((src, dst))
-    return edges
+    return [(m["source"], m["target"]) for _, m in _lines(text, _EDGE_LINE)]
 
 
 def dump_edges(edges) -> str:

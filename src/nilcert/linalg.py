@@ -228,7 +228,8 @@ LIFT_MARGIN = 20
 class IntRows:
     """A matrix of Gaussian integers as ``gaussian_int_kernel`` reads it,
     here from its rows as lists of (re, im) int pairs.  A subclass may give
-    the same matrix without building them (``derivations.LeibnizRows``).
+    the same matrix without building them (``derivations.LeibnizRows``);
+    ``dense_rows`` builds them back for the Gauss-Jordan fallback.
 
     ``keys`` names the rows, here by index, in the order ``products``
     yields them; ``gaussian`` tells whether an entry has an imaginary part,
@@ -271,10 +272,6 @@ class IntRows:
                 if b:
                     s += b * y
             yield s
-
-    def rows(self):
-        """The rows, for the Gauss-Jordan fallback."""
-        return self._rows
 
 
 def gaussian_int_kernel(rows, ncols):
@@ -334,7 +331,21 @@ def gaussian_int_kernel(rows, ncols):
         packed = [(k, rest.pop(k)) for k in failed if k in rest]
         if not packed:
             break
-    return _kernel_vectors(source.rows(), ncols)
+    return _kernel_vectors(dense_rows(source, ncols), ncols)
+
+
+def dense_rows(source, ncols):
+    """The rows of an ``IntRows`` as lists of (re, im) int pairs, for the
+    Gauss-Jordan fallback: column c is read off ``source.products`` at the
+    unit vectors of its real part and of its imaginary part."""
+    zero = [0] * ncols
+    columns = []
+    for c in range(ncols):
+        unit = zero.copy()
+        unit[c] = 1
+        columns.append(zip(source.products(unit, zero),
+                           source.products(zero, unit)))
+    return [list(row) for row in zip(*columns)]
 
 
 def gaussian_int_rank(rows, ncols=None) -> int:

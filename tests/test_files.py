@@ -99,6 +99,20 @@ def test_algebra_loader_rejects_bad_input():
     ("algebra X\ndim 5\ne_1 * e_2 = e_3 +\n", 3),
     ("algebra X\ndim 5\ne_1 * e_1 = e_2 +\u00a00 e_1\n", 3),
     ("claim A_05 !-> A_15\nrequire 0^0 e_1\n", 2),
+    # blanks and digits are ASCII in every field, as in the grammar
+    ("algebra X\ndim 5\ne_1 * e_1 =\u00a0e_2\n", 3),
+    ("algebra X\ndim 5\ne_1 * e_1 = e_2\u3000\n", 3),
+    ("algebra X\ndim 5\n\u00a0e_1 * e_1 = e_2\n", 3),
+    ("algebra X\ndim \u0665\n", 2),
+    ("algebra X\ndim 1_0\n", 2),
+    ("witness A_23 -> A_24\nE_\u0661 = e_1\n", 2),
+    # dim comes before the rows it sizes
+    ("witness A_23 -> A_24\nE_1 = e_1\ndim 6\n", 3),
+    # lines end at line feeds only; \x1c is no blank and no line break
+    ("algebra X\ndim 5\ne_1 * e_1 = e_2\x1ce_3\n", 3),
+    # int() refuses more than 4300 digits
+    ("algebra X\ndim " + "1" * 5000 + "\n", 2),
+    ("witness A_23 -> A_24\nE_" + "1" * 5000 + " = e_1\n", 2),
 ])
 def test_loader_errors_name_their_line(text, lineno):
     load = {"algebra": files.load_algebra, "witness": files.load_witness,
@@ -287,9 +301,16 @@ def test_claims_loader_rejects_conditions_outside_blocks():
     "require ann >= -3",
     "require ann >= 6",
     "require ann >= 1000000000",
+    "require ann >= " + "9" * 5000,
+    "require A_1^\u0662 = 0",
+    "require A_1^1_0 = 0",
+    # a witness line names a source of its claim, once
+    "witness A_31 : e_1, e_2, e_3, e_4, e_5",
+    "witness A_05 : e_1, e_2, e_3, e_4, e_5\n"
+    "witness A_05 : e_2, e_1, e_3, e_4, e_5",
 ])
 def test_claims_loader_rejects_malformed_lines(line):
-    with pytest.raises(files.FileFormatError):
+    with pytest.raises(files.FileFormatError, match=r"^line \d+: "):
         files.load_claims(f"claim A_05 !-> A_15\n{line}\n")
 
 

@@ -19,7 +19,7 @@ from nilcert.cli import main
 TOKENS = ("0", "1", "2", "7", "64", "10000000000000000000", "t", "i", "e_1",
           "e_5", "e_6", "e_", "c(1,1,2)", "c(5,5,5)", "c(6,1,1)", "c(", "c",
           ",", "(", ")", "+", "-", "*", "/", "^", "^-", " ", "sqrt", "x", "=",
-          "->", "#")
+          "->", "#", "\x0b", "\x1c")
 EXPONENTS = ("0", "1", "2", "-1", "-3", "7", "24", "25", "64", "65")
 
 
@@ -55,7 +55,7 @@ expressions = st.one_of(
 FIELDS = {
     "e": expressions,
     "k": st.sampled_from(("-1", "0", "1", "2", "3", "5", "6", "64", "65",
-                          "x", "")),
+                          "x", "", "1_0")),
     "n": st.sampled_from(("A_01", "A_05", "A_15", "A_23", "A_24", "C5", "X",
                           "")),
 }

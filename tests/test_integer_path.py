@@ -220,7 +220,8 @@ def test_non_commutative_derivations_are_the_oracle_kernel_with_or_without_fallb
 
 def test_the_leibniz_check_names_the_rows_that_fail_by_their_keys(monkeypatch):
     # LeibnizRows row (i, j, m) is the fraction_leibniz_rows row (i, j, m)
-    # scaled by lambda: the check names it when it is nonzero on a vector.
+    # scaled by lambda, and so is row (i, j, m) of its dense_rows: the check
+    # names it when it is nonzero on a vector.
     # The certified kernel vectors fail on no row; a unit vector at column c
     # fails exactly on the rows nonzero at c.
     rng = derive_rng(34, "integer-path-failing-rows")
@@ -235,6 +236,12 @@ def test_the_leibniz_check_names_the_rows_that_fail_by_their_keys(monkeypatch):
         rows = fraction_leibniz_rows(table)
         kernel = linalg.gaussian_int_kernel(source, n * n)
         assert not kernel or linalg._failing_rows(kernel, source) == []
+        # the fallback reads the same rows back off the check
+        scale = GaussianRational(table.integer_form()[0])
+        assert [[GaussianRational(a, b) for a, b in row]
+                for row in linalg.dense_rows(source, n * n)] == \
+            [[scale * x for x in rows[(i * n + j) * n + m]]
+             for i, j, m in source.keys]
         column = rng.randrange(n * n)
         unit = [(0, 0)] * (n * n)
         unit[column] = (1, rng.choice((0, 1)))
